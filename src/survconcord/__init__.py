@@ -11,14 +11,10 @@ from .data import (
     InputError,
     PairCase,
     RankRelation,
-    RiskVector,
     SurvivalDataset,
     SurvivalMatrix,
-    SurvivalRecord,
     TimeGrid,
-    ValidationReport,
     classify_pair,
-    validate_dataset,
 )
 from .engine import (
     CaseRule,
@@ -27,7 +23,6 @@ from .engine import (
     PairTally,
     Truncation,
     antolini_policy,
-    brute_force_oracle,
     concordance,
     concordance_td,
     decompose,

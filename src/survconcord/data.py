@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -108,36 +107,33 @@ def classify_pair(
     return PairCase.C8
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: observed time and event indicator (1 = event, 0 = censored)."""
-
-    subject_id: str
-    time: float
-    event: int
-
-    def violations(self) -> list[str]:
-        out = []
-        if not math.isfinite(self.time):
-            out.append(f"subject {self.subject_id!r}: non-finite time {self.time!r}")
-        elif self.time < 0:
-            out.append(f"subject {self.subject_id!r}: negative time {self.time!r}")
-        if self.event not in (0, 1):
-            out.append(f"subject {self.subject_id!r}: non-binary event {self.event!r}")
-        return out
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be a rectangular numeric array") from None
+
+
+def _reject_first(values: np.ndarray, ok: np.ndarray, what: str) -> None:
+    """Raise InputError naming the first position where ``ok`` is False."""
+    if not np.all(ok):
+        k = int(np.argmin(ok))
+        raise InputError(f"{what} {float(values[k])!r} at position {k}")
 
 
 @dataclass(frozen=True)
 class SurvivalDataset:
     """Aligned arrays of observed times, event indicators and optional covariates.
 
-    Immutable after construction; all downstream code relies on positional
-    alignment with risk vectors and survival matrices.
+    Times must be finite and nonnegative, events exactly 0 or 1 and
+    covariates finite; anything else raises :class:`InputError`.  Immutable
+    after construction; all downstream code relies on positional alignment
+    with risk vectors and survival matrices.
     """
 
     times: np.ndarray
@@ -146,12 +142,15 @@ class SurvivalDataset:
     covariates: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        times = _readonly(np.asarray(self.times, dtype=float).copy())
-        events = _readonly(np.asarray(self.events, dtype=np.int8).copy())
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "events", events)
+        times = _float_array(self.times, "times")
+        events = _float_array(self.events, "events")
         if times.ndim != 1 or events.shape != times.shape:
             raise InputError("times and events must be 1-d arrays of equal length")
+        _reject_first(times, np.isfinite(times), "non-finite time")
+        _reject_first(times, times >= 0, "negative time")
+        _reject_first(events, (events == 0) | (events == 1), "non-binary event")
+        object.__setattr__(self, "times", _readonly(times.copy()))
+        object.__setattr__(self, "events", _readonly(events.astype(np.int8)))
         if not self.subject_ids:
             object.__setattr__(
                 self, "subject_ids", tuple(str(k) for k in range(times.size))
@@ -159,24 +158,12 @@ class SurvivalDataset:
         elif len(self.subject_ids) != times.size:
             raise InputError("subject_ids length does not match times")
         if self.covariates is not None:
-            cov = np.asarray(self.covariates, dtype=float)
+            cov = _float_array(self.covariates, "covariates")
             if cov.ndim != 2 or cov.shape[0] != times.size:
                 raise InputError("covariates must be an (n, p) array aligned with times")
+            if not np.all(np.isfinite(cov)):
+                raise InputError("covariates contain non-finite values")
             object.__setattr__(self, "covariates", _readonly(cov.copy()))
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Iterable[SurvivalRecord],
-        covariates: np.ndarray | None = None,
-    ) -> "SurvivalDataset":
-        records = list(records)
-        return cls(
-            times=np.array([r.time for r in records], dtype=float),
-            events=np.array([r.event for r in records], dtype=np.int8),
-            subject_ids=tuple(r.subject_id for r in records),
-            covariates=covariates,
-        )
 
     @property
     def n(self) -> int:
@@ -189,12 +176,6 @@ class SurvivalDataset:
     def n_events(self) -> int:
         return int(np.sum(self.events == 1))
 
-    def records(self) -> list[SurvivalRecord]:
-        return [
-            SurvivalRecord(sid, float(t), int(e))
-            for sid, t, e in zip(self.subject_ids, self.times, self.events)
-        ]
-
     def subset(self, indices: np.ndarray) -> "SurvivalDataset":
         """Positional subset (used by resampling); preserves covariates."""
         indices = np.asarray(indices, dtype=int)
@@ -206,62 +187,8 @@ class SurvivalDataset:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """List of human-readable violations; an empty list means the input is accepted."""
-
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_dataset(ds: SurvivalDataset) -> ValidationReport:
-    """Check record-level invariants without raising.
-
-    Flags negative or non-finite times, non-binary event indicators and
-    covariate dimension mismatches.
-    """
-    out: list[str] = []
-    for rec in ds.records():
-        out.extend(rec.violations())
-    if ds.covariates is not None and not np.all(np.isfinite(ds.covariates)):
-        out.append("covariates contain non-finite values")
-    return ValidationReport(tuple(out))
-
-
-def validate_covariate_rows(rows: Sequence[Sequence[float]]) -> list[str]:
-    """Report dimension mismatches for raw per-subject covariate rows."""
-    dims = {len(r) for r in rows}
-    if len(dims) > 1:
-        return [f"covariate dimension mismatch: found dimensions {sorted(dims)}"]
-    return []
-
-
-@dataclass(frozen=True)
-class RiskVector:
-    """One finite scalar risk per subject, higher meaning riskier."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float).copy()
-        if values.ndim != 1:
-            raise InputError("risk values must be a 1-d array")
-        if not np.all(np.isfinite(values)):
-            raise InputError("risk values must all be finite")
-        object.__setattr__(self, "values", _readonly(values))
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self.values, dtype=dtype)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
 def as_risk_array(risks, n: int) -> np.ndarray:
-    """Coerce a RiskVector or array-like to a validated float array of length n."""
+    """Coerce an array-like to a validated float array of length n."""
     values = np.asarray(risks, dtype=float)
     if values.ndim != 1 or values.size != n:
         raise InputError(f"risk vector must have length {n}, got shape {values.shape}")

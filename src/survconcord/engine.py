@@ -13,11 +13,15 @@ and a final folding rule.  Published estimators and software behaviours are
 just different policies (see :mod:`survconcord.profiles`).
 
 Ranking can come from a scalar risk per subject or, for the time-dependent
-variant, from survival probabilities evaluated at the anchor subject's time.
+variant, from survival probabilities evaluated at the anchor subject's time;
+both rank sources go through the same scorer, so the policy alone decides
+how pairs count.
 
 Reductions are performed blockwise over anchor subjects and combined in fixed
-subject order, so results are bit-identical regardless of block size or
-thread settings.
+subject order, so results are deterministic for a given input.  Pair counts
+do not depend on the block size; weighted sums (IPCW schemes) do, in the last
+bits, because the blocks change the order of floating-point additions.  That
+lasts until the reduction becomes a single correctly rounded sum.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .data import (
 from .km import (
     WEIGHT_SCHEMES,
     WEIGHT_UNIFORM,
-    WEIGHT_UNO_SQUARED,
     StepFunction,
     ipcw_weights,
     km_fit,
@@ -435,6 +438,21 @@ def _finalize(numerator: float, denominator: float, final_fold: str) -> float:
     return estimate
 
 
+def _score(
+    ds: SurvivalDataset,
+    policy: ConcordancePolicy,
+    g: StepFunction | None,
+    rel_block: Callable[[int, int], np.ndarray],
+    anchors_beyond_grid: int = 0,
+) -> tuple[float, PairTally]:
+    weights = _resolve_weights(ds, policy, g)
+    tau = policy.truncation.resolve(ds)
+    tally = _accumulate_pairs(
+        ds.times, ds.events, policy, weights, rel_block, tau, anchors_beyond_grid
+    )
+    return _finalize(tally.numerator, tally.denominator, policy.final_fold), tally
+
+
 def concordance(
     ds: SurvivalDataset,
     risks,
@@ -449,54 +467,42 @@ def concordance(
     for policies that require an external fit.
     """
     m = as_risk_array(risks, ds.n)
-    weights = _resolve_weights(ds, policy, g)
-    tau = policy.truncation.resolve(ds)
     tol = policy.tie_tolerance
 
     def rel_block(a0: int, a1: int) -> np.ndarray:
         return _rank_codes(m[a0:a1, None] - m[None, :], tol)
 
-    tally = _accumulate_pairs(ds.times, ds.events, policy, weights, rel_block, tau)
-    return _finalize(tally.numerator, tally.denominator, policy.final_fold), tally
+    return _score(ds, policy, g, rel_block)
 
 
 def concordance_td(
-    ds: SurvivalDataset, sm: SurvivalMatrix, variant: str = "antolini"
+    ds: SurvivalDataset,
+    sm: SurvivalMatrix,
+    policy: ConcordancePolicy,
+    g: StepFunction | None = None,
 ) -> tuple[float, PairTally]:
     """Time-dependent concordance ranking by survival at the anchor's time.
 
     For each ordered pair the predicted curves of both subjects are evaluated
-    at the anchor's observed time via step lookup on the grid; the subject
-    with the smaller survival value is ranked riskier.  ``variant`` selects
-    the plain or the tie-adjusted case table (see :func:`antolini_policy`).
-    Anchor times beyond the grid evaluate at the last grid point and are
-    flagged in the tally.
+    at the anchor's observed time (:meth:`SurvivalMatrix.step_lookup`); the
+    subject with the smaller survival value is ranked riskier.  Everything
+    else (case table, tie tolerance, weights, truncation, fold and ``g``)
+    works as in :func:`concordance`; :func:`antolini_policy` gives the plain
+    and the tie-adjusted published variants.  Anchor times beyond the grid
+    evaluate at the last grid point and are flagged in the tally.
     """
-    if variant not in ("antolini", "adj_antolini"):
-        raise InputError(f"unknown variant {variant!r}")
     if sm.n != ds.n:
         raise InputError("survival matrix is not aligned with the dataset")
-    policy = antolini_policy(adjusted=variant == "adj_antolini")
-
-    grid = sm.grid.points
-    col = np.searchsorted(grid, ds.times, side="right") - 1
-    beyond = int(np.count_nonzero(ds.times > grid[-1]))
-    below = col < 0
-    col_clipped = np.clip(col, 0, grid.size - 1)
-    weights = np.ones(ds.n)
+    beyond = int(np.count_nonzero(ds.times > sm.grid.points[-1]))
+    tol = policy.tie_tolerance
 
     def rel_block(a0: int, a1: int) -> np.ndarray:
-        # s_others[r, j] = S(T_anchor | x_j); curves before the grid start at 1.
-        s_others = sm.probs[:, col_clipped[a0:a1]].T.copy()
-        s_others[below[a0:a1], :] = 1.0
-        s_own = s_others[np.arange(a1 - a0), np.arange(a0, a1)]
-        return _rank_codes(s_others - s_own[:, None], policy.tie_tolerance)
+        # s[r, j] = S(T_anchor | x_j) for the anchor a0 + r.
+        s = np.ascontiguousarray(sm.step_lookup(ds.times[a0:a1]).T)
+        s_own = s[np.arange(a1 - a0), np.arange(a0, a1)]
+        return _rank_codes(s - s_own[:, None], tol)
 
-    tally = _accumulate_pairs(
-        ds.times, ds.events, policy, weights, rel_block, tau=None,
-        anchors_beyond_grid=beyond,
-    )
-    return _finalize(tally.numerator, tally.denominator, policy.final_fold), tally
+    return _score(ds, policy, g, rel_block, beyond)
 
 
 @dataclass(frozen=True)
@@ -574,67 +580,3 @@ def decompose(tally: PairTally, omega_p: float) -> DecompositionReport:
         recombined=recombined,
     )
 
-
-BRUTE_FORCE_LIMIT = 2000
-
-
-def brute_force_oracle(
-    ds: SurvivalDataset,
-    risks,
-    policy: ConcordancePolicy,
-    g: StepFunction | None = None,
-) -> float:
-    """Reference implementation: plain double loop over ordered pairs.
-
-    Kept deliberately naive (scalar classification and accumulation, no
-    shared intermediates with the vectorized path) so it can serve as an
-    independent check; guarded to small inputs.
-    """
-    if ds.n > BRUTE_FORCE_LIMIT:
-        raise InputError(f"brute force reference is limited to n <= {BRUTE_FORCE_LIMIT}")
-    m = as_risk_array(risks, ds.n)
-    tau = policy.truncation.resolve(ds)
-    tol = policy.tie_tolerance
-
-    if policy.weight_scheme == WEIGHT_UNIFORM:
-        g = None
-    elif g is None:
-        if policy.g_source == G_SOURCE_PROVIDED:
-            raise InputError(
-                "policy requires an externally fitted censoring distribution"
-            )
-        g = km_fit(ds, target="censoring")
-
-    rules = {case: policy.case_table[case] for case in CASE_ORDER}
-    times, events = ds.times, ds.events
-    num = 0.0
-    den = 0.0
-    for i in range(ds.n):
-        ti, di, mi = float(times[i]), int(events[i]), m[i]
-        if tau is not None and not ti < tau:
-            continue
-        if g is None:
-            wi = 1.0
-        else:
-            g_at = g.evaluate(ti)
-            if policy.weight_scheme == WEIGHT_UNO_SQUARED:
-                denom_w = g_at * g_at
-            else:
-                denom_w = g.evaluate_left(ti) * g_at
-            wi = 1.0 / denom_w if denom_w > 0 else math.nan
-        for j in range(ds.n):
-            if i == j:
-                continue
-            diff = mi - m[j]
-            if diff > tol:
-                rel = RankRelation.GREATER
-            elif diff < -tol:
-                rel = RankRelation.LESS
-            else:
-                rel = RankRelation.TIED
-            rule = rules[classify_pair(ti, di, float(times[j]), int(events[j]), rel)]
-            if rule.comparable_weight == 0 or math.isnan(wi):
-                continue
-            den += wi * rule.comparable_weight
-            num += wi * rule.comparable_weight * rule.credit
-    return _finalize(num, den, policy.final_fold)

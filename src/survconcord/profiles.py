@@ -52,16 +52,16 @@ FAMILY_C_TD = "C_td"
 class Profile:
     """A named ConcordancePolicy with routing metadata.
 
-    ``requires_tau`` marks emulations that refuse to run without an explicit
-    truncation time.  ``td_variant`` routes distribution-input profiles
-    through the time-dependent estimator.
+    The policy alone decides how pairs are scored.  ``family == "C_td"``
+    only switches the rank source from scalar risks to survival curves
+    evaluated at the anchor's time.  ``requires_tau`` marks emulations that
+    refuse to run without an explicit truncation time.
     """
 
     name: str
     family: str
     policy: ConcordancePolicy
     requires_tau: bool = False
-    td_variant: str | None = None
     notes: str = ""
 
     @property
@@ -299,7 +299,6 @@ def pycox_profile(adjusted: bool = False) -> Profile:
         name="pycox_adj_ant" if adjusted else "pycox_ant",
         family=FAMILY_C_TD,
         policy=antolini_policy(adjusted=adjusted),
-        td_variant=variant,
         notes=f"concordance_td(method={variant!r}): ranks by survival at the "
               "anchor's time",
     )
@@ -379,7 +378,6 @@ def profile_to_dict(profile: Profile) -> dict:
         "name": profile.name,
         "family": profile.family,
         "requires_tau": profile.requires_tau,
-        "td_variant": profile.td_variant,
         "notes": profile.notes,
         "policy": policy_to_dict(profile.policy),
     }
@@ -394,7 +392,6 @@ def profile_from_dict(d: Mapping) -> Profile:
         family=family,
         policy=policy_from_dict(d.get("policy", {})),
         requires_tau=bool(d.get("requires_tau", False)),
-        td_variant=d.get("td_variant"),
         notes=str(d.get("notes", "")),
     )
 
@@ -508,13 +505,6 @@ class MultiverseReport:
         raise KeyError(name)
 
 
-def _profile_policy(profile: Profile, tau: Truncation | None) -> ConcordancePolicy:
-    policy = profile.policy
-    if tau is not None:
-        policy = policy.replace(truncation=tau)
-    return policy
-
-
 def run_multiverse(
     ds: SurvivalDataset,
     *,
@@ -595,50 +585,49 @@ def _evaluate_profile(
 ) -> ProfileResult:
     base = dict(name=profile.name, family=profile.family)
 
+    # The family picks only the rank source; the policy decides the rest.
     if profile.requires_matrix:
         if matrix is None:
             return ProfileResult(**base, error="requires a survival matrix")
+        estimator, ranks = concordance_td, matrix
 
-        def invoke(idx: np.ndarray) -> float:
-            sub = SurvivalMatrix(grid=matrix.grid, probs=matrix.probs[idx])
-            return concordance_td(ds.subset(idx), sub, profile.td_variant)[0]
-
-        try:
-            estimate, tally = concordance_td(ds, matrix, profile.td_variant)
-        except ComputationError as exc:
-            return ProfileResult(**base, error=str(exc))
-        tau_used = None
-        g_used = None
+        def ranks_of(idx: np.ndarray) -> SurvivalMatrix:
+            return SurvivalMatrix(grid=matrix.grid, probs=matrix.probs[idx])
     else:
-        risk_values = risks if risks is not None else transformed
-        if risk_values is None:
+        ranks = risks if risks is not None else transformed
+        if ranks is None:
             if transform_error is not None:
                 return ProfileResult(**base, error=f"transform failed: {transform_error}")
             return ProfileResult(
                 **base, error="requires a risk vector or a transform over a matrix"
             )
-        policy = _profile_policy(profile, tau)
-        if profile.requires_tau and policy.truncation.mode == TRUNC_NONE and tau is None:
-            return ProfileResult(**base, error="requires an explicit truncation time")
-        g_used = None
-        if policy.weight_scheme != WEIGHT_UNIFORM:
-            if g is not None:
-                g_used = "provided"
-            elif policy.g_source == G_SOURCE_PROVIDED:
-                # Same-data workaround: fit on the evaluated set and say so.
-                policy = policy.replace(g_source=G_SOURCE_TEST_SET)
-                g_used = "test_set_workaround"
-            else:
-                g_used = "test_set"
+        estimator = concordance
 
-        def invoke(idx: np.ndarray) -> float:
-            return concordance(ds.subset(idx), risk_values[idx], policy, g=g)[0]
+        def ranks_of(idx: np.ndarray) -> np.ndarray:
+            return ranks[idx]
 
-        try:
-            estimate, tally = concordance(ds, risk_values, policy, g=g)
-            tau_used = policy.truncation.resolve(ds)
-        except ComputationError as exc:
-            return ProfileResult(**base, error=str(exc))
+    policy = profile.policy if tau is None else profile.policy.replace(truncation=tau)
+    if profile.requires_tau and policy.truncation.mode == TRUNC_NONE and tau is None:
+        return ProfileResult(**base, error="requires an explicit truncation time")
+    g_used = None
+    if policy.weight_scheme != WEIGHT_UNIFORM:
+        if g is not None:
+            g_used = "provided"
+        elif policy.g_source == G_SOURCE_PROVIDED:
+            # Same-data workaround: fit on the evaluated set and say so.
+            policy = policy.replace(g_source=G_SOURCE_TEST_SET)
+            g_used = "test_set_workaround"
+        else:
+            g_used = "test_set"
+
+    def invoke(idx: np.ndarray) -> float:
+        return estimator(ds.subset(idx), ranks_of(idx), policy, g=g)[0]
+
+    try:
+        estimate, tally = estimator(ds, ranks, policy, g=g)
+        tau_used = policy.truncation.resolve(ds)
+    except ComputationError as exc:
+        return ProfileResult(**base, error=str(exc))
 
     ci_lower = ci_upper = None
     failed = 0

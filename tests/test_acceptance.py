@@ -28,7 +28,6 @@ from survconcord import (
     WeibullCensoring,
     WeibullPHParams,
     assemble,
-    brute_force_oracle,
     classify_pair,
     concordance,
     concordance_td,
@@ -51,6 +50,7 @@ from survconcord.profiles import (
 )
 
 from conftest import random_instance
+from oracle import brute_force_oracle
 from golden_tables import GOLDEN_CASE_TABLES, PEC_FLAG_TABLE
 
 
@@ -190,9 +190,7 @@ def test_golden_case_table_conformance():
                                     probs=[[1 - ri] * 2, [1 - rj] * 2],
                                 )
                                 try:
-                                    _, tally = concordance_td(
-                                        ds, sm, profile.td_variant
-                                    )
+                                    _, tally = concordance_td(ds, sm, policy)
                                 except ComputationError:
                                     tally = None
                             else:

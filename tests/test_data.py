@@ -5,15 +5,14 @@ from survconcord import (
     InputError,
     PairCase,
     RankRelation,
-    RiskVector,
     SurvivalDataset,
     SurvivalMatrix,
-    SurvivalRecord,
     TimeGrid,
     classify_pair,
-    validate_dataset,
+    concordance,
+    tie_weighted_policy,
 )
-from survconcord.data import validate_covariate_rows
+from survconcord.data import as_risk_array
 
 GREATER, LESS, TIED = RankRelation.GREATER, RankRelation.LESS, RankRelation.TIED
 ALL_RELS = (GREATER, LESS, TIED)
@@ -61,25 +60,52 @@ def test_swapped_pairs_never_double_counted():
                     assert fwd in (PairCase.C3, PairCase.C4)
 
 
-def test_validate_dataset_examples():
-    ok = SurvivalDataset.from_records(
-        [SurvivalRecord("a", 1.0, 1), SurvivalRecord("b", 2.0, 0)]
-    )
-    assert validate_dataset(ok).ok
+def test_dataset_rejects_bad_times_and_events():
+    ok = SurvivalDataset(times=[1.0, 2.0], events=[1, 0], subject_ids=("a", "b"))
+    assert ok.events.tolist() == [1, 0]
+    bad = [
+        (dict(times=[np.nan, 1.0, 2.0], events=[1, 1, 1]), "non-finite time"),
+        (dict(times=[1.0, np.inf, 2.0], events=[1, 1, 1]), "non-finite time"),
+        (dict(times=[-1.0, 1.0, 2.0], events=[1, 1, 1]), "negative time"),
+        (dict(times=[1.0, 2.0, 3.0], events=[1, 2, 0]), "non-binary event"),
+        (dict(times=[1.0, 2.0, 3.0], events=[1, 0.7, 0]), "non-binary event"),
+        (dict(times=[1.0, 2.0, 3.0], events=[1, -1, 0]), "non-binary event"),
+        (dict(times=[1.0, 2.0, 3.0], events=[1, np.nan, 0]), "non-binary event"),
+    ]
+    for kwargs, message in bad:
+        with pytest.raises(InputError, match=message):
+            SurvivalDataset(**kwargs)
 
-    bad_time = SurvivalDataset(times=[-1.0], events=[1])
-    report = validate_dataset(bad_time)
-    assert not report.ok
-    assert "negative time" in report.violations[0]
 
-    bad_event = SurvivalDataset(times=[1.0], events=[2])
-    assert any("non-binary event" in v for v in validate_dataset(bad_event).violations)
+def test_bad_datasets_never_reach_the_estimator():
+    # Each of these used to score (1.0 for the bad times), fail deep inside
+    # numpy (event 2) or silently truncate (event 0.7 read as 0).
+    harrell = tie_weighted_policy(0.0, 0.0)
+    for times, events in (
+        ([np.nan, 1.0, 2.0], [1, 1, 1]),
+        ([-1.0, 1.0, 2.0], [1, 1, 1]),
+        ([1.0, 2.0, 3.0], [1, 2, 0]),
+        ([1.0, 2.0, 3.0], [1, 0.7, 0]),
+    ):
+        with pytest.raises(InputError):
+            concordance(SurvivalDataset(times=times, events=events), [3.0, 2.0, 1.0], harrell)
 
 
 def test_covariate_dimension_mismatch_reported():
-    msgs = validate_covariate_rows([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]])
-    assert msgs and "covariate dimension mismatch" in msgs[0]
-    assert validate_covariate_rows([[1.0], [2.0]]) == []
+    with pytest.raises(InputError, match="covariates must be a rectangular"):
+        SurvivalDataset(
+            times=[1.0, 2.0], events=[1, 0], covariates=[[1.0, 2.0, 3.0], [1.0, 2.0]]
+        )
+    with pytest.raises(InputError, match="aligned"):
+        SurvivalDataset(times=[1.0, 2.0], events=[1, 0], covariates=[[0.5]])
+    with pytest.raises(InputError, match="times must be a rectangular"):
+        SurvivalDataset(times=[1.0, "soon"], events=[1, 0])
+
+
+def test_dataset_rejects_non_finite_covariates():
+    SurvivalDataset(times=[1.0, 2.0], events=[1, 0], covariates=[[0.5], [1.5]])
+    with pytest.raises(InputError, match="non-finite"):
+        SurvivalDataset(times=[1.0, 2.0], events=[1, 0], covariates=[[0.5], [np.nan]])
 
 
 def test_dataset_structure_checks():
@@ -94,12 +120,11 @@ def test_dataset_structure_checks():
 
 
 def test_risk_vector_invariants():
-    rv = RiskVector([1.0, 2.0])
-    assert np.asarray(rv).tolist() == [1.0, 2.0]
+    assert as_risk_array([1.0, 2.0], 2).tolist() == [1.0, 2.0]
     with pytest.raises(InputError):
-        RiskVector([1.0, np.nan])
+        as_risk_array([1.0, np.nan], 2)
     with pytest.raises(InputError):
-        RiskVector([[1.0, 2.0]])
+        as_risk_array([[1.0, 2.0]], 2)
 
 
 def test_time_grid_invariants():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survconcord import (
     ComputationError,
@@ -9,7 +11,8 @@ from survconcord import (
     SurvivalMatrix,
     TimeGrid,
     Truncation,
-    brute_force_oracle,
+    antolini_policy,
+    builtin_profiles,
     concordance,
     concordance_td,
     decompose,
@@ -19,8 +22,11 @@ from survconcord import (
 from survconcord.engine import _accumulate_pairs, _rank_codes
 
 from conftest import random_instance
+from oracle import brute_force_oracle, td_brute_force_oracle
 
 HARRELL = tie_weighted_policy(0.0, 0.0)
+ANTOLINI = antolini_policy(adjusted=False)
+ADJ_ANTOLINI = antolini_policy(adjusted=True)
 
 
 def test_four_subject_fixture(four_subjects):
@@ -227,8 +233,8 @@ def test_td_tied_time_both_events_tied_curves():
     ds = SurvivalDataset(times=[5.0, 5.0], events=[1, 1])
     sm = _pair_matrix(0.4, 0.4)
     with pytest.raises(ComputationError):
-        concordance_td(ds, sm, "antolini")
-    est, tally = concordance_td(ds, sm, "adj_antolini")
+        concordance_td(ds, sm, ANTOLINI)
+    est, tally = concordance_td(ds, sm, ADJ_ANTOLINI)
     assert tally.case_counts["5C"] == 2
     assert est == 1.0
 
@@ -237,12 +243,12 @@ def test_td_censored_anchor_ranked_safer_gets_credit():
     # Tied times, anchor censored, its survival higher (ranked less risky).
     ds = SurvivalDataset(times=[5.0, 5.0], events=[0, 1])
     sm = _pair_matrix(0.8, 0.3)
-    est, tally = concordance_td(ds, sm, "adj_antolini")
+    est, tally = concordance_td(ds, sm, ADJ_ANTOLINI)
     assert tally.case_counts["7B"] == 1 and tally.case_counts["6A"] == 1
     assert est == 1.0
     # The plain variant keeps only the event-anchored orientation: the
     # censored-anchor pair is still counted but carries no weight.
-    _, tally_plain = concordance_td(ds, sm, "antolini")
+    _, tally_plain = concordance_td(ds, sm, ANTOLINI)
     assert tally_plain.case_comparable["7B"] == 0.0
     assert tally_plain.denominator == 1.0
 
@@ -250,10 +256,10 @@ def test_td_censored_anchor_ranked_safer_gets_credit():
 def test_td_plain_variant_gives_no_credit_to_tied_curves():
     ds = SurvivalDataset(times=[2.0, 5.0], events=[1, 1])
     sm = _pair_matrix(0.4, 0.4)
-    est, tally = concordance_td(ds, sm, "antolini")
+    est, tally = concordance_td(ds, sm, ANTOLINI)
     assert tally.case_counts["1C"] == 1
     assert est == 0.0
-    est_adj, _ = concordance_td(ds, sm, "adj_antolini")
+    est_adj, _ = concordance_td(ds, sm, ADJ_ANTOLINI)
     assert est_adj == 0.5
 
 
@@ -268,66 +274,51 @@ def test_td_equals_rmst_ranking_for_noncrossing_curves():
     # step lookup lands at t=0 where every curve is 1 and all ranks tie.
     times = np.round(rng.exponential(8.0, n), 1) + 1.0
     ds = SurvivalDataset(times=times, events=np.ones(n, int))
-    td, _ = concordance_td(ds, sm, "antolini")
+    td, _ = concordance_td(ds, sm, ANTOLINI)
     scalar, _ = concordance(ds, neg_rmst(sm, 30.0), HARRELL)
     assert td == pytest.approx(scalar, abs=1e-12)
 
 
 def test_td_matches_naive_reference_on_randoms():
     """Slow per-pair reference with explicit step lookups, distinct from the
-    blockwise engine path."""
-    from survconcord import PairCase, RankRelation, classify_pair
-    from survconcord.engine import antolini_policy
-
+    blockwise engine path; covers both published variants, a custom case
+    table, a tie tolerance and truncation."""
     rng = np.random.default_rng(63)
-    for trial in range(12):
+    policies = [
+        ANTOLINI,
+        ADJ_ANTOLINI,
+        tie_weighted_policy(1.0, 0.5, tie_tolerance=0.05),
+        ADJ_ANTOLINI.replace(truncation=Truncation("value", 6.0)),
+        ANTOLINI.replace(truncation=Truncation("max_uncensored")),
+        tie_weighted_policy(0.0, 0.0, final_fold="max_with_complement"),
+    ]
+    for trial in range(36):
         n = int(rng.integers(3, 35))
         m = int(rng.integers(2, 10))
         grid = np.sort(rng.uniform(0.0, 20.0, m)) + np.arange(m) * 1e-9
         probs = np.sort(rng.random((n, m)), axis=1)[:, ::-1]
-        if trial % 3 == 0:
-            probs[: n // 2] = probs[0]  # force tied curves
+        if (trial // len(policies)) % 2 == 0:
+            probs[: n // 2] = probs[0]  # force tied curves for every policy
         sm = SurvivalMatrix(grid=TimeGrid(grid), probs=probs)
         times = np.round(rng.exponential(8.0, n), 0)
         events = rng.integers(0, 2, n)
         ds = SurvivalDataset(times=times, events=events)
-        variant = "adj_antolini" if trial % 2 else "antolini"
-        policy = antolini_policy(adjusted=variant == "adj_antolini")
-
-        def lookup(row, t):
-            idx = np.searchsorted(grid, t, side="right") - 1
-            return 1.0 if idx < 0 else sm.probs[row, min(idx, m - 1)]
-
-        num = den = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                s_i = lookup(i, times[i])
-                s_j = lookup(j, times[i])
-                if s_j - s_i > 0:
-                    rel = RankRelation.GREATER
-                elif s_j - s_i < 0:
-                    rel = RankRelation.LESS
-                else:
-                    rel = RankRelation.TIED
-                case = classify_pair(times[i], events[i], times[j], events[j], rel)
-                rule = policy.case_table[case]
-                den += rule.comparable_weight
-                num += rule.comparable_weight * rule.credit
+        policy = policies[trial % len(policies)]
         try:
-            est, _ = concordance_td(ds, sm, variant)
+            expected = td_brute_force_oracle(ds, sm, policy)
         except ComputationError:
-            assert den == 0.0
+            with pytest.raises(ComputationError):
+                concordance_td(ds, sm, policy)
             continue
-        assert est == pytest.approx(num / den, abs=1e-12)
+        est, _ = concordance_td(ds, sm, policy)
+        assert est == pytest.approx(expected, abs=1e-12)
 
 
 def test_td_flags_anchors_beyond_grid():
     grid = TimeGrid([0.0, 1.0])
     sm = SurvivalMatrix(grid=grid, probs=[[1.0, 0.2], [1.0, 0.9]])
     ds = SurvivalDataset(times=[5.0, 7.0], events=[1, 1])
-    est, tally = concordance_td(ds, sm, "antolini")
+    est, tally = concordance_td(ds, sm, ANTOLINI)
     assert tally.anchors_beyond_grid == 2
     # Both anchors evaluate at the last grid point, where the earlier-failing
     # subject has the smaller survival value.
@@ -394,3 +385,88 @@ def test_decompose_rejects_foreign_tallies():
     _, tally2 = concordance(ds, [2.0, 1.0], tie_weighted_policy(0.0, 0.5))
     with pytest.raises(InputError, match="omega_p"):
         decompose(tally2, 0.0)
+
+
+# --- properties --------------------------------------------------------------
+
+
+@st.composite
+def _permuted_instance(draw):
+    n = draw(st.integers(2, 25))
+    times = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    events = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    risks = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    return (
+        SurvivalDataset(times=np.array(times, float), events=events),
+        np.array(risks, float),
+        np.array(perm),
+    )
+
+
+def _assert_permutation_invariant(score, ds, ranks, perm, take):
+    try:
+        est, tally = score(ds, ranks)
+    except ComputationError:
+        with pytest.raises(ComputationError):
+            score(ds.subset(perm), take(ranks, perm))
+        return
+    est_p, tally_p = score(ds.subset(perm), take(ranks, perm))
+    assert tally_p.case_counts == tally.case_counts
+    assert est_p == est
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permuted_instance(), st.sampled_from([HARRELL, tie_weighted_policy(1.0, 0.5)]))
+def test_concordance_is_invariant_under_subject_permutation(instance, policy):
+    ds, risks, perm = instance
+    _assert_permutation_invariant(
+        lambda d, r: concordance(d, r, policy), ds, risks, perm, lambda r, p: r[p]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permuted_instance(), st.sampled_from([ANTOLINI, ADJ_ANTOLINI]))
+def test_concordance_td_is_invariant_under_subject_permutation(instance, policy):
+    ds, risks, perm = instance
+    # Curves that cross: each subject's survival falls at its own rate and
+    # starts from a risk-dependent level.
+    grid = TimeGrid(np.arange(0.0, 7.0, 1.5))
+    level = 1.0 - (risks - risks.min()) / 10.0
+    rate = np.linspace(0.05, 0.5, ds.n)
+    sm = SurvivalMatrix(grid=grid, probs=level[:, None] * np.exp(-np.outer(rate, grid.points)))
+    _assert_permutation_invariant(
+        lambda d, m: concordance_td(d, m, policy), ds, sm, perm,
+        lambda m, p: SurvivalMatrix(grid=m.grid, probs=m.probs[p]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _permuted_instance(),
+    st.sampled_from([p.policy for p in builtin_profiles() if not p.requires_matrix]),
+)
+def test_strictly_monotone_risk_transform_changes_nothing(instance, policy):
+    ds, risks, _ = instance
+    policy = policy.replace(tie_tolerance=0.0, g_source="test_set")
+    try:
+        est, tally = concordance(ds, risks, policy)
+    except ComputationError:
+        return
+    est_t, tally_t = concordance(ds, np.exp(risks) + 3.0 * risks, policy)
+    assert tally_t.case_counts == tally.case_counts
+    assert est_t == est
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permuted_instance(), st.sampled_from([0.0, 1.0]))
+def test_folded_estimate_is_symmetric_under_risk_reversal(instance, omega_o):
+    ds, risks, _ = instance
+    folded = tie_weighted_policy(omega_o, 0.5, final_fold="max_with_complement")
+    try:
+        est, _ = concordance(ds, risks, folded)
+    except ComputationError:
+        return
+    assert est >= 0.5
+    assert concordance(ds, -risks, folded)[0] == pytest.approx(est, abs=1e-12)
+

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from survconcord import (
     SurvivalMatrix,
     TimeGrid,
     Truncation,
+    antolini_policy,
     builtin_profiles,
     get_profiles,
     hmisc_profile,
@@ -15,12 +18,14 @@ from survconcord import (
     run_multiverse,
     sksurv_censored_profile,
     survival_profile,
+    tie_weighted_policy,
 )
 from survconcord.data import PairCase
 from survconcord.engine import TRUNC_NONE
-from survconcord.profiles import BootstrapSpec, TransformSpec
+from survconcord.profiles import BootstrapSpec, TransformSpec, policy_to_dict
 
 from golden_tables import GOLDEN_CASE_TABLES, GOLDEN_WEIGHT_SCHEMES, PEC_FLAG_TABLE
+from oracle import td_brute_force_oracle
 
 
 def _by_name():
@@ -229,13 +234,29 @@ def test_multiverse_bootstrap_intervals():
     assert (r.ci_lower, r.ci_upper) == (1.0, 1.0)
 
 
+def _td_instance(n=40, seed=3):
+    """Random dataset and survival matrix with tied times and crossing curves."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(np.arange(0.0, 10.0))
+    probs = np.sort(rng.random((n, grid.points.size)), axis=1)[:, ::-1]
+    ds = SurvivalDataset(
+        times=rng.integers(1, 9, n).astype(float), events=rng.integers(0, 2, n)
+    )
+    return ds, SurvivalMatrix(grid=grid, probs=probs)
+
+
 def test_profile_round_trip_through_dict():
+    ds, sm = _td_instance()
     for profile in builtin_profiles():
         clone = profile_from_dict(profile_to_dict(profile))
         assert clone.name == profile.name
         assert clone.family == profile.family
         assert clone.requires_tau == profile.requires_tau
-        assert clone.td_variant == profile.td_variant
+        if profile.requires_matrix:
+            # A round-tripped distribution profile scores identically.
+            got = run_multiverse(ds, matrix=sm, profiles=[clone]).to_dict()
+            want = run_multiverse(ds, matrix=sm, profiles=[profile]).to_dict()
+            assert got == want
         for case in PairCase:
             a = clone.policy.case_table[case]
             b = profile.policy.case_table[case]
@@ -246,3 +267,48 @@ def test_profile_round_trip_through_dict():
         assert clone.policy.tie_tolerance == profile.policy.tie_tolerance
         assert clone.policy.truncation == profile.policy.truncation
         assert clone.policy.final_fold == profile.policy.final_fold
+
+
+def test_td_profile_scores_with_its_own_case_table():
+    ds, sm = _td_instance()
+    harrell = tie_weighted_policy(0.0, 0.0)
+    builtin = get_profiles(["pycox_adj_ant"])[0]
+    custom = dataclasses.replace(builtin, name="td_harrell", policy=harrell)
+    report = run_multiverse(ds, matrix=sm, profiles=[custom, builtin])
+    assert report.provenance["profiles"][0]["policy"] == policy_to_dict(harrell)
+    got = report.result("td_harrell")
+    assert got.error is None
+    assert got.estimate == pytest.approx(td_brute_force_oracle(ds, sm, harrell), abs=1e-12)
+    assert got.estimate != report.result("pycox_adj_ant").estimate
+    # The custom table excludes every tied-time pair; the builtin one does not.
+    tied = [lab for lab in got.per_case if lab[0] in "567"]
+    assert tied and all(got.per_case[lab]["comparable"] == 0.0 for lab in tied)
+
+
+def test_td_profile_from_dict_needs_no_routing_field():
+    ds, sm = _td_instance()
+    loaded = profile_from_dict({
+        "name": "td_adjusted",
+        "family": "C_td",
+        "policy": policy_to_dict(antolini_policy(adjusted=True)),
+    })
+    report = run_multiverse(
+        ds, matrix=sm, profiles=[loaded] + get_profiles(["pycox_adj_ant"])
+    )
+    got = report.result("td_adjusted")
+    assert got.error is None
+    assert got.estimate == report.result("pycox_adj_ant").estimate
+
+
+def test_tau_override_truncates_td_anchors():
+    ds, sm = _td_instance()
+    tau = Truncation("value", 3.0)
+    profiles = get_profiles(["pycox_ant", "pycox_adj_ant"])
+    full = run_multiverse(ds, matrix=sm, profiles=profiles)
+    truncated = run_multiverse(ds, matrix=sm, profiles=profiles, tau=tau)
+    for profile in profiles:
+        r = truncated.result(profile.name)
+        assert r.tau_used == 3.0
+        expected = td_brute_force_oracle(ds, sm, profile.policy.replace(truncation=tau))
+        assert r.estimate == pytest.approx(expected, abs=1e-12)
+        assert r.denominator < full.result(profile.name).denominator
