@@ -276,6 +276,13 @@ class SurvivalMatrix:
     def n(self) -> int:
         return int(self.probs.shape[0])
 
+    def take(self, idx: np.ndarray) -> "SurvivalMatrix":
+        """Rows ``idx`` as a new matrix; they were validated here, so no re-check."""
+        out = object.__new__(SurvivalMatrix)
+        object.__setattr__(out, "grid", self.grid)
+        object.__setattr__(out, "probs", _readonly(self.probs[idx]))
+        return out
+
     def step_lookup(self, t: float | np.ndarray) -> np.ndarray:
         """Evaluate every row at time(s) t with previous-point step lookup.
 

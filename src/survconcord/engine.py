@@ -1,31 +1,32 @@
 """Generalized pairwise concordance estimator.
 
-One engine evaluates every estimator variant in this package: it iterates
-ordered subject pairs, classifies each pair into the case taxonomy of
-:mod:`survconcord.data`, and accumulates
+One engine evaluates every estimator variant in this package in two steps.
+First it counts: every ordered subject pair (i, j) is classified into the
+case taxonomy of :mod:`survconcord.data`, giving exact integer counts per
+anchor i and case.  The counts know nothing of any policy.  Then one reducer
+applies a :class:`ConcordancePolicy` to them:
 
-    denominator += W_i * comparable_weight(case)
-    numerator   += W_i * comparable_weight(case) * credit(case)
+    denominator = sum_i [T_i < tau] W_i sum_c count(i, c) comparable_weight(c)
+    numerator   = sum_i [T_i < tau] W_i sum_c count(i, c) comparable_weight(c) credit(c)
 
-under a :class:`ConcordancePolicy` that fixes the per-case weights, the tie
-tolerance for predictions, the censoring-weight scheme, the time truncation
+where the policy fixes the per-case weights, the tie tolerance for
+predictions, the censoring-weight scheme (W_i), the time truncation (tau)
 and a final folding rule.  Published estimators and software behaviours are
 just different policies (see :mod:`survconcord.profiles`).
 
 Ranking can come from a scalar risk per subject or, for the time-dependent
 variant, from survival probabilities evaluated at the anchor subject's time;
-both rank sources go through the same scorer, so the policy alone decides
-how pairs count.
+both rank sources feed the same counter and reducer, so the policy alone
+decides how pairs count.
 
-Reductions are performed blockwise over anchor subjects and combined in fixed
-subject order, so results are deterministic for a given input.  Pair counts
-do not depend on the block size; weighted sums (IPCW schemes) do, in the last
-bits, because the blocks change the order of floating-point additions.  That
-lasts until the reduction becomes a single correctly rounded sum.
+Counting runs blockwise over anchors, but the counts are integers and every
+weighted sum is a single correctly rounded ``math.fsum``, so estimates do not
+depend on the block size and are deterministic for a given input.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -186,16 +187,7 @@ class ConcordancePolicy:
         return np.array([self.case_table[c].credit for c in CASE_ORDER], dtype=float)
 
     def replace(self, **changes) -> "ConcordancePolicy":
-        fields = dict(
-            case_table=self.case_table,
-            tie_tolerance=self.tie_tolerance,
-            weight_scheme=self.weight_scheme,
-            g_source=self.g_source,
-            truncation=self.truncation,
-            final_fold=self.final_fold,
-        )
-        fields.update(changes)
-        return ConcordancePolicy(**fields)
+        return dataclasses.replace(self, **changes)
 
 
 def tie_weighted_policy(
@@ -250,36 +242,19 @@ def antolini_policy(adjusted: bool = False) -> ConcordancePolicy:
     anchor is the censored member (crediting the pair when the censored
     subject is ranked less risky).
     """
-    if adjusted:
-        table = {
-            PairCase.C1A: (1.0, 1.0),
-            PairCase.C1B: (1.0, 0.0),
-            PairCase.C1C: (1.0, 0.5),
-            PairCase.C2A: (1.0, 1.0),
-            PairCase.C2B: (1.0, 0.0),
-            PairCase.C2C: (1.0, 0.5),
-            PairCase.C5A: (1.0, 0.5),
-            PairCase.C5B: (1.0, 0.5),
-            PairCase.C5C: (1.0, 1.0),
-            PairCase.C6A: (1.0, 1.0),
-            PairCase.C6B: (1.0, 0.0),
-            PairCase.C6C: (1.0, 0.5),
-            PairCase.C7A: (1.0, 0.0),
-            PairCase.C7B: (1.0, 1.0),
-            PairCase.C7C: (1.0, 0.5),
-        }
-    else:
-        table = {
-            PairCase.C1A: (1.0, 1.0),
-            PairCase.C1B: (1.0, 0.0),
-            PairCase.C1C: (1.0, 0.0),
-            PairCase.C2A: (1.0, 1.0),
-            PairCase.C2B: (1.0, 0.0),
-            PairCase.C2C: (1.0, 0.0),
-            PairCase.C6A: (1.0, 1.0),
-            PairCase.C6B: (1.0, 0.0),
-            PairCase.C6C: (1.0, 0.0),
-        }
+    # Both variants extend the tie-weighted table with omega_o = 1.
+    policy = tie_weighted_policy(1.0, 0.5 if adjusted else 0.0)
+    if not adjusted:
+        return policy
+    table = {
+        **policy.case_table,
+        PairCase.C5A: (1.0, 0.5),
+        PairCase.C5B: (1.0, 0.5),
+        PairCase.C5C: (1.0, 1.0),
+        PairCase.C7A: (1.0, 0.0),
+        PairCase.C7B: (1.0, 1.0),
+        PairCase.C7C: (1.0, 0.5),
+    }
     return ConcordancePolicy(case_table=table)
 
 
@@ -340,76 +315,106 @@ def _rank_codes(diff: np.ndarray, tol: float) -> np.ndarray:
     return np.where(diff > tol, 0, np.where(diff < -tol, 1, 2)).astype(np.int8)
 
 
-def _accumulate_pairs(
+def _risk_ranks(m: np.ndarray, tol: float) -> Callable[[int, int], np.ndarray]:
+    """Rank codes of anchors a0..a1-1 by scalar risk against every subject."""
+
+    def rel_block(a0: int, a1: int) -> np.ndarray:
+        return _rank_codes(m[a0:a1, None] - m[None, :], tol)
+
+    return rel_block
+
+
+def _curve_ranks(
+    times: np.ndarray, sm: SurvivalMatrix, tol: float
+) -> Callable[[int, int], np.ndarray]:
+    """Rank codes by survival at the anchor's time (smaller survival is riskier)."""
+
+    def rel_block(a0: int, a1: int) -> np.ndarray:
+        # s[r, j] = S(T_anchor | x_j) for the anchor a0 + r.
+        s = np.ascontiguousarray(sm.step_lookup(times[a0:a1]).T)
+        s_own = s[np.arange(a1 - a0), np.arange(a0, a1)]
+        return _rank_codes(s - s_own[:, None], tol)
+
+    return rel_block
+
+
+def _case_counts(
     times: np.ndarray,
     events: np.ndarray,
-    policy: ConcordancePolicy,
-    anchor_weights: np.ndarray,
     rel_block: Callable[[int, int], np.ndarray],
-    tau: float | None,
-    anchors_beyond_grid: int = 0,
     block: int | None = None,
-) -> PairTally:
+) -> np.ndarray:
+    """Exact pair counts per anchor and case, ``(n, n_cases)`` int64.
+
+    Row i counts the partners j != i of anchor i in each case of
+    :data:`CASE_ORDER`.  ``rel_block(a0, a1)`` gives the rank codes of the
+    anchors a0..a1-1 against every subject.  A self-pair has tied times and
+    a rank difference of exactly 0, so it always lands in 5C (event) or 8
+    (censored) and is subtracted there.
+    """
     n = times.size
-    block = _block_size(n, block)
     n_cases = len(CASE_ORDER)
-    counts = np.zeros(n_cases, dtype=np.int64)
-    comp = np.zeros(n_cases)
-    cred = np.zeros(n_cases)
-    dropped = 0
-
-    cw = policy._comparable_by_case
-    credit = policy._credit_by_case
+    block = _block_size(n, block)
     ev = events.astype(np.intp)
-    active_anchor = np.ones(n, dtype=bool) if tau is None else times < tau
-    weight_undefined = np.isnan(anchor_weights)
-
+    counts = np.empty((n, n_cases), dtype=np.int64)
     for a0 in range(0, n, block):
         a1 = min(a0 + block, n)
-        ti = times[a0:a1, None]
-        sign_idx = np.where(
-            ti < times[None, :], 0, np.where(ti > times[None, :], 2, 1)
-        ).astype(np.intp)
-        rel = rel_block(a0, a1).astype(np.intp)
-        case_idx = _CASE_LOOKUP[sign_idx, ev[a0:a1, None], ev[None, :], rel].astype(
-            np.intp
-        )
+        sign_idx = np.sign(times[a0:a1, None] - times[None, :]).astype(np.intp) + 1
+        rel = rel_block(a0, a1)
+        case_idx = _CASE_LOOKUP[sign_idx, ev[a0:a1, None], ev[None, :], rel]
+        key = np.arange(a1 - a0)[:, None] * n_cases + case_idx
+        counts[a0:a1] = np.bincount(
+            key.ravel(), minlength=(a1 - a0) * n_cases
+        ).reshape(a1 - a0, n_cases)
+    self_case = np.where(ev == 1, CASE_INDEX[PairCase.C5C], CASE_INDEX[PairCase.C8])
+    counts[np.arange(n), self_case] -= 1
+    return counts
 
-        active = np.ones(case_idx.shape, dtype=bool)
-        rows = np.arange(a0, a1)
-        active[rows - a0, rows] = False  # no self-pairs
-        active &= active_anchor[a0:a1, None]
 
-        cw_pair = cw[case_idx]
-        contributing = active & (cw_pair > 0)
-        nan_rows = weight_undefined[a0:a1, None]
-        dropped_mask = contributing & nan_rows
-        dropped += int(np.count_nonzero(dropped_mask))
+def _reduce(
+    counts: np.ndarray,
+    times: np.ndarray,
+    policy: ConcordancePolicy,
+    weights: np.ndarray,
+    tau: float | None,
+    anchors_beyond_grid: int = 0,
+) -> PairTally:
+    """Apply a policy to per-anchor case counts: the one reducer.
 
-        counted = active & ~dropped_mask
-        counts += np.bincount(case_idx[counted], minlength=n_cases)
+    Anchors with T_i >= tau are left out.  An anchor whose weight is NaN
+    (G = 0) drops its pairs in comparable cases; they are counted in
+    ``dropped_pairs`` instead of ``case_counts``.  Every weighted sum is one
+    correctly rounded ``math.fsum`` over anchors, so it does not depend on
+    how the counts were produced.
+    """
+    cw = policy._comparable_by_case
+    comparable = cw > 0
+    active = np.ones(times.size, dtype=bool) if tau is None else times < tau
+    undefined = active & np.isnan(weights)
+    dropped_by_case = counts[undefined].sum(axis=0) * comparable
+    case_counts = counts[active].sum(axis=0) - dropped_by_case
 
-        ok = contributing & ~nan_rows
-        if np.any(ok):
-            idx_ok = case_idx[ok]
-            w_pair = np.broadcast_to(
-                anchor_weights[a0:a1, None], case_idx.shape
-            )[ok] * cw_pair[ok]
-            comp += np.bincount(idx_ok, weights=w_pair, minlength=n_cases)
-            cred += np.bincount(
-                idx_ok, weights=w_pair * credit[idx_ok], minlength=n_cases
-            )
+    live = active & ~undefined
+    pair_comp = weights[live, None] * cw[comparable]
+    pair_cred = pair_comp * policy._credit_by_case[comparable]
+    live_counts = counts[live][:, comparable]
+    comp_terms = live_counts * pair_comp
+    cred_terms = live_counts * pair_cred
+    comp = np.zeros(cw.size)
+    cred = np.zeros(cw.size)
+    comp[comparable] = [math.fsum(col) for col in comp_terms.T.tolist()]
+    cred[comparable] = [math.fsum(col) for col in cred_terms.T.tolist()]
 
-    labels = [c.value for c in CASE_ORDER]
+    def by_label(values, cast):
+        return MappingProxyType({c.value: cast(v) for c, v in zip(CASE_ORDER, values)})
+
     return PairTally(
-        case_counts=MappingProxyType({lab: int(v) for lab, v in zip(labels, counts)}),
-        case_comparable=MappingProxyType(
-            {lab: float(v) for lab, v in zip(labels, comp)}
-        ),
-        case_credit=MappingProxyType({lab: float(v) for lab, v in zip(labels, cred)}),
-        numerator=float(cred.sum()),
-        denominator=float(comp.sum()),
-        dropped_pairs=dropped,
+        case_counts=by_label(case_counts, int),
+        case_comparable=by_label(comp, float),
+        case_credit=by_label(cred, float),
+        numerator=math.fsum(cred_terms.ravel().tolist()),
+        denominator=math.fsum(comp_terms.ravel().tolist()),
+        dropped_pairs=int(dropped_by_case.sum()),
         anchors_beyond_grid=anchors_beyond_grid,
         policy=policy,
     )
@@ -447,9 +452,8 @@ def _score(
 ) -> tuple[float, PairTally]:
     weights = _resolve_weights(ds, policy, g)
     tau = policy.truncation.resolve(ds)
-    tally = _accumulate_pairs(
-        ds.times, ds.events, policy, weights, rel_block, tau, anchors_beyond_grid
-    )
+    counts = _case_counts(ds.times, ds.events, rel_block)
+    tally = _reduce(counts, ds.times, policy, weights, tau, anchors_beyond_grid)
     return _finalize(tally.numerator, tally.denominator, policy.final_fold), tally
 
 
@@ -467,12 +471,7 @@ def concordance(
     for policies that require an external fit.
     """
     m = as_risk_array(risks, ds.n)
-    tol = policy.tie_tolerance
-
-    def rel_block(a0: int, a1: int) -> np.ndarray:
-        return _rank_codes(m[a0:a1, None] - m[None, :], tol)
-
-    return _score(ds, policy, g, rel_block)
+    return _score(ds, policy, g, _risk_ranks(m, policy.tie_tolerance))
 
 
 def concordance_td(
@@ -494,14 +493,7 @@ def concordance_td(
     if sm.n != ds.n:
         raise InputError("survival matrix is not aligned with the dataset")
     beyond = int(np.count_nonzero(ds.times > sm.grid.points[-1]))
-    tol = policy.tie_tolerance
-
-    def rel_block(a0: int, a1: int) -> np.ndarray:
-        # s[r, j] = S(T_anchor | x_j) for the anchor a0 + r.
-        s = np.ascontiguousarray(sm.step_lookup(ds.times[a0:a1]).T)
-        s_own = s[np.arange(a1 - a0), np.arange(a0, a1)]
-        return _rank_codes(s - s_own[:, None], tol)
-
+    rel_block = _curve_ranks(ds.times, sm, policy.tie_tolerance)
     return _score(ds, policy, g, rel_block, beyond)
 
 

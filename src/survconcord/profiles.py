@@ -84,6 +84,14 @@ def _table(**overrides: tuple[float, float]) -> dict[PairCase, tuple[float, floa
     return out
 
 
+#: Strict pairs plus tied-time event/censored pairs, tied predictions at half
+#: credit: the table shared by hmisc, lifelines, sksurv and survival.
+_HALF_TIES = _table(
+    c1C=(1.0, 0.5), c2C=(1.0, 0.5),
+    c6A=(1.0, 1.0), c6B=(1.0, 0.0), c6C=(1.0, 0.5),
+)
+
+
 def hmisc_profile(include_tied_predictions: bool = True) -> Profile:
     """Hmisc::rcorr.cens.
 
@@ -93,10 +101,7 @@ def hmisc_profile(include_tied_predictions: bool = True) -> Profile:
     comparable set entirely.
     """
     if include_tied_predictions:
-        table = _table(
-            c1C=(1.0, 0.5), c2C=(1.0, 0.5),
-            c6A=(1.0, 1.0), c6B=(1.0, 0.0), c6C=(1.0, 0.5),
-        )
+        table = _HALF_TIES
         name = "hmisc"
         note = "rcorr.cens with outx=FALSE: tied predictions comparable at half credit"
     else:
@@ -130,12 +135,8 @@ def survmetrics_profile() -> Profile:
 
 def lifelines_profile() -> Profile:
     """lifelines.utils.concordance_index: ties always in, always half credit."""
-    table = _table(
-        c1C=(1.0, 0.5), c2C=(1.0, 0.5),
-        c6A=(1.0, 1.0), c6B=(1.0, 0.0), c6C=(1.0, 0.5),
-    )
     return Profile(name="lifelines", family=FAMILY_C,
-                   policy=ConcordancePolicy(case_table=table),
+                   policy=ConcordancePolicy(case_table=_HALF_TIES),
                    notes="concordance_index: tied predictions at half credit")
 
 
@@ -173,13 +174,9 @@ def sksurv_censored_profile(tied_tolerance: float = _SKSURV_TIED_TOL) -> Profile
     Unweighted; predictions are tied when their absolute difference is at
     most the tolerance (default 1e-8).
     """
-    table = _table(
-        c1C=(1.0, 0.5), c2C=(1.0, 0.5),
-        c6A=(1.0, 1.0), c6B=(1.0, 0.0), c6C=(1.0, 0.5),
-    )
     return Profile(
         name="sksurv_censored", family=FAMILY_C,
-        policy=ConcordancePolicy(case_table=table, tie_tolerance=tied_tolerance),
+        policy=ConcordancePolicy(case_table=_HALF_TIES, tie_tolerance=tied_tolerance),
         notes="concordance_index_censored: tied_tol defines tied predictions",
     )
 
@@ -192,14 +189,10 @@ def sksurv_ipcw_profile(tied_tolerance: float = _SKSURV_TIED_TOL) -> Profile:
     by the caller; passing the evaluated data itself reproduces the
     same-data workaround.  No truncation unless tau is given.
     """
-    table = _table(
-        c1C=(1.0, 0.5), c2C=(1.0, 0.5),
-        c6A=(1.0, 1.0), c6B=(1.0, 0.0), c6C=(1.0, 0.5),
-    )
     return Profile(
         name="sksurv_ipcw", family=FAMILY_C_TAU,
         policy=ConcordancePolicy(
-            case_table=table,
+            case_table=_HALF_TIES,
             tie_tolerance=tied_tolerance,
             weight_scheme=WEIGHT_UNO_SQUARED,
             g_source=G_SOURCE_PROVIDED,
@@ -257,10 +250,6 @@ def survival_profile(weighting: str = "n") -> Profile:
     Tied-time event/censored pairs are comparable; tied predictions earn half
     credit.  No truncation unless ymax is given.
     """
-    table = _table(
-        c1C=(1.0, 0.5), c2C=(1.0, 0.5),
-        c6A=(1.0, 1.0), c6B=(1.0, 0.0), c6C=(1.0, 0.5),
-    )
     if weighting == "n":
         scheme, name = WEIGHT_UNIFORM, "survival_n"
     elif weighting == "n/G2":
@@ -269,7 +258,7 @@ def survival_profile(weighting: str = "n") -> Profile:
         raise InputError(f"unknown survival weighting {weighting!r}")
     return Profile(
         name=name, family=FAMILY_C_TAU,
-        policy=ConcordancePolicy(case_table=table, weight_scheme=scheme),
+        policy=ConcordancePolicy(case_table=_HALF_TIES, weight_scheme=scheme),
         notes=f"concordance with timewt={weighting!r}",
     )
 
@@ -354,12 +343,22 @@ def policy_to_dict(policy: ConcordancePolicy) -> dict:
     }
 
 
+def _reject_unknown_keys(d: Mapping, known: Sequence[str], what: str) -> None:
+    """Refuse keys that the ``*_to_dict`` functions never write (e.g. typos)."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise InputError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
 def policy_from_dict(d: Mapping) -> ConcordancePolicy:
+    _reject_unknown_keys(d, ("case_table", "tie_tolerance", "weight_scheme",
+                             "g_source", "truncation", "final_fold"), "policy")
     table = {
         PairCase(label): CaseRule(float(w), float(credit))
         for label, (w, credit) in d.get("case_table", {}).items()
     }
     trunc = d.get("truncation", {"mode": TRUNC_NONE, "value": None})
+    _reject_unknown_keys(trunc, ("mode", "value"), "truncation")
     return ConcordancePolicy(
         case_table=table,
         tie_tolerance=float(d.get("tie_tolerance", 0.0)),
@@ -384,6 +383,9 @@ def profile_to_dict(profile: Profile) -> dict:
 
 
 def profile_from_dict(d: Mapping) -> Profile:
+    _reject_unknown_keys(
+        d, ("name", "family", "requires_tau", "notes", "policy"), "profile"
+    )
     family = d.get("family", FAMILY_C)
     if family not in (FAMILY_C, FAMILY_C_TAU, FAMILY_C_TD):
         raise InputError(f"unknown estimator family {family!r}")
@@ -592,7 +594,7 @@ def _evaluate_profile(
         estimator, ranks = concordance_td, matrix
 
         def ranks_of(idx: np.ndarray) -> SurvivalMatrix:
-            return SurvivalMatrix(grid=matrix.grid, probs=matrix.probs[idx])
+            return matrix.take(idx)
     else:
         ranks = risks if risks is not None else transformed
         if ranks is None:

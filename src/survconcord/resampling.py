@@ -42,7 +42,6 @@ def stratified_kfold(
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    point: float
     lower: float
     upper: float
     samples: np.ndarray
@@ -60,9 +59,9 @@ def bootstrap_ci(
 ) -> BootstrapResult:
     """Percentile bootstrap interval around an estimator of subject indices.
 
-    ``estimator`` receives an index array into ``ds`` and returns a scalar;
-    the point estimate uses ``indices`` unresampled (all subjects by
-    default).  Resamples are drawn with replacement from ``indices``.
+    ``estimator`` receives an index array into ``ds`` and returns a scalar.
+    Resamples are drawn with replacement from ``indices`` (all subjects by
+    default); the point estimate on the unresampled data is the caller's.
     Resamples on which the estimator raises :class:`ComputationError` (e.g.
     no comparable pairs under heavy censoring) are counted and excluded from
     the percentile computation rather than aborting the run.
@@ -80,7 +79,6 @@ def bootstrap_ci(
     if sample_size < 1:
         raise InputError("sample size must be positive")
 
-    point = estimator(indices)
     rng = np.random.Generator(np.random.PCG64(seed))
     values = []
     n_failed = 0
@@ -96,7 +94,6 @@ def bootstrap_ci(
     tail = (1.0 - level) / 2.0
     lower, upper = np.quantile(samples, [tail, 1.0 - tail])
     return BootstrapResult(
-        point=point,
         lower=float(lower),
         upper=float(upper),
         samples=samples,

@@ -19,7 +19,8 @@ from survconcord import (
     neg_rmst,
     tie_weighted_policy,
 )
-from survconcord.engine import _accumulate_pairs, _rank_codes
+from survconcord.engine import _case_counts, _curve_ranks, _reduce, _risk_ranks
+from survconcord.km import ipcw_weights, km_fit
 
 from conftest import random_instance
 from oracle import brute_force_oracle, td_brute_force_oracle
@@ -198,19 +199,40 @@ def test_engine_matches_brute_force_on_randoms():
 def test_blockwise_reduction_is_bit_identical():
     rng = np.random.default_rng(77)
     ds, risks = random_instance(rng, n_max=120, tie_rich=True)
-    pol = tie_weighted_policy(1.0, 0.5)
-    weights = np.ones(ds.n)
+    g = km_fit(ds, target="censoring")
+    rel = _risk_ranks(risks, 0.0)
+    counts = [_case_counts(ds.times, ds.events, rel, block=b) for b in (1, 7, 4096)]
+    assert all(np.array_equal(counts[0], c) for c in counts[1:])
 
-    def rel(a0, a1):
-        return _rank_codes(risks[a0:a1, None] - risks[None, :], 0.0)
+    perm = rng.permutation(ds.n)
+    shuffled = ds.subset(perm)
+    for scheme in ("uniform", "uno_squared", "pec_product"):
+        pol = tie_weighted_policy(1.0, 0.5, weight_scheme=scheme)
+        weights = ipcw_weights(g, ds, scheme)
+        tallies = [_reduce(c, ds.times, pol, weights, None) for c in counts]
+        # Reordering the anchors changes no bit of a correctly rounded sum.
+        tallies.append(concordance(shuffled, risks[perm], pol, g=g)[1])
+        first = tallies[0]
+        for t in tallies[1:]:
+            assert t.numerator == first.numerator
+            assert t.denominator == first.denominator
+            assert t.case_counts == first.case_counts
+            assert t.case_comparable == first.case_comparable
+            assert t.case_credit == first.case_credit
 
-    tallies = [
-        _accumulate_pairs(ds.times, ds.events, pol, weights, rel, None, block=b)
-        for b in (1, 7, 4096)
-    ]
-    assert tallies[0].numerator == tallies[1].numerator == tallies[2].numerator
-    assert tallies[0].denominator == tallies[1].denominator == tallies[2].denominator
-    assert tallies[0].case_counts == tallies[1].case_counts == tallies[2].case_counts
+
+def test_case_counts_cover_every_partner_once():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        ds, risks = random_instance(rng, n_max=80, tie_rich=True)
+        grid = TimeGrid(np.arange(0.0, ds.times.max()))
+        probs = np.round(np.sort(rng.random((ds.n, len(grid))), axis=1)[:, ::-1], 1)
+        sm = SurvivalMatrix(grid=grid, probs=probs)
+        for tol in (0.0, 0.1):
+            for rel in (_risk_ranks(risks, tol), _curve_ranks(ds.times, sm, tol)):
+                counts = _case_counts(ds.times, ds.events, rel)
+                assert counts.min() >= 0
+                assert np.all(counts.sum(axis=1) == ds.n - 1)
 
 
 def test_brute_force_guard():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,3 +103,31 @@ def test_profiles_file_round_trip(tmp_path):
     path.write_text('{"profiles": [{"name": "x", "family": "bogus"}]}')
     with pytest.raises(InputError, match="family"):
         load_profiles_file(path)
+
+
+def test_profiles_file_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "profiles.json"
+    payload = [profile_to_dict(p) for p in builtin_profiles()]
+    path.write_text(canonical_json(payload))
+    assert [profile_to_dict(p) for p in load_profiles_file(path)] == payload
+
+    def entry(**changes):
+        d = json.loads(canonical_json(payload[0]))
+        d.update(changes)
+        return d
+
+    misspelt_policy = entry()
+    misspelt_policy["policy"]["tie_tolerence"] = 0.1
+    misspelt_truncation = entry()
+    misspelt_truncation["policy"]["truncation"]["valeu"] = 3.0
+    cases = [
+        (misspelt_policy, "policy key(s): 'tie_tolerence'"),
+        (entry(requires_tua=True), "profile key(s): 'requires_tua'"),
+        (entry(td_variant="antolini"), "profile key(s): 'td_variant'"),
+        (misspelt_truncation, "truncation key(s): 'valeu'"),
+    ]
+    for bad, message in cases:
+        path.write_text(canonical_json({"profiles": [payload[1], bad]}))
+        expected = re.escape(f"profile #1: unknown {message}")
+        with pytest.raises(InputError, match=expected):
+            load_profiles_file(path)

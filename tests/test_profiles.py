@@ -9,7 +9,9 @@ from survconcord import (
     TimeGrid,
     Truncation,
     antolini_policy,
+    bootstrap_ci,
     builtin_profiles,
+    concordance_td,
     get_profiles,
     hmisc_profile,
     pec_profile,
@@ -267,6 +269,29 @@ def test_profile_round_trip_through_dict():
         assert clone.policy.tie_tolerance == profile.policy.tie_tolerance
         assert clone.policy.truncation == profile.policy.truncation
         assert clone.policy.final_fold == profile.policy.final_fold
+
+
+def test_matrix_take_reuses_validated_rows():
+    ds, sm = _td_instance()
+    idx = np.random.default_rng(3).integers(0, sm.n, sm.n)
+    taken = sm.take(idx)
+    rebuilt = SurvivalMatrix(grid=sm.grid, probs=sm.probs[idx])
+    assert np.array_equal(taken.probs, rebuilt.probs)
+    assert taken.grid is sm.grid and not taken.probs.flags.writeable
+
+    # A C_td bootstrap scores the same resamples as rebuilding each matrix.
+    profile = get_profiles(["pycox_adj_ant"])[0]
+    spec = BootstrapSpec(n_resamples=15, sample_size=30)
+    report = run_multiverse(ds, matrix=sm, profiles=[profile], bootstrap=spec, seed=5)
+
+    def rebuild_each(i):
+        resampled = SurvivalMatrix(grid=sm.grid, probs=sm.probs[i])
+        return concordance_td(ds.subset(i), resampled, profile.policy)[0]
+
+    boot = bootstrap_ci(ds, rebuild_each, n_resamples=15, sample_size=30, seed=5)
+    got = report.result("pycox_adj_ant")
+    assert (got.ci_lower, got.ci_upper) == (boot.lower, boot.upper)
+    assert got.failed_resamples == boot.n_failed
 
 
 def test_td_profile_scores_with_its_own_case_table():

@@ -59,7 +59,8 @@ def test_small_stratum_rejected():
 def test_bootstrap_constant_estimator_degenerate_interval():
     ds = _dataset(6, 0)
     result = bootstrap_ci(ds, lambda idx: 1.0, n_resamples=50, seed=2)
-    assert (result.point, result.lower, result.upper) == (1.0, 1.0, 1.0)
+    assert (result.lower, result.upper) == (1.0, 1.0)
+    assert np.all(result.samples == 1.0)
 
 
 def test_bootstrap_single_resample():
@@ -82,7 +83,7 @@ def test_bootstrap_failures_recorded_and_excluded():
     assert result.lower == result.upper == 0.5
 
     def fails_on_resamples(idx):
-        if idx.size == 3:  # point estimate uses all 5 indices
+        if idx.size == 3:  # every resample draws sample_size = 3
             raise ComputationError("no comparable pairs")
         return 0.5
 
