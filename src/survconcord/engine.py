@@ -17,7 +17,9 @@ just different policies (see :mod:`survconcord.profiles`).
 Ranking can come from a scalar risk per subject or, for the time-dependent
 variant, from survival probabilities evaluated at the anchor subject's time;
 both rank sources feed the same counter and reducer, so the policy alone
-decides how pairs count.
+decides how pairs count.  The counts depend only on the data, the rank
+source and the tie tolerance, so policies scored on one dataset share one
+counting pass per rank source and tolerance (:class:`_Scorer`).
 
 Counting runs blockwise over anchors, but the counts are integers and every
 weighted sum is a single correctly rounded ``math.fsum``, so estimates do not
@@ -266,7 +268,8 @@ class PairTally:
     truncation, excluding self-pairs and pairs dropped for undefined weights;
     counts are kept even for cases the policy excludes so that decompositions
     can be computed afterwards.  ``numerator``/``denominator`` are the
-    weighted credit and comparability totals.
+    weighted credit and comparability totals; ``tau`` is the truncation time
+    that was applied (None when untruncated).
     """
 
     case_counts: Mapping[str, int]
@@ -277,6 +280,7 @@ class PairTally:
     dropped_pairs: int
     anchors_beyond_grid: int
     policy: ConcordancePolicy
+    tau: float | None
 
     def count(self, *labels: str) -> int:
         return sum(self.case_counts.get(lab, 0) for lab in labels)
@@ -297,6 +301,7 @@ class PairTally:
             "denominator": self.denominator,
             "dropped_pairs": self.dropped_pairs,
             "anchors_beyond_grid": self.anchors_beyond_grid,
+            "tau": self.tau,
         }
 
 
@@ -417,21 +422,8 @@ def _reduce(
         dropped_pairs=int(dropped_by_case.sum()),
         anchors_beyond_grid=anchors_beyond_grid,
         policy=policy,
+        tau=tau,
     )
-
-
-def _resolve_weights(
-    ds: SurvivalDataset, policy: ConcordancePolicy, g: StepFunction | None
-) -> np.ndarray:
-    if policy.weight_scheme == WEIGHT_UNIFORM:
-        return np.ones(ds.n)
-    if g is None:
-        if policy.g_source == G_SOURCE_PROVIDED:
-            raise InputError(
-                "policy requires an externally fitted censoring distribution"
-            )
-        g = km_fit(ds, target="censoring")
-    return ipcw_weights(g, ds, policy.weight_scheme)
 
 
 def _finalize(numerator: float, denominator: float, final_fold: str) -> float:
@@ -443,18 +435,67 @@ def _finalize(numerator: float, denominator: float, final_fold: str) -> float:
     return estimate
 
 
-def _score(
-    ds: SurvivalDataset,
-    policy: ConcordancePolicy,
-    g: StepFunction | None,
-    rel_block: Callable[[int, int], np.ndarray],
-    anchors_beyond_grid: int = 0,
-) -> tuple[float, PairTally]:
-    weights = _resolve_weights(ds, policy, g)
-    tau = policy.truncation.resolve(ds)
-    counts = _case_counts(ds.times, ds.events, rel_block)
-    tally = _reduce(counts, ds.times, policy, weights, tau, anchors_beyond_grid)
-    return _finalize(tally.numerator, tally.denominator, policy.final_fold), tally
+class _Scorer:
+    """One dataset and its rank inputs, scored under any number of policies.
+
+    Counts are kept per (rank source, tie tolerance) and the censoring fit is
+    made at most once, on first use, so policies that differ only in what
+    :func:`_reduce` applies share one counting pass.  ``risks`` (a validated
+    array) feeds scalar ranking, ``matrix`` ranking by survival curves.
+    """
+
+    def __init__(
+        self,
+        ds: SurvivalDataset,
+        risks: np.ndarray | None = None,
+        matrix: SurvivalMatrix | None = None,
+        g: StepFunction | None = None,
+    ) -> None:
+        if matrix is not None and matrix.n != ds.n:
+            raise InputError("survival matrix is not aligned with the dataset")
+        self.ds = ds
+        self.risks = risks
+        self.matrix = matrix
+        self.g = g
+        self._counts: dict[tuple[bool, float], tuple[np.ndarray, int]] = {}
+        self._censoring: StepFunction | None = None
+
+    def score(
+        self, policy: ConcordancePolicy, curves: bool = False
+    ) -> tuple[float, PairTally]:
+        """Estimate and tally under ``policy``, ranking by curves if ``curves``."""
+        weights = self._weights(policy)
+        tau = policy.truncation.resolve(self.ds)
+        counts, beyond = self._counts_for(curves, policy.tie_tolerance)
+        tally = _reduce(counts, self.ds.times, policy, weights, tau, beyond)
+        return _finalize(tally.numerator, tally.denominator, policy.final_fold), tally
+
+    def _weights(self, policy: ConcordancePolicy) -> np.ndarray:
+        if policy.weight_scheme == WEIGHT_UNIFORM:
+            return np.ones(self.ds.n)
+        g = self.g
+        if g is None:
+            if policy.g_source == G_SOURCE_PROVIDED:
+                raise InputError(
+                    "policy requires an externally fitted censoring distribution"
+                )
+            if self._censoring is None:
+                self._censoring = km_fit(self.ds, target="censoring")
+            g = self._censoring
+        return ipcw_weights(g, self.ds, policy.weight_scheme)
+
+    def _counts_for(self, curves: bool, tol: float) -> tuple[np.ndarray, int]:
+        """Case counts and the number of anchors beyond the curves' grid."""
+        key = (curves, tol)
+        if key not in self._counts:
+            times = self.ds.times
+            if curves:
+                rel_block = _curve_ranks(times, self.matrix, tol)
+                beyond = int(np.count_nonzero(times > self.matrix.grid.points[-1]))
+            else:
+                rel_block, beyond = _risk_ranks(self.risks, tol), 0
+            self._counts[key] = (_case_counts(times, self.ds.events, rel_block), beyond)
+        return self._counts[key]
 
 
 def concordance(
@@ -470,8 +511,7 @@ def concordance(
     fitted on ``ds`` itself (``g_source="test_set"``), or an error is raised
     for policies that require an external fit.
     """
-    m = as_risk_array(risks, ds.n)
-    return _score(ds, policy, g, _risk_ranks(m, policy.tie_tolerance))
+    return _Scorer(ds, risks=as_risk_array(risks, ds.n), g=g).score(policy)
 
 
 def concordance_td(
@@ -490,11 +530,7 @@ def concordance_td(
     and the tie-adjusted published variants.  Anchor times beyond the grid
     evaluate at the last grid point and are flagged in the tally.
     """
-    if sm.n != ds.n:
-        raise InputError("survival matrix is not aligned with the dataset")
-    beyond = int(np.count_nonzero(ds.times > sm.grid.points[-1]))
-    rel_block = _curve_ranks(ds.times, sm, policy.tie_tolerance)
-    return _score(ds, policy, g, rel_block, beyond)
+    return _Scorer(ds, matrix=sm, g=g).score(policy, curves=True)
 
 
 @dataclass(frozen=True)

@@ -34,14 +34,19 @@ from .engine import (
     TRUNC_NONE,
     CaseRule,
     ConcordancePolicy,
+    PairTally,
     Truncation,
+    _Scorer,
     antolini_policy,
-    concordance,
-    concordance_td,
 )
 from .km import WEIGHT_PEC_PRODUCT, WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED, StepFunction
-from .resampling import bootstrap_ci
+from .resampling import bootstrap_resamples, check_bootstrap_args, percentile_interval
 from .transforms import expected_mortality, neg_rmst, risk_at_time
+
+# The single-profile forms of run_multiverse stay importable from this module,
+# although it no longer calls them: bench/tracing.py wraps them here.
+from .engine import concordance, concordance_td  # noqa: F401
+from .resampling import bootstrap_ci  # noqa: F401
 
 FAMILY_C = "C"
 FAMILY_C_TAU = "C_tau"
@@ -441,6 +446,9 @@ class BootstrapSpec:
     sample_size: int | None = None
     level: float = 0.95
 
+    def __post_init__(self) -> None:
+        check_bootstrap_args(self.n_resamples, self.sample_size, self.level)
+
     def to_dict(self) -> dict:
         return {
             "n_resamples": self.n_resamples,
@@ -532,11 +540,15 @@ def run_multiverse(
     omitted (the same-data workaround); the report records which source was
     used.
 
-    Bootstrap intervals (percentile) re-evaluate each profile on resamples
-    drawn from a per-seed stream; every profile sees the same resamples.
-    Transforms are applied once to the full matrix before resampling, while
-    data-dependent truncation and test-set censoring fits are re-resolved on
-    every resample.
+    Profiles differ only in how pair counts are reduced, so the data are
+    counted once per rank source (risks or curves) and tie tolerance, and the
+    censoring distribution is fitted at most once; every profile is reduced
+    from those shared counts.  Bootstrap intervals (percentile) draw the
+    resamples from one per-seed stream and score every profile on each
+    resample in turn, with the same sharing, so every profile sees the same
+    resamples by construction.  Transforms are applied once to the full
+    matrix before resampling, while data-dependent truncation and test-set
+    censoring fits are re-resolved on every resample.
     """
     if profiles is None:
         profiles = builtin_profiles()
@@ -551,15 +563,23 @@ def run_multiverse(
             transformed = transform.apply(matrix)
         except (InputError, ComputationError) as exc:
             transform_error = str(exc)
+    scalar = risks_full if risks_full is not None else transformed
 
-    results = []
-    for profile in profiles:
-        results.append(
-            _evaluate_profile(
-                profile, ds, risks_full, transformed, transform_error, matrix,
-                tau, g, bootstrap, seed,
-            )
-        )
+    cells = [_plan(p, scalar, transform_error, matrix, tau, g) for p in profiles]
+    full = _Scorer(ds, risks=scalar, matrix=matrix, g=g)
+    points = {}
+    for k, plan in enumerate(cells):
+        if isinstance(plan, _Plan):
+            try:
+                points[k] = full.score(plan.policy, plan.curves)
+            except ComputationError as exc:
+                cells[k] = ProfileResult(**plan.base, error=str(exc))
+    resampled = {}
+    if bootstrap is not None and points:
+        live = {k: cells[k] for k in points}
+        resampled = _resample_values(ds, scalar, matrix, g, live, bootstrap, seed)
+    for k, (estimate, tally) in points.items():
+        cells[k] = _cell(cells[k], estimate, tally, resampled.get(k), bootstrap)
 
     provenance = {
         "dataset": {"n": ds.n, "n_events": ds.n_events},
@@ -570,43 +590,46 @@ def run_multiverse(
         "seed": seed,
         "profiles": [profile_to_dict(p) for p in profiles],
     }
-    return MultiverseReport(provenance=provenance, results=tuple(results))
+    return MultiverseReport(provenance=provenance, results=tuple(cells))
 
 
-def _evaluate_profile(
+@dataclass(frozen=True)
+class _Plan:
+    """A profile ready to score: the policy actually applied and its rank source."""
+
+    profile: Profile
+    policy: ConcordancePolicy
+    g_used: str | None
+
+    @property
+    def base(self) -> dict:
+        return dict(name=self.profile.name, family=self.profile.family)
+
+    @property
+    def curves(self) -> bool:
+        # The family picks only the rank source; the policy decides the rest.
+        return self.profile.requires_matrix
+
+
+def _plan(
     profile: Profile,
-    ds: SurvivalDataset,
-    risks: np.ndarray | None,
-    transformed: np.ndarray | None,
+    scalar: np.ndarray | None,
     transform_error: str | None,
     matrix: SurvivalMatrix | None,
     tau: Truncation | None,
     g: StepFunction | None,
-    bootstrap: BootstrapSpec | None,
-    seed: int,
-) -> ProfileResult:
+) -> _Plan | ProfileResult:
+    """The profile's plan, or its error cell when these inputs cannot score it."""
     base = dict(name=profile.name, family=profile.family)
-
-    # The family picks only the rank source; the policy decides the rest.
     if profile.requires_matrix:
         if matrix is None:
             return ProfileResult(**base, error="requires a survival matrix")
-        estimator, ranks = concordance_td, matrix
-
-        def ranks_of(idx: np.ndarray) -> SurvivalMatrix:
-            return matrix.take(idx)
-    else:
-        ranks = risks if risks is not None else transformed
-        if ranks is None:
-            if transform_error is not None:
-                return ProfileResult(**base, error=f"transform failed: {transform_error}")
-            return ProfileResult(
-                **base, error="requires a risk vector or a transform over a matrix"
-            )
-        estimator = concordance
-
-        def ranks_of(idx: np.ndarray) -> np.ndarray:
-            return ranks[idx]
+    elif scalar is None:
+        if transform_error is not None:
+            return ProfileResult(**base, error=f"transform failed: {transform_error}")
+        return ProfileResult(
+            **base, error="requires a risk vector or a transform over a matrix"
+        )
 
     policy = profile.policy if tau is None else profile.policy.replace(truncation=tau)
     if profile.requires_tau and policy.truncation.mode == TRUNC_NONE and tau is None:
@@ -621,35 +644,57 @@ def _evaluate_profile(
             g_used = "test_set_workaround"
         else:
             g_used = "test_set"
+    return _Plan(profile, policy, g_used)
 
-    def invoke(idx: np.ndarray) -> float:
-        return estimator(ds.subset(idx), ranks_of(idx), policy, g=g)[0]
 
-    try:
-        estimate, tally = estimator(ds, ranks, policy, g=g)
-        tau_used = policy.truncation.resolve(ds)
-    except ComputationError as exc:
-        return ProfileResult(**base, error=str(exc))
+def _resample_values(
+    ds: SurvivalDataset,
+    scalar: np.ndarray | None,
+    matrix: SurvivalMatrix | None,
+    g: StepFunction | None,
+    live: Mapping[int, _Plan],
+    spec: BootstrapSpec,
+    seed: int,
+) -> dict[int, tuple[list[float], int]]:
+    """Each plan's estimates over the resamples, and how many failed."""
+    samples: dict[int, list[float]] = {k: [] for k in live}
+    failed = dict.fromkeys(live, 0)
+    curves = any(plan.curves for plan in live.values())
+    for idx in bootstrap_resamples(
+        ds.n, spec.n_resamples, spec.sample_size, spec.level, seed
+    ):
+        scorer = _Scorer(
+            ds.subset(idx),
+            risks=None if scalar is None else scalar[idx],
+            matrix=matrix.take(idx) if curves else None,
+            g=g,
+        )
+        for k, plan in live.items():
+            try:
+                samples[k].append(scorer.score(plan.policy, plan.curves)[0])
+            except ComputationError:
+                failed[k] += 1
+    return {k: (samples[k], failed[k]) for k in live}
 
+
+def _cell(
+    plan: _Plan,
+    estimate: float,
+    tally: PairTally,
+    resampled: tuple[list[float], int] | None,
+    spec: BootstrapSpec | None,
+) -> ProfileResult:
     ci_lower = ci_upper = None
     failed = 0
-    if bootstrap is not None:
+    if resampled is not None:
         try:
-            boot = bootstrap_ci(
-                ds,
-                invoke,
-                n_resamples=bootstrap.n_resamples,
-                sample_size=bootstrap.sample_size,
-                level=bootstrap.level,
-                seed=seed,
-            )
-            ci_lower, ci_upper, failed = boot.lower, boot.upper, boot.n_failed
+            boot = percentile_interval(*resampled, spec.level)
         except ComputationError as exc:
-            return ProfileResult(**base, estimate=estimate, error=f"bootstrap: {exc}")
+            return ProfileResult(**plan.base, estimate=estimate, error=f"bootstrap: {exc}")
+        ci_lower, ci_upper, failed = boot.lower, boot.upper, boot.n_failed
 
-    tally_dict = tally.to_dict()
     return ProfileResult(
-        **base,
+        **plan.base,
         estimate=estimate,
         ci_lower=ci_lower,
         ci_upper=ci_upper,
@@ -658,8 +703,8 @@ def _evaluate_profile(
         denominator=tally.denominator,
         dropped_pairs=tally.dropped_pairs,
         anchors_beyond_grid=tally.anchors_beyond_grid,
-        per_case=tally_dict["per_case"],
-        tau_used=tau_used,
-        weight_scheme=profile.policy.weight_scheme,
-        g_used=g_used,
+        per_case=tally.to_dict()["per_case"],
+        tau_used=tally.tau,
+        weight_scheme=plan.profile.policy.weight_scheme,
+        g_used=plan.g_used,
     )

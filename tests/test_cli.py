@@ -190,3 +190,15 @@ def test_simulate_deterministic_across_runs(tmp_path):
         return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
 
     assert run(tmp_path / "one") == run(tmp_path / "two")
+
+
+def test_cindex_rejects_bad_bootstrap_spec_before_scoring(subjects_file, tmp_path, capsys):
+    # Without risks no profile scores, so only the spec itself can reject B = 0.
+    out = tmp_path / "b0"
+    code = main([
+        "cindex", "--subjects", str(subjects_file), "--profiles", "hmisc",
+        "--bootstrap", "0", "--out", str(out),
+    ])
+    assert code == 2
+    assert "need at least one bootstrap resample" in capsys.readouterr().err
+    assert not (tmp_path / "b0.json").exists()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from survconcord import (
+    ComputationError,
+    InputError,
     SurvivalDataset,
     SurvivalMatrix,
     TimeGrid,
@@ -11,9 +13,11 @@ from survconcord import (
     antolini_policy,
     bootstrap_ci,
     builtin_profiles,
+    concordance,
     concordance_td,
     get_profiles,
     hmisc_profile,
+    km_fit,
     pec_profile,
     profile_from_dict,
     profile_to_dict,
@@ -22,6 +26,7 @@ from survconcord import (
     survival_profile,
     tie_weighted_policy,
 )
+from survconcord import engine
 from survconcord.data import PairCase
 from survconcord.engine import TRUNC_NONE
 from survconcord.profiles import BootstrapSpec, TransformSpec, policy_to_dict
@@ -337,3 +342,138 @@ def test_tau_override_truncates_td_anchors():
         expected = td_brute_force_oracle(ds, sm, profile.policy.replace(truncation=tau))
         assert r.estimate == pytest.approx(expected, abs=1e-12)
         assert r.denominator < full.result(profile.name).denominator
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_resamples": 0}, "at least one bootstrap resample"),
+    ({"level": 1.5}, r"confidence level must lie in \(0, 1\)"),
+    ({"level": 0.0}, r"confidence level must lie in \(0, 1\)"),
+    ({"sample_size": 0}, "sample size must be positive"),
+])
+def test_bootstrap_spec_rejected_where_built(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        BootstrapSpec(**kwargs)
+
+
+def _tie_rich(n, seed, event_rate=0.7, n_times=None):
+    """Dataset with tied times, tied and near-tied risks, and a matrix."""
+    rng = np.random.default_rng(seed)
+    times = rng.integers(1, n_times or max(3, n // 4), n).astype(float)
+    events = (rng.random(n) < event_rate).astype(int)
+    risks = np.round(rng.normal(size=n), 1)
+    risks[::5] += 5e-9  # tied at tolerance 1e-8, not at 0
+    grid = TimeGrid(np.arange(0.0, times.max()))
+    hazards = np.exp(rng.normal(size=n))[:, None] * 0.1
+    probs = np.minimum.accumulate(np.round(np.exp(-hazards * grid.points), 2), axis=1)
+    ds = SurvivalDataset(times=times, events=events)
+    return ds, risks, SurvivalMatrix(grid=grid, probs=probs)
+
+
+def test_multiverse_counts_once_per_rank_source_and_tolerance(monkeypatch):
+    ds, risks, sm = _tie_rich(50, seed=8)
+    g = km_fit(ds, "censoring")
+    calls = {}
+    real_counts, real_fit = engine._case_counts, engine.km_fit
+
+    def counting(*args, **kwargs):
+        calls["counts"] += 1
+        return real_counts(*args, **kwargs)
+
+    def fitting(data, target="event"):
+        calls["fits"] += target == "censoring"
+        return real_fit(data, target)
+
+    monkeypatch.setattr(engine, "_case_counts", counting)
+    monkeypatch.setattr(engine, "km_fit", fitting)
+
+    def run(**kwargs):
+        calls.update(counts=0, fits=0)
+        report = run_multiverse(ds, risks=risks, matrix=sm, seed=2, **kwargs)
+        scored = [r for r in report.results if r.error is None]
+        assert len(scored) == 13 and report.result("survc1").error  # no tau
+        return calls["counts"], calls["fits"]
+
+    # Scalar at tolerance 0 and 1e-8, curves at tolerance 0; one censoring fit.
+    assert run() == (3, 1)
+    assert run(bootstrap=BootstrapSpec(4)) == (3 * 5, 5)
+    assert run(g=g) == (3, 0)
+    assert run(g=g, bootstrap=BootstrapSpec(4, sample_size=30)) == (3 * 5, 0)
+
+
+def _single_profile_cell(ds, risks, sm, profile, *, tau=None, g=None,
+                         bootstrap=None, seed=0):
+    """One profile's cell from concordance/concordance_td and bootstrap_ci alone."""
+    if profile.requires_tau and tau is None:
+        return {"error": "requires an explicit truncation time"}
+    policy = profile.policy if tau is None else profile.policy.replace(truncation=tau)
+    if g is None:
+        policy = policy.replace(g_source="test_set")  # the same-data workaround
+
+    def score(sub, idx):
+        if profile.requires_matrix:
+            return concordance_td(sub, sm.take(idx), policy, g=g)
+        return concordance(sub, risks[idx], policy, g=g)
+
+    try:
+        estimate, tally = score(ds, np.arange(ds.n))
+    except ComputationError as exc:
+        return {"error": str(exc)}
+    cell = {
+        "estimate": estimate,
+        "numerator": tally.numerator,
+        "denominator": tally.denominator,
+        "per_case": tally.to_dict()["per_case"],
+        "dropped_pairs": tally.dropped_pairs,
+        "tau_used": policy.truncation.resolve(ds),
+        "ci_lower": None,
+        "ci_upper": None,
+        "failed_resamples": 0,
+        "error": None,
+    }
+    if bootstrap is not None:
+        try:
+            boot = bootstrap_ci(
+                ds, lambda idx: score(ds.subset(idx), idx)[0],
+                n_resamples=bootstrap.n_resamples, sample_size=bootstrap.sample_size,
+                level=bootstrap.level, seed=seed,
+            )
+        except ComputationError as exc:
+            return {"estimate": estimate, "error": f"bootstrap: {exc}"}
+        cell.update(ci_lower=boot.lower, ci_upper=boot.upper,
+                    failed_resamples=boot.n_failed)
+    return cell
+
+
+def _equivalence_scenarios():
+    ds, risks, sm = _tie_rich(60, seed=4)
+    other, _, _ = _tie_rich(60, seed=5)
+    small, small_risks, small_sm = _tie_rich(10, seed=27, event_rate=0.2, n_times=8)
+    return {
+        "sample_size": (ds, risks, sm, dict(bootstrap=BootstrapSpec(6, sample_size=25))),
+        "tau": (ds, risks, sm, dict(tau=Truncation("value", float(np.median(ds.times))),
+                                    bootstrap=BootstrapSpec(5, level=0.9))),
+        "provided_g": (ds, risks, sm, dict(g=km_fit(other, "censoring"),
+                                           bootstrap=BootstrapSpec(5, sample_size=40))),
+        "heavy_censoring": (small, small_risks, small_sm,
+                            dict(bootstrap=BootstrapSpec(8, sample_size=4))),
+    }
+
+
+@pytest.mark.parametrize("scenario", list(_equivalence_scenarios()))
+def test_multiverse_cells_equal_single_profile_api(scenario):
+    ds, risks, sm, options = _equivalence_scenarios()[scenario]
+    seed = 9
+    report = run_multiverse(ds, risks=risks, matrix=sm, seed=seed, **options)
+    for profile in builtin_profiles():
+        want = _single_profile_cell(ds, risks, sm, profile, seed=seed, **options)
+        got = report.result(profile.name).to_dict()
+        assert {key: got[key] for key in want} == want, profile.name
+
+    if scenario == "heavy_censoring":
+        # Failures are counted per profile, and a profile whose resamples all
+        # fail keeps its point estimate.
+        cells = report.results
+        failed = {r.failed_resamples for r in cells if r.error is None}
+        assert len(failed) > 1 and max(failed) > 0
+        all_failed = [r for r in cells if r.error == "bootstrap: all bootstrap resamples failed"]
+        assert all_failed and all(r.estimate is not None for r in all_failed)
