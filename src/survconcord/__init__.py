@@ -51,7 +51,7 @@ from .profiles import (
     survival_profile,
     survmetrics_profile,
 )
-from .resampling import BootstrapResult, bootstrap_ci, stratified_kfold
+from .resampling import BootstrapResult, bootstrap_ci
 from .synthetic import (
     AgeInformedCensoring,
     UniformQuantileCensoring,

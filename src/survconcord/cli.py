@@ -165,32 +165,6 @@ def _load_params(path: str) -> dict:
     return raw
 
 
-def _read_covariate_pool(path: str) -> np.ndarray:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}:1: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise InputError(
-                    f"{path}:{lineno}: covariates must be numeric"
-                ) from None
-    if not rows:
-        raise InputError(f"{path}: no covariate rows")
-    return np.array(rows)
-
-
 def _censoring_mechanism(name: str, cens: dict, epsilon: float):
     if name == "weibull_scaled":
         return WeibullCensoring(
@@ -233,7 +207,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         eps: _censoring_mechanism(mechanism_name, cens_block, eps) for eps in epsilons
     }
 
-    pool = _read_covariate_pool(args.covariates) if args.covariates else None
+    pool = sio.read_covariate_pool(args.covariates) if args.covariates else None
     p = params.coefficients.size
     if pool is not None and pool.shape[1] != p:
         raise InputError(

@@ -285,8 +285,10 @@ class PairTally:
     def count(self, *labels: str) -> int:
         return sum(self.case_counts.get(lab, 0) for lab in labels)
 
-    def to_dict(self) -> dict:
-        per_case = {
+    @property
+    def per_case(self) -> dict[str, dict]:
+        """Pairs, comparable weight and credit of every case that has any."""
+        return {
             lab: {
                 "pairs": self.case_counts[lab],
                 "comparable": self.case_comparable[lab],
@@ -294,14 +296,6 @@ class PairTally:
             }
             for lab in self.case_counts
             if self.case_counts[lab] > 0 or self.case_comparable[lab] > 0
-        }
-        return {
-            "per_case": per_case,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "dropped_pairs": self.dropped_pairs,
-            "anchors_beyond_grid": self.anchors_beyond_grid,
-            "tau": self.tau,
         }
 
 

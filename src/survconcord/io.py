@@ -4,6 +4,8 @@ Subjects file: header ``id,time,event`` followed optionally by a risk column
 and covariate columns named ``cov_1..cov_p``; events are 0/1, decimal point,
 UTF-8, comma separated.  Matrix file: first column ``id``, remaining headers
 are grid times as decimal literals; row order must match the subjects file.
+Covariate pool file: a header naming the columns, then one finite numeric row
+per subject.
 
 All numeric output uses ``repr`` (shortest round-trip form) and JSON is
 written with sorted keys, so identical inputs produce byte-identical files.
@@ -34,10 +36,13 @@ def _parse_float(raw: str, where: str, what: str) -> float:
     return value
 
 
-def _fmt(value: float | None) -> str:
+def _fmt(value) -> str:
+    """CSV text of a value: empty for None, shortest round-trip for floats."""
     if value is None:
         return ""
-    return repr(float(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
 
 
 def read_subjects_csv(
@@ -182,6 +187,30 @@ def read_matrix_csv(path: str | Path, expected_ids: Sequence[str]) -> SurvivalMa
         raise InputError(f"{path}: {exc}") from None
 
 
+def read_covariate_pool(path: str | Path) -> np.ndarray:
+    """Parse a covariate pool into an (n, p) array of finite values."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}:1: empty file") from None
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            where = f"{path}:{lineno}"
+            if len(row) != len(header):
+                raise InputError(
+                    f"{where}: expected {len(header)} fields, got {len(row)}"
+                )
+            rows.append([_parse_float(v, where, name) for v, name in zip(row, header)])
+    if not rows:
+        raise InputError(f"{path}: no covariate rows")
+    return np.array(rows)
+
+
 def write_matrix_csv(path: str | Path, ids: Sequence[str], sm: SurvivalMatrix) -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
@@ -222,21 +251,11 @@ def write_report_csv(path: str | Path, report: MultiverseReport) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPORT_CSV_COLUMNS)
         for r in report.results:
-            writer.writerow([
-                r.name,
-                r.family,
-                _fmt(r.estimate),
-                _fmt(r.ci_lower),
-                _fmt(r.ci_upper),
-                _fmt(r.numerator),
-                _fmt(r.denominator),
-                str(r.dropped_pairs),
-                _fmt(r.tau_used),
-                r.weight_scheme,
-                r.g_used or "",
-                str(r.failed_resamples),
-                r.error or "",
-            ])
+            cell = r.to_dict()
+            writer.writerow(
+                _fmt(cell["name" if col == "profile" else col])
+                for col in REPORT_CSV_COLUMNS
+            )
 
 
 def load_profiles_file(path: str | Path) -> list[Profile]:

@@ -471,30 +471,16 @@ class ProfileResult:
     denominator: float | None = None
     dropped_pairs: int = 0
     anchors_beyond_grid: int = 0
-    per_case: Mapping[str, dict] = field(default_factory=dict)
+    per_case: dict = field(default_factory=dict)
     tau_used: float | None = None
     weight_scheme: str = WEIGHT_UNIFORM
     g_used: str | None = None
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "family": self.family,
-            "estimate": self.estimate,
-            "ci_lower": self.ci_lower,
-            "ci_upper": self.ci_upper,
-            "failed_resamples": self.failed_resamples,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "dropped_pairs": self.dropped_pairs,
-            "anchors_beyond_grid": self.anchors_beyond_grid,
-            "per_case": dict(self.per_case),
-            "tau_used": self.tau_used,
-            "weight_scheme": self.weight_scheme,
-            "g_used": self.g_used,
-            "error": self.error,
-        }
+        # Shallow on purpose: dataclasses.asdict deep-copies every per-case
+        # number, which costs more than writing the report.
+        return {**vars(self), "per_case": dict(self.per_case)}
 
 
 @dataclass(frozen=True)
@@ -548,7 +534,10 @@ def run_multiverse(
     resample in turn, with the same sharing, so every profile sees the same
     resamples by construction.  Transforms are applied once to the full
     matrix before resampling, while data-dependent truncation and test-set
-    censoring fits are re-resolved on every resample.
+    censoring fits are re-resolved on every resample.  A profile whose
+    resamples all fail keeps its estimate and full-data tally, with
+    ``failed_resamples`` equal to the number of resamples and the error
+    ``"bootstrap: all bootstrap resamples failed"``.
     """
     if profiles is None:
         profiles = builtin_profiles()
@@ -573,7 +562,7 @@ def run_multiverse(
             try:
                 points[k] = full.score(plan.policy, plan.curves)
             except ComputationError as exc:
-                cells[k] = ProfileResult(**plan.base, error=str(exc))
+                cells[k] = _named(plan.profile, error=str(exc))
     resampled = {}
     if bootstrap is not None and points:
         live = {k: cells[k] for k in points}
@@ -602,10 +591,6 @@ class _Plan:
     g_used: str | None
 
     @property
-    def base(self) -> dict:
-        return dict(name=self.profile.name, family=self.profile.family)
-
-    @property
     def curves(self) -> bool:
         # The family picks only the rank source; the policy decides the rest.
         return self.profile.requires_matrix
@@ -620,20 +605,19 @@ def _plan(
     g: StepFunction | None,
 ) -> _Plan | ProfileResult:
     """The profile's plan, or its error cell when these inputs cannot score it."""
-    base = dict(name=profile.name, family=profile.family)
     if profile.requires_matrix:
         if matrix is None:
-            return ProfileResult(**base, error="requires a survival matrix")
+            return _named(profile, error="requires a survival matrix")
     elif scalar is None:
         if transform_error is not None:
-            return ProfileResult(**base, error=f"transform failed: {transform_error}")
-        return ProfileResult(
-            **base, error="requires a risk vector or a transform over a matrix"
+            return _named(profile, error=f"transform failed: {transform_error}")
+        return _named(
+            profile, error="requires a risk vector or a transform over a matrix"
         )
 
     policy = profile.policy if tau is None else profile.policy.replace(truncation=tau)
     if profile.requires_tau and policy.truncation.mode == TRUNC_NONE and tau is None:
-        return ProfileResult(**base, error="requires an explicit truncation time")
+        return _named(profile, error="requires an explicit truncation time")
     g_used = None
     if policy.weight_scheme != WEIGHT_UNIFORM:
         if g is not None:
@@ -677,6 +661,10 @@ def _resample_values(
     return {k: (samples[k], failed[k]) for k in live}
 
 
+def _named(profile: Profile, **fields) -> ProfileResult:
+    return ProfileResult(name=profile.name, family=profile.family, **fields)
+
+
 def _cell(
     plan: _Plan,
     estimate: float,
@@ -684,27 +672,24 @@ def _cell(
     resampled: tuple[list[float], int] | None,
     spec: BootstrapSpec | None,
 ) -> ProfileResult:
-    ci_lower = ci_upper = None
-    failed = 0
-    if resampled is not None:
-        try:
-            boot = percentile_interval(*resampled, spec.level)
-        except ComputationError as exc:
-            return ProfileResult(**plan.base, estimate=estimate, error=f"bootstrap: {exc}")
-        ci_lower, ci_upper, failed = boot.lower, boot.upper, boot.n_failed
-
-    return ProfileResult(
-        **plan.base,
+    """A scored cell; a failed interval keeps the tally and carries the error."""
+    fields = dict(
         estimate=estimate,
-        ci_lower=ci_lower,
-        ci_upper=ci_upper,
-        failed_resamples=failed,
         numerator=tally.numerator,
         denominator=tally.denominator,
         dropped_pairs=tally.dropped_pairs,
         anchors_beyond_grid=tally.anchors_beyond_grid,
-        per_case=tally.to_dict()["per_case"],
+        per_case=tally.per_case,
         tau_used=tally.tau,
-        weight_scheme=plan.profile.policy.weight_scheme,
+        weight_scheme=tally.policy.weight_scheme,
         g_used=plan.g_used,
     )
+    if resampled is not None:
+        try:
+            boot = percentile_interval(*resampled, spec.level)
+        except ComputationError as exc:
+            return _named(plan.profile, **fields, failed_resamples=resampled[1],
+                          error=f"bootstrap: {exc}")
+        fields.update(ci_lower=boot.lower, ci_upper=boot.upper,
+                      failed_resamples=boot.n_failed)
+    return _named(plan.profile, **fields)

@@ -1,4 +1,4 @@
-"""Stratified cross-validation splits and bootstrap confidence intervals."""
+"""Bootstrap resamples and percentile confidence intervals."""
 
 from __future__ import annotations
 
@@ -8,36 +8,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .data import ComputationError, InputError, SurvivalDataset
-
-
-def stratified_kfold(
-    ds: SurvivalDataset, k: int, seed: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """k train/test index splits with events and censored subjects balanced.
-
-    The event and censored strata are shuffled and partitioned independently
-    into k near-equal folds, so every fold sees close to the global event
-    rate.  Each subject appears in exactly one test fold.
-    """
-    if k < 2:
-        raise InputError("k must be at least 2")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    strata = [np.flatnonzero(ds.events == 1), np.flatnonzero(ds.events == 0)]
-    chunks = []
-    for stratum in strata:
-        if stratum.size < k:
-            raise InputError(
-                f"stratum of size {stratum.size} cannot be split into {k} folds"
-            )
-        chunks.append(np.array_split(rng.permutation(stratum), k))
-    n = ds.n
-    folds = []
-    for f in range(k):
-        test = np.sort(np.concatenate([chunks[0][f], chunks[1][f]]))
-        mask = np.ones(n, dtype=bool)
-        mask[test] = False
-        folds.append((np.flatnonzero(mask), test))
-    return folds
 
 
 @dataclass(frozen=True)

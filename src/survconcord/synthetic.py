@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InputError, SurvivalDataset, SurvivalMatrix, TimeGrid
-from .engine import ConcordancePolicy, PairCase, concordance, tie_weighted_policy
+from .engine import ConcordancePolicy, PairCase, concordance
 from .transforms import neg_rmst
 
 _STREAMS = {"events": 0, "censoring": 1}
@@ -194,24 +194,14 @@ def assemble(
     )
 
 
-#: Handling of tied risk predictions inside the ground-truth concordance.
-TIE_EXCLUDE = "exclude"        # tied-prediction pairs leave the comparable set
-TIE_HALF_CREDIT = "half_credit"  # comparable with credit 0.5
-TIE_ZERO_CREDIT = "zero_credit"  # comparable with credit 0
-
-
-def _oracle_policy(tied_predictions: str) -> ConcordancePolicy:
-    if tied_predictions == TIE_HALF_CREDIT:
-        return tie_weighted_policy(0.0, 0.5)
-    if tied_predictions == TIE_ZERO_CREDIT:
-        return tie_weighted_policy(0.0, 0.0)
-    if tied_predictions == TIE_EXCLUDE:
-        policy = tie_weighted_policy(0.0, 0.0)
-        table = dict(policy.case_table)
-        table[PairCase.C1C] = (0.0, 0.0)
-        table[PairCase.C2C] = (0.0, 0.0)
-        return ConcordancePolicy(case_table=table)
-    raise InputError(f"unknown tied-prediction mode {tied_predictions!r}")
+#: Ground-truth scoring: strict pairs only, so tied true curves leave the
+#: comparable set.
+_ORACLE_POLICY = ConcordancePolicy(case_table={
+    PairCase.C1A: (1.0, 1.0),
+    PairCase.C1B: (1.0, 0.0),
+    PairCase.C2A: (1.0, 1.0),
+    PairCase.C2B: (1.0, 0.0),
+})
 
 
 def oracle_cindex(
@@ -219,7 +209,6 @@ def oracle_cindex(
     covariates: np.ndarray,
     uncensored_times: np.ndarray,
     grid_step: float = 1.0,
-    tied_predictions: str = TIE_EXCLUDE,
 ) -> float:
     """Ground-truth concordance from true model curves and uncensored times.
 
@@ -229,10 +218,9 @@ def oracle_cindex(
     weighting and truncation are irrelevant).  The value is a bias reference:
     it never sees censoring.
 
-    With identical covariates the true curves tie exactly; by default such
-    pairs are excluded so the result reads as the concordance probability
-    among distinguishable pairs.  ``tied_predictions`` switches to half or
-    zero credit instead.
+    With identical covariates the true curves tie exactly; such pairs are
+    excluded so the result reads as the concordance probability among
+    distinguishable pairs.
     """
     uncensored_times = np.asarray(uncensored_times, dtype=float)
     t_star = float(uncensored_times.max())
@@ -242,5 +230,5 @@ def oracle_cindex(
     ds = SurvivalDataset(
         times=uncensored_times, events=np.ones(uncensored_times.size, dtype=np.int8)
     )
-    estimate, _ = concordance(ds, risks, _oracle_policy(tied_predictions))
+    estimate, _ = concordance(ds, risks, _ORACLE_POLICY)
     return estimate

@@ -192,6 +192,40 @@ def test_simulate_deterministic_across_runs(tmp_path):
     assert run(tmp_path / "one") == run(tmp_path / "two")
 
 
+def _simulate_from_pool(tmp_path, pool_rows):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({
+        "event": {"shape": 1.0, "scale": 0.02, "coefficients": [0.5, -0.3]},
+    }))
+    pool = tmp_path / "pool.csv"
+    pool.write_text("age,dose\n" + "".join(row + "\n" for row in pool_rows))
+    out_dir = tmp_path / "sim"
+    code = main([
+        "simulate", "--params", str(params), "--n", "6", "--datasets", "1",
+        "--epsilon-list", "0", "--covariates", str(pool), "--out-dir", str(out_dir),
+    ])
+    return code, out_dir
+
+
+def test_simulate_samples_covariates_from_pool(tmp_path):
+    rows = [f"{k}.5,{k % 3}" for k in range(8)]
+    code, out_dir = _simulate_from_pool(tmp_path, rows)
+    assert code == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["covariates"] == "pool"
+    subjects = (out_dir / "eps_0" / "dataset_000.csv").read_text().splitlines()
+    pool = {tuple(float(v) for v in row.split(",")) for row in rows}
+    drawn = {tuple(float(v) for v in line.split(",")[3:]) for line in subjects[1:]}
+    assert len(drawn) == 6 and drawn <= pool
+
+
+def test_simulate_rejects_non_finite_pool_before_writing(tmp_path, capsys):
+    rows = ["1.0,0", "nan,1"] + [f"{k}.0,1" for k in range(2, 8)]
+    code, out_dir = _simulate_from_pool(tmp_path, rows)
+    assert code == 2
+    assert "pool.csv:3" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cindex_rejects_bad_bootstrap_spec_before_scoring(subjects_file, tmp_path, capsys):
     # Without risks no profile scores, so only the spec itself can reject B = 0.
     out = tmp_path / "b0"

@@ -422,7 +422,7 @@ def _single_profile_cell(ds, risks, sm, profile, *, tau=None, g=None,
         "estimate": estimate,
         "numerator": tally.numerator,
         "denominator": tally.denominator,
-        "per_case": tally.to_dict()["per_case"],
+        "per_case": tally.per_case,
         "dropped_pairs": tally.dropped_pairs,
         "tau_used": policy.truncation.resolve(ds),
         "ci_lower": None,
@@ -438,7 +438,8 @@ def _single_profile_cell(ds, risks, sm, profile, *, tau=None, g=None,
                 level=bootstrap.level, seed=seed,
             )
         except ComputationError as exc:
-            return {"estimate": estimate, "error": f"bootstrap: {exc}"}
+            cell.update(failed_resamples=bootstrap.n_resamples, error=f"bootstrap: {exc}")
+            return cell
         cell.update(ci_lower=boot.lower, ci_upper=boot.upper,
                     failed_resamples=boot.n_failed)
     return cell
@@ -471,9 +472,16 @@ def test_multiverse_cells_equal_single_profile_api(scenario):
 
     if scenario == "heavy_censoring":
         # Failures are counted per profile, and a profile whose resamples all
-        # fail keeps its point estimate.
+        # fail keeps its point estimate and the tally of its applied policy.
         cells = report.results
         failed = {r.failed_resamples for r in cells if r.error is None}
         assert len(failed) > 1 and max(failed) > 0
         all_failed = [r for r in cells if r.error == "bootstrap: all bootstrap resamples failed"]
-        assert all_failed and all(r.estimate is not None for r in all_failed)
+        assert all_failed
+        g_used = {"test_set": "test_set", "provided": "test_set_workaround"}
+        for r in all_failed:
+            policy = _by_name()[r.name].policy
+            assert r.estimate is not None and r.numerator is not None, r.name
+            assert r.weight_scheme == policy.weight_scheme, r.name
+            want = None if policy.weight_scheme == "uniform" else g_used[policy.g_source]
+            assert r.g_used == want, r.name

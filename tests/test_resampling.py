@@ -6,7 +6,6 @@ from survconcord import (
     InputError,
     SurvivalDataset,
     bootstrap_ci,
-    stratified_kfold,
 )
 
 
@@ -16,44 +15,6 @@ def _dataset(n_events, n_censored):
         times=np.arange(1.0, n + 1),
         events=np.array([1] * n_events + [0] * n_censored),
     )
-
-
-def test_balanced_folds_with_exact_divisibility():
-    ds = _dataset(10, 10)
-    for train, test in stratified_kfold(ds, k=5, seed=1):
-        assert test.size == 4
-        assert ds.events[test].sum() == 2  # 2 events + 2 censored per fold
-        assert np.intersect1d(train, test).size == 0
-        assert np.union1d(train, test).size == ds.n
-
-
-def test_uneven_strata_split_by_pigeonhole():
-    ds = _dataset(3, 5)
-    folds = stratified_kfold(ds, k=2, seed=0)
-    event_counts = sorted(int(ds.events[test].sum()) for _, test in folds)
-    assert event_counts == [1, 2]
-
-
-def test_folds_partition_everything_exactly_once():
-    ds = _dataset(13, 9)
-    folds = stratified_kfold(ds, k=3, seed=9)
-    all_test = np.concatenate([test for _, test in folds])
-    assert sorted(all_test.tolist()) == list(range(ds.n))
-
-
-def test_same_seed_same_folds():
-    ds = _dataset(8, 8)
-    a = stratified_kfold(ds, k=4, seed=3)
-    b = stratified_kfold(ds, k=4, seed=3)
-    for (tr1, te1), (tr2, te2) in zip(a, b):
-        assert np.array_equal(tr1, tr2) and np.array_equal(te1, te2)
-
-
-def test_small_stratum_rejected():
-    with pytest.raises(InputError, match="stratum"):
-        stratified_kfold(_dataset(2, 10), k=3, seed=0)
-    with pytest.raises(InputError):
-        stratified_kfold(_dataset(5, 5), k=1, seed=0)
 
 
 def test_bootstrap_constant_estimator_degenerate_interval():

@@ -118,10 +118,8 @@ def test_oracle_is_invariant_to_censoring():
 def test_oracle_tie_modes_with_constant_covariates():
     x = np.zeros((40, 1))
     t = generate_event_times(EXP, x, rng_seed=2)
-    assert oracle_cindex(EXP, x, t, tied_predictions="zero_credit") == 0.0
-    assert oracle_cindex(EXP, x, t, tied_predictions="half_credit") == 0.5
     with pytest.raises(ComputationError, match="no comparable pairs"):
-        oracle_cindex(EXP, x, t)  # default excludes tied predictions
+        oracle_cindex(EXP, x, t)  # tied predictions are excluded
 
 
 def test_oracle_race_small_scale():
