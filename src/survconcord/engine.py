@@ -21,9 +21,13 @@ decides how pairs count.  The counts depend only on the data, the rank
 source and the tie tolerance, so policies scored on one dataset share one
 counting pass per rank source and tolerance (:class:`_Scorer`).
 
-Counting runs blockwise over anchors, but the counts are integers and every
-weighted sum is a single correctly rounded ``math.fsum``, so estimates do not
-depend on the block size and are deterministic for a given input.
+Each rank source has one producer of those counts.  Scalar risks are
+counted by sorting, in O(n log² n) (:func:`_scalar_case_counts`); survival
+curves are counted blockwise over anchors, in O(n²) (:func:`_case_counts`).
+Both give the same exact integer counts as classifying every pair, and
+every weighted sum is a single correctly rounded ``math.fsum``, so estimates
+do not depend on the producer, the block size or the anchor order and are
+deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -314,15 +318,6 @@ def _rank_codes(diff: np.ndarray, tol: float) -> np.ndarray:
     return np.where(diff > tol, 0, np.where(diff < -tol, 1, 2)).astype(np.int8)
 
 
-def _risk_ranks(m: np.ndarray, tol: float) -> Callable[[int, int], np.ndarray]:
-    """Rank codes of anchors a0..a1-1 by scalar risk against every subject."""
-
-    def rel_block(a0: int, a1: int) -> np.ndarray:
-        return _rank_codes(m[a0:a1, None] - m[None, :], tol)
-
-    return rel_block
-
-
 def _curve_ranks(
     times: np.ndarray, sm: SurvivalMatrix, tol: float
 ) -> Callable[[int, int], np.ndarray]:
@@ -343,13 +338,13 @@ def _case_counts(
     rel_block: Callable[[int, int], np.ndarray],
     block: int | None = None,
 ) -> np.ndarray:
-    """Exact pair counts per anchor and case, ``(n, n_cases)`` int64.
+    """Exact pair counts per anchor and case, ``(n, n_cases)`` int64, blockwise.
 
     Row i counts the partners j != i of anchor i in each case of
     :data:`CASE_ORDER`.  ``rel_block(a0, a1)`` gives the rank codes of the
-    anchors a0..a1-1 against every subject.  A self-pair has tied times and
-    a rank difference of exactly 0, so it always lands in 5C (event) or 8
-    (censored) and is subtracted there.
+    anchors a0..a1-1 against every subject.  This dense O(n²) pass counts
+    survival curves (:func:`_curve_ranks`); scalar risks have their own
+    sorted producer, :func:`_scalar_case_counts`.
     """
     n = times.size
     n_cases = len(CASE_ORDER)
@@ -365,8 +360,141 @@ def _case_counts(
         counts[a0:a1] = np.bincount(
             key.ravel(), minlength=(a1 - a0) * n_cases
         ).reshape(a1 - a0, n_cases)
+    _subtract_self_pairs(counts, ev)
+    return counts
+
+
+def _subtract_self_pairs(counts: np.ndarray, ev: np.ndarray) -> None:
+    """Remove each anchor's pair with itself from ``counts`` in place.
+
+    A self-pair has tied times and a rank difference of exactly 0, so it
+    always lands in 5C (event) or 8 (censored).
+    """
     self_case = np.where(ev == 1, CASE_INDEX[PairCase.C5C], CASE_INDEX[PairCase.C8])
-    counts[np.arange(n), self_case] -= 1
+    counts[np.arange(ev.size), self_case] -= 1
+
+
+def _settle(
+    bound: np.ndarray, holds: Callable[[np.ndarray, np.ndarray], np.ndarray], size: int
+) -> np.ndarray:
+    """Move each anchor's bound until ``holds(i, r)`` is true exactly for r < bound.
+
+    ``holds`` must be true and then false along r = 0..size-1.  The starting
+    guess is off only where a difference rounds across the tolerance, so the
+    loop ends after a step or two.
+    """
+    idx = np.arange(bound.size)
+    while idx.size:
+        b = bound[idx]
+        down = (b > 0) & ~holds(idx, np.maximum(b - 1, 0))
+        up = (b < size) & holds(idx, np.minimum(b, size - 1))
+        bound[idx[down]] -= 1
+        bound[idx[up]] += 1
+        idx = idx[down | up]
+    return bound
+
+
+def _prefix_counts(
+    keys: np.ndarray, width: int, ends: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """``out[q]`` = number of positions k < ends[q] with keys[k] < thresholds[q].
+
+    The prefix [0, e) is one aligned block of 2**level positions per set bit
+    of e.  Per level the keys are sorted once within their blocks (sort key
+    ``block * width + key``, keys in [0, width)) and every query using that
+    level is answered by one ``searchsorted``: everything before a full
+    block, minus the block's start.  Needles are searched in sorted order.
+    """
+    n = keys.size
+    positions = np.arange(n)
+    out = np.zeros(ends.size, dtype=np.int64)
+    level = 0
+    while (1 << level) <= n:
+        use = np.flatnonzero((ends >> level) & 1)
+        block = (ends[use] >> level) - 1
+        needles = block * width + thresholds[use]
+        order = np.argsort(needles)
+        found = np.empty_like(needles)
+        level_keys = np.sort((positions >> level) * width + keys)
+        found[order] = np.searchsorted(level_keys, needles[order])
+        out[use] += found - (block << level)
+        level += 1
+    return out
+
+
+def _scalar_case_counts(
+    times: np.ndarray, events: np.ndarray, risks: np.ndarray, tol: float
+) -> np.ndarray:
+    """Exact pair counts per anchor and case for scalar risks, in O(n log² n).
+
+    Gives the same ``(n, n_cases)`` int64 array as :func:`_case_counts` with
+    rank codes ``m_i - m_j > tol`` (greater) and ``m_i - m_j < -tol`` (less),
+    without forming the n x n pairs.  Each risk gets a dense rank among the
+    distinct values; since ``m_i - v`` falls as v rises, anchor i ranks above
+    the partner ranks [0, lo), below [hi, R) and tied in between.  Both
+    bounds start from ``searchsorted`` and are then settled with the
+    predicates themselves (``v < m_i - tol`` is not the same float test).
+
+    Partners are keyed ``delta_j * R + rank`` in time order.  Counting keys
+    below each bound, and so per event status and rank relation, takes three
+    position ranges per anchor: all subjects, the prefix up to the end of its
+    tied-time block (dyadic levels, :func:`_prefix_counts`) and the block
+    itself (one sort keyed by block).  Later partners are all minus the
+    prefix, earlier ones the prefix minus the block.
+    """
+    n = times.size
+    ev = events.astype(np.intp)
+    values, rank = np.unique(risks, return_inverse=True)
+    n_ranks = values.size
+    lo = _settle(
+        np.searchsorted(values, risks - tol),
+        lambda i, r: risks[i] - values[r] > tol,
+        n_ranks,
+    )
+    hi = _settle(
+        np.searchsorted(values, risks + tol, side="right"),
+        lambda i, r: ~(risks[i] - values[r] < -tol),
+        n_ranks,
+    )
+
+    order = np.argsort(times, kind="stable")
+    sorted_times = times[order]
+    start = np.searchsorted(sorted_times, times, side="left")
+    end = np.searchsorted(sorted_times, times, side="right")
+    width = 2 * n_ranks
+    keys = (ev * n_ranks + rank)[order]
+    censored = np.concatenate(([0], np.cumsum(keys < n_ranks)))
+    # Key thresholds: censored below lo, below hi; all censored and events
+    # below lo, below hi.
+    thresholds = np.concatenate([lo, hi, n_ranks + lo, n_ranks + hi])
+
+    total = np.searchsorted(np.sort(keys), thresholds).reshape(4, n)
+    upto = _prefix_counts(keys, width, np.tile(end, 4), thresholds).reshape(4, n)
+    block_of = np.concatenate(([0], np.cumsum(sorted_times[1:] != sorted_times[:-1])))
+    block_keys = np.sort(block_of * width + keys)
+    needles = np.tile(block_of[start] * width, 4) + thresholds
+    tied = (np.searchsorted(block_keys, needles) - np.tile(start, 4)).reshape(4, n)
+    # Partners per event status (censored, event) in each range.
+    total_size = np.array([[censored[n]], [n - censored[n]]])
+    upto_size = np.stack([censored[end], end - censored[end]])
+    tied_size = upto_size - np.stack([censored[start], start - censored[start]])
+
+    counts = np.zeros((n, len(CASE_ORDER)), dtype=np.int64)
+    rows = np.arange(n)
+    # Time sign index 0: partner later, 1: tied, 2: partner earlier.
+    ranges = (
+        (total - upto, total_size - upto_size),
+        (tied, tied_size),
+        (upto - tied, upto_size - tied_size),
+    )
+    for sign, (below, size) in enumerate(ranges):
+        below_lo = np.stack([below[0], below[2] - size[0]])
+        below_hi = np.stack([below[1], below[3] - size[0]])
+        by_rel = (below_lo, size - below_hi, below_hi - below_lo)
+        for rel, partners in enumerate(by_rel):
+            for dj in (0, 1):
+                counts[rows, _CASE_LOOKUP[sign, ev, dj, rel]] += partners[dj]
+    _subtract_self_pairs(counts, ev)
     return counts
 
 
@@ -482,13 +610,14 @@ class _Scorer:
         """Case counts and the number of anchors beyond the curves' grid."""
         key = (curves, tol)
         if key not in self._counts:
-            times = self.ds.times
+            times, events = self.ds.times, self.ds.events
             if curves:
                 rel_block = _curve_ranks(times, self.matrix, tol)
+                counts = _case_counts(times, events, rel_block)
                 beyond = int(np.count_nonzero(times > self.matrix.grid.points[-1]))
             else:
-                rel_block, beyond = _risk_ranks(self.risks, tol), 0
-            self._counts[key] = (_case_counts(times, self.ds.events, rel_block), beyond)
+                counts, beyond = _scalar_case_counts(times, events, self.risks, tol), 0
+            self._counts[key] = (counts, beyond)
         return self._counts[key]
 
 

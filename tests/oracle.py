@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from survconcord import (
     InputError,
     RankRelation,
@@ -11,7 +13,13 @@ from survconcord import (
     km_fit,
 )
 from survconcord.data import CASE_ORDER, as_risk_array
-from survconcord.engine import G_SOURCE_PROVIDED, ConcordancePolicy, _finalize
+from survconcord.engine import (
+    G_SOURCE_PROVIDED,
+    ConcordancePolicy,
+    _case_counts,
+    _finalize,
+    _rank_codes,
+)
 from survconcord.km import WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED
 
 
@@ -122,3 +130,17 @@ def td_brute_force_oracle(ds: SurvivalDataset, sm, policy: ConcordancePolicy) ->
             den += rule.comparable_weight
             num += rule.comparable_weight * rule.credit
     return _finalize(num, den, policy.final_fold)
+
+
+def risk_ranks(m: np.ndarray, tol: float):
+    """Rank codes of anchors a0..a1-1 by scalar risk against every subject."""
+
+    def rel_block(a0: int, a1: int) -> np.ndarray:
+        return _rank_codes(m[a0:a1, None] - m[None, :], tol)
+
+    return rel_block
+
+
+def dense_scalar_counts(times, events, risks, tol: float, block: int | None = None):
+    """Scalar case counts from the dense pass: every pair's rank code, blockwise."""
+    return _case_counts(times, events, risk_ranks(risks, tol), block)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survconcord import (
@@ -19,11 +19,16 @@ from survconcord import (
     neg_rmst,
     tie_weighted_policy,
 )
-from survconcord.engine import _case_counts, _curve_ranks, _reduce, _risk_ranks
+from survconcord.engine import (
+    _case_counts,
+    _curve_ranks,
+    _reduce,
+    _scalar_case_counts,
+)
 from survconcord.km import ipcw_weights, km_fit
 
 from conftest import random_instance
-from oracle import brute_force_oracle, td_brute_force_oracle
+from oracle import brute_force_oracle, dense_scalar_counts, td_brute_force_oracle
 
 HARRELL = tie_weighted_policy(0.0, 0.0)
 ANTOLINI = antolini_policy(adjusted=False)
@@ -196,43 +201,73 @@ def test_engine_matches_brute_force_on_randoms():
     assert checked > 30
 
 
+def _tied_curves(rng, ds):
+    """Survival curves on an integer grid, rounded so that many values tie."""
+    grid = TimeGrid(np.arange(0.0, ds.times.max()))
+    probs = np.round(np.sort(rng.random((ds.n, len(grid))), axis=1)[:, ::-1], 1)
+    return SurvivalMatrix(grid=grid, probs=probs)
+
+
 def test_blockwise_reduction_is_bit_identical():
     rng = np.random.default_rng(77)
     ds, risks = random_instance(rng, n_max=120, tie_rich=True)
+    sm = _tied_curves(rng, ds)
     g = km_fit(ds, target="censoring")
-    rel = _risk_ranks(risks, 0.0)
-    counts = [_case_counts(ds.times, ds.events, rel, block=b) for b in (1, 7, 4096)]
-    assert all(np.array_equal(counts[0], c) for c in counts[1:])
+    rel = _curve_ranks(ds.times, sm, 0.0)
+    curve_counts = [_case_counts(ds.times, ds.events, rel, block=b) for b in (1, 7, 4096)]
+    assert all(np.array_equal(curve_counts[0], c) for c in curve_counts[1:])
+    # The sorted scalar producer gives the dense reference's counts exactly.
+    scalar_counts = [
+        _scalar_case_counts(ds.times, ds.events, risks, 0.0),
+        dense_scalar_counts(ds.times, ds.events, risks, 0.0),
+    ]
+    assert np.array_equal(*scalar_counts)
 
     perm = rng.permutation(ds.n)
     shuffled = ds.subset(perm)
     for scheme in ("uniform", "uno_squared", "pec_product"):
         pol = tie_weighted_policy(1.0, 0.5, weight_scheme=scheme)
         weights = ipcw_weights(g, ds, scheme)
-        tallies = [_reduce(c, ds.times, pol, weights, None) for c in counts]
-        # Reordering the anchors changes no bit of a correctly rounded sum.
-        tallies.append(concordance(shuffled, risks[perm], pol, g=g)[1])
-        first = tallies[0]
-        for t in tallies[1:]:
-            assert t.numerator == first.numerator
-            assert t.denominator == first.denominator
-            assert t.case_counts == first.case_counts
-            assert t.case_comparable == first.case_comparable
-            assert t.case_credit == first.case_credit
+        for counts, permuted in (
+            (scalar_counts, concordance(shuffled, risks[perm], pol, g=g)),
+            (curve_counts, concordance_td(shuffled, sm.take(perm), pol, g=g)),
+        ):
+            tallies = [_reduce(c, ds.times, pol, weights, None) for c in counts]
+            # Reordering the anchors changes no bit of a correctly rounded sum.
+            tallies.append(permuted[1])
+            first = tallies[0]
+            for t in tallies[1:]:
+                assert t.numerator == first.numerator
+                assert t.denominator == first.denominator
+                assert t.case_counts == first.case_counts
+                assert t.case_comparable == first.case_comparable
+                assert t.case_credit == first.case_credit
+
+
+def _assert_every_partner_once(counts, n):
+    assert counts.shape == (n, 18)
+    assert counts.min() >= 0
+    assert np.all(counts.sum(axis=1) == n - 1)
 
 
 def test_case_counts_cover_every_partner_once():
     rng = np.random.default_rng(31)
     for _ in range(10):
         ds, risks = random_instance(rng, n_max=80, tie_rich=True)
-        grid = TimeGrid(np.arange(0.0, ds.times.max()))
-        probs = np.round(np.sort(rng.random((ds.n, len(grid))), axis=1)[:, ::-1], 1)
-        sm = SurvivalMatrix(grid=grid, probs=probs)
+        sm = _tied_curves(rng, ds)
         for tol in (0.0, 0.1):
-            for rel in (_risk_ranks(risks, tol), _curve_ranks(ds.times, sm, tol)):
-                counts = _case_counts(ds.times, ds.events, rel)
-                assert counts.min() >= 0
-                assert np.all(counts.sum(axis=1) == ds.n - 1)
+            rel = _curve_ranks(ds.times, sm, tol)
+            _assert_every_partner_once(_case_counts(ds.times, ds.events, rel), ds.n)
+            counts = _scalar_case_counts(ds.times, ds.events, risks, tol)
+            _assert_every_partner_once(counts, ds.n)
+    # The sorted producer is affordable at sizes the dense pass was not.
+    n = 5000
+    times = rng.integers(1, 300, n).astype(float)
+    events = (rng.random(n) < 0.6).astype(int)
+    risks = np.round(rng.normal(size=n), 2)
+    risks[::5] += 5e-9
+    for tol in (0.0, 1e-8, 0.1):
+        _assert_every_partner_once(_scalar_case_counts(times, events, risks, tol), n)
 
 
 def test_brute_force_guard():
@@ -492,3 +527,49 @@ def test_folded_estimate_is_symmetric_under_risk_reversal(instance, omega_o):
     assert est >= 0.5
     assert concordance(ds, -risks, folded)[0] == pytest.approx(est, abs=1e-12)
 
+
+# 1.28 - 1.18 > 0.1 holds in floating point, but 1.18 < 1.28 - 0.1 does not.
+_TRAP = (1.28, 1.18)
+_BIG = 1.7e308  # differences between +-_BIG overflow to +-inf
+
+
+@st.composite
+def _scalar_count_instance(draw):
+    n = draw(st.integers(1, 30))
+    times = draw(st.one_of(
+        st.just([4] * n), st.lists(st.integers(0, 5), min_size=n, max_size=n)
+    ))
+    events = draw(st.one_of(
+        st.just([0] * n), st.just([1] * n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+    ))
+    lattice = draw(st.one_of(
+        st.just([2] * n), st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    ))
+    nudges = draw(st.lists(st.sampled_from([0.0, 5e-9, -5e-9]), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([0.05, 0.1, 1e12, 1e300, _BIG / 4]))
+    risks = np.array(lattice, float) * scale + np.array(nudges)
+    if n >= 2 and draw(st.booleans()):
+        risks[:2] = _TRAP
+    return np.array(times, float), np.array(events), risks
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(_scalar_count_instance())
+@example((np.array([1.0]), np.array([1]), np.array([0.3])))
+@example((np.array([1.0, 1.0, 2.0]), np.array([1, 0, 1]), np.array([0.0, -0.0, 5e-9])))
+@example((np.array([1.0, 2.0]), np.array([1, 0]), np.array(_TRAP)))
+@example((np.array([2.0, 2.0, 2.0]), np.array([1, 0, 1]), np.array([-_BIG, _BIG, 0.0])))
+@example((np.array([1.0, 1.0]), np.array([0, 1]), np.array([_BIG, -_BIG])))
+@example((np.full(6, 3.0), np.array([1, 1, 0, 0, 1, 0]), np.full(6, 0.7)))
+@example((np.arange(5.0), np.zeros(5, int), np.array([1.0, 1.0, 2.0, 1.0, 0.0])))
+@example((np.arange(5.0), np.ones(5, int), np.array([0.4, 1.28, 1.18, 1.18, 5e-9])))
+def test_sorted_scalar_counts_equal_dense_reference(instance):
+    times, events, risks = instance
+    assert _TRAP[0] - _TRAP[1] > 0.1 and not _TRAP[1] < _TRAP[0] - 0.1
+    for tol in (0.0, 1e-8, 0.1):
+        sorted_counts = _scalar_case_counts(times, events, risks, tol)
+        dense = dense_scalar_counts(times, events, risks, tol)
+        assert sorted_counts.dtype == dense.dtype == np.int64
+        assert np.array_equal(sorted_counts, dense)

@@ -373,17 +373,22 @@ def test_multiverse_counts_once_per_rank_source_and_tolerance(monkeypatch):
     ds, risks, sm = _tie_rich(50, seed=8)
     g = km_fit(ds, "censoring")
     calls = {}
-    real_counts, real_fit = engine._case_counts, engine.km_fit
+    real_fit = engine.km_fit
 
-    def counting(*args, **kwargs):
-        calls["counts"] += 1
-        return real_counts(*args, **kwargs)
+    def counting(producer):
+        def count(*args, **kwargs):
+            calls["counts"] += 1
+            return producer(*args, **kwargs)
+
+        return count
 
     def fitting(data, target="event"):
         calls["fits"] += target == "censoring"
         return real_fit(data, target)
 
-    monkeypatch.setattr(engine, "_case_counts", counting)
+    # Scalar risks and curves each have their own producer; count both.
+    for name in ("_case_counts", "_scalar_case_counts"):
+        monkeypatch.setattr(engine, name, counting(getattr(engine, name)))
     monkeypatch.setattr(engine, "km_fit", fitting)
 
     def run(**kwargs):
