@@ -21,8 +21,6 @@ Exit codes: 0 success (individual profiles may still carry error cells),
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 
@@ -58,6 +56,19 @@ from .transforms import DEFAULT_HORIZON, interpolate
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def _parse_transform(text: str) -> TransformSpec:
@@ -156,11 +167,8 @@ def cmd_cindex(args: argparse.Namespace) -> int:
 
 
 def _load_params(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
-    if "event" not in raw or not isinstance(raw["event"], dict):
+    raw = sio.read_json(path)
+    if not isinstance(raw, dict) or not isinstance(raw.get("event"), dict):
         raise InputError(f"{path}: missing 'event' parameter block")
     return raw
 
@@ -221,7 +229,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    width = max(3, len(str(max(args.datasets - 1, 0))))
+    width = max(3, len(str(args.datasets - 1)))
     eps_tags = {eps: format(eps, "g") for eps in epsilons}
     for eps in epsilons:
         (out_dir / f"eps_{eps_tags[eps]}").mkdir(exist_ok=True)
@@ -262,16 +270,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 (eps_tags[eps], k, ds.n_events, (ds.n - ds.n_events) / ds.n)
             )
 
-    with (out_dir / "oracle.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "t_star", "oracle_cindex"])
-        for k, t_star, oracle in oracle_rows:
-            writer.writerow([str(k), repr(t_star), "" if oracle is None else repr(oracle)])
-    with (out_dir / "summary.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "dataset", "n_events", "censoring_rate"])
-        for tag, k, n_events, rate in summary_rows:
-            writer.writerow([tag, str(k), str(n_events), repr(rate)])
+    sio.write_csv(out_dir / "oracle.csv", ["dataset", "t_star", "oracle_cindex"],
+                  oracle_rows)
+    sio.write_csv(out_dir / "summary.csv",
+                  ["epsilon", "dataset", "n_events", "censoring_rate"], summary_rows)
     manifest = {
         "datasets": args.datasets,
         "epsilons": epsilons,
@@ -290,12 +292,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_km(args: argparse.Namespace) -> int:
     ds, _ = sio.read_subjects_csv(args.subjects)
     sf = km_fit(ds, target=args.target)
+    sio.write_step_function_csv(args.out or sys.stdout, sf)
     if args.out:
-        with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-            sio.write_step_function_csv(fh, sf)
         print(f"wrote {args.out}")
-    else:
-        sio.write_step_function_csv(sys.stdout, sf)
     return EXIT_OK
 
 
@@ -319,22 +318,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", help="none | max-uncensored | <number>; overrides "
                                  "every profile's truncation default")
     p.add_argument("--bootstrap", help="B[:size[:level]] percentile bootstrap CIs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="output path prefix (.json and .csv)")
     p.set_defaults(func=cmd_cindex)
 
     p = sub.add_parser("simulate", help="generate semi-synthetic datasets")
     p.add_argument("--params", required=True, help="JSON file with event/censoring "
                                                    "model parameters")
-    p.add_argument("--n", type=int, default=1000, help="subjects per dataset")
-    p.add_argument("--datasets", type=int, default=100, help="datasets per epsilon")
+    p.add_argument("--n", type=_int_at_least(1), default=1000,
+                   help="subjects per dataset")
+    p.add_argument("--datasets", type=_int_at_least(1), default=100,
+                   help="datasets per epsilon")
     p.add_argument("--mechanism", default="weibull_scaled",
                    help="weibull_scaled | age_informed | uniform_quantile")
     p.add_argument("--epsilon-list", default="0,0.5,1,3,7,13",
                    help="comma-separated censoring scale factors")
     p.add_argument("--covariates", help="CSV pool of covariate rows to subsample "
                                         "(default: standard normal)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -446,16 +446,18 @@ def _scalar_case_counts(
     ev = events.astype(np.intp)
     values, rank = np.unique(risks, return_inverse=True)
     n_ranks = values.size
-    lo = _settle(
-        np.searchsorted(values, risks - tol),
-        lambda i, r: risks[i] - values[r] > tol,
-        n_ranks,
-    )
-    hi = _settle(
-        np.searchsorted(values, risks + tol, side="right"),
-        lambda i, r: ~(risks[i] - values[r] < -tol),
-        n_ranks,
-    )
+    # A difference that overflows to +-inf still compares right with tol.
+    with np.errstate(over="ignore"):
+        lo = _settle(
+            np.searchsorted(values, risks - tol),
+            lambda i, r: risks[i] - values[r] > tol,
+            n_ranks,
+        )
+        hi = _settle(
+            np.searchsorted(values, risks + tol, side="right"),
+            lambda i, r: ~(risks[i] - values[r] < -tol),
+            n_ranks,
+        )
 
     order = np.argsort(times, kind="stable")
     sorted_times = times[order]

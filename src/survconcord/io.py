@@ -1,11 +1,15 @@
 """CSV schemas and canonical JSON serialization.
 
+Every CSV file is UTF-8 and comma separated: a header row, then one row per
+record with one field per header column.  Blank lines after the header are
+skipped.  Numbers are decimal literals and must be finite.  Errors name the
+place as ``path:line``.
+
 Subjects file: header ``id,time,event`` followed optionally by a risk column
-and covariate columns named ``cov_1..cov_p``; events are 0/1, decimal point,
-UTF-8, comma separated.  Matrix file: first column ``id``, remaining headers
-are grid times as decimal literals; row order must match the subjects file.
-Covariate pool file: a header naming the columns, then one finite numeric row
-per subject.
+and covariate columns named ``cov_1..cov_p``; events are 0/1.  Matrix file:
+first column ``id``, the other headers are grid times; row order must match
+the subjects file.  Covariate pool file: a header naming the columns, then one
+row per subject.
 
 All numeric output uses ``repr`` (shortest round-trip form) and JSON is
 written with sorted keys, so identical inputs produce byte-identical files.
@@ -16,8 +20,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import closing
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -36,13 +41,50 @@ def _parse_float(raw: str, where: str, what: str) -> float:
     return value
 
 
-def _fmt(value) -> str:
-    """CSV text of a value: empty for None, shortest round-trip for floats."""
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _csv_rows(path: Path) -> Iterator:
+    """Stream a CSV file: the header, then ``(path:line, fields)`` per row.
+
+    Blank lines are skipped.  An empty file, or a row whose field count
+    differs from the header's, raises :class:`InputError`.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}:1: empty file")
+        yield header
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InputError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield f"{path}:{lineno}", row
+
+
+def write_csv(out: str | Path | TextIO, header: list, rows: Iterable) -> None:
+    """Write a header and rows to a path or an open text stream.
+
+    Cells are strings or plain Python numbers (``.tolist()`` values): csv
+    writes a float as its ``repr``, the shortest round-trip form, and
+    ``None`` as an empty field.
+    """
+    if isinstance(out, (str, Path)):
+        with Path(out).open("w", newline="", encoding="utf-8") as fh:
+            write_csv(fh, header, rows)
+        return
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def read_json(path: str | Path):
+    """Decode a JSON file; malformed text raises :class:`InputError`."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 
 def read_subjects_csv(
@@ -53,12 +95,8 @@ def read_subjects_csv(
     Schema violations raise :class:`InputError` with ``path:line`` positions.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}:1: empty file") from None
+    with closing(_csv_rows(path)) as rows:
+        header = next(rows)
         if header[:3] != ["id", "time", "event"]:
             raise InputError(
                 f"{path}:1: header must start with id,time,event "
@@ -89,14 +127,7 @@ def read_subjects_csv(
         events: list[int] = []
         risks: list[float] = []
         covs: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{path}:{lineno}"
-            if len(row) != len(header):
-                raise InputError(
-                    f"{where}: expected {len(header)} fields, got {len(row)}"
-                )
+        for where, row in rows:
             ids.append(row[0])
             t = _parse_float(row[1], where, "time")
             if t < 0:
@@ -128,33 +159,25 @@ def write_subjects_csv(
     risks: np.ndarray | None = None,
     risk_col: str = "risk",
 ) -> None:
-    path = Path(path)
-    p = 0 if ds.covariates is None else ds.covariates.shape[1]
     header = ["id", "time", "event"]
+    columns = [ds.subject_ids, ds.times.tolist(), ds.events.tolist()]
     if risks is not None:
+        risks = np.asarray(risks)
+        if risks.shape != (ds.n,):
+            raise InputError(f"{path}: {risks.size} risks for {ds.n} subjects")
         header.append(risk_col)
-    header += [f"cov_{j + 1}" for j in range(p)]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [ds.subject_ids[i], _fmt(ds.times[i]), str(int(ds.events[i]))]
-            if risks is not None:
-                row.append(_fmt(risks[i]))
-            if p:
-                row += [_fmt(v) for v in ds.covariates[i]]
-            writer.writerow(row)
+        columns.append(risks.tolist())
+    if ds.covariates is not None:
+        header += [f"cov_{j + 1}" for j in range(ds.covariates.shape[1])]
+        columns += ds.covariates.T.tolist()
+    write_csv(path, header, zip(*columns))
 
 
 def read_matrix_csv(path: str | Path, expected_ids: Sequence[str]) -> SurvivalMatrix:
     """Parse per-subject survival curves; rows must match the subjects file order."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}:1: empty file") from None
+    with closing(_csv_rows(path)) as rows:
+        header = next(rows)
         if not header or header[0] != "id":
             raise InputError(f"{path}:1: first column must be 'id'")
         grid_points = [
@@ -165,24 +188,17 @@ def read_matrix_csv(path: str | Path, expected_ids: Sequence[str]) -> SurvivalMa
         except InputError as exc:
             raise InputError(f"{path}:1: {exc}") from None
 
-        rows: list[list[float]] = []
         ids: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{path}:{lineno}"
-            if len(row) != len(header):
-                raise InputError(
-                    f"{where}: expected {len(header)} fields, got {len(row)}"
-                )
+        probs: list[list[float]] = []
+        for where, row in rows:
             ids.append(row[0])
-            rows.append([_parse_float(v, where, "survival value") for v in row[1:]])
+            probs.append([_parse_float(v, where, "survival value") for v in row[1:]])
     if list(expected_ids) != ids:
         raise InputError(
             f"{path}: subject ids do not match the subjects file row order"
         )
     try:
-        return SurvivalMatrix(grid=grid, probs=np.array(rows))
+        return SurvivalMatrix(grid=grid, probs=np.array(probs))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -190,44 +206,30 @@ def read_matrix_csv(path: str | Path, expected_ids: Sequence[str]) -> SurvivalMa
 def read_covariate_pool(path: str | Path) -> np.ndarray:
     """Parse a covariate pool into an (n, p) array of finite values."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}:1: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{path}:{lineno}"
-            if len(row) != len(header):
-                raise InputError(
-                    f"{where}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append([_parse_float(v, where, name) for v, name in zip(row, header)])
-    if not rows:
+    with closing(_csv_rows(path)) as rows:
+        header = next(rows)
+        pool = [
+            [_parse_float(v, where, name) for v, name in zip(row, header)]
+            for where, row in rows
+        ]
+    if not pool:
         raise InputError(f"{path}: no covariate rows")
-    return np.array(rows)
+    return np.array(pool)
 
 
 def write_matrix_csv(path: str | Path, ids: Sequence[str], sm: SurvivalMatrix) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [_fmt(t) for t in sm.grid.points])
-        for sid, row in zip(ids, sm.probs):
-            writer.writerow([sid] + [_fmt(v) for v in row])
+    if len(ids) != sm.probs.shape[0]:
+        raise InputError(f"{path}: {len(ids)} ids for {sm.probs.shape[0]} matrix rows")
+    rows = ([sid, *row.tolist()] for sid, row in zip(ids, sm.probs))
+    write_csv(path, ["id", *sm.grid.points.tolist()], rows)
 
 
-def write_step_function_csv(out: TextIO, sf: StepFunction) -> None:
+def write_step_function_csv(out: str | Path | TextIO, sf: StepFunction) -> None:
     """Emit a step function as time,value rows, anchored at (0, 1)."""
-    writer = csv.writer(out)
-    writer.writerow(["time", "value"])
-    if sf.jump_times.size == 0 or sf.jump_times[0] > 0:
-        writer.writerow([_fmt(0.0), _fmt(1.0)])
-    for t, v in zip(sf.jump_times, sf.values):
-        writer.writerow([_fmt(t), _fmt(v)])
+    rows = list(zip(sf.jump_times.tolist(), sf.values.tolist()))
+    if not rows or rows[0][0] > 0:
+        rows.insert(0, (0.0, 1.0))
+    write_csv(out, ["time", "value"], rows)
 
 
 def canonical_json(obj) -> str:
@@ -247,24 +249,15 @@ REPORT_CSV_COLUMNS = [
 
 
 def write_report_csv(path: str | Path, report: MultiverseReport) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_CSV_COLUMNS)
-        for r in report.results:
-            cell = r.to_dict()
-            writer.writerow(
-                _fmt(cell["name" if col == "profile" else col])
-                for col in REPORT_CSV_COLUMNS
-            )
+    fields = ["name", *REPORT_CSV_COLUMNS[1:]]
+    rows = ([getattr(r, f) for f in fields] for r in report.results)
+    write_csv(path, REPORT_CSV_COLUMNS, rows)
 
 
 def load_profiles_file(path: str | Path) -> list[Profile]:
     """Read profile definitions from JSON (a list, or {"profiles": [...]})."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
+    raw = read_json(path)
     entries = raw.get("profiles") if isinstance(raw, dict) else raw
     if not isinstance(entries, list):
         raise InputError(f"{path}: expected a list of profile objects")

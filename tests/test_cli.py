@@ -236,3 +236,34 @@ def test_cindex_rejects_bad_bootstrap_spec_before_scoring(subjects_file, tmp_pat
     assert code == 2
     assert "need at least one bootstrap resample" in capsys.readouterr().err
     assert not (tmp_path / "b0.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, least",
+    [
+        ("simulate", "--n", "0", 1),
+        ("simulate", "--datasets", "0", 1),
+        ("simulate", "--seed", "-1", 0),
+        ("cindex", "--seed", "-1", 0),
+    ],
+)
+def test_bad_integer_arguments_exit_2_before_writing(
+    command, flag, value, least, subjects_file, tmp_path, capsys
+):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"event": {"shape": 1.0, "scale": 0.02,
+                                            "coefficients": [0.5]}}))
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--params", str(params), "--n", "5",
+                     "--datasets", "2", "--epsilon-list", "0,1", "--out-dir", str(out)],
+        "cindex": ["cindex", "--subjects", str(subjects_file), "--risk-col", "risk",
+                   "--profiles", "hmisc", "--bootstrap", "5", "--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least {least}, got {value}" in (
+        capsys.readouterr().err
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json", "subjects.csv"]

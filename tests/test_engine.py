@@ -554,7 +554,7 @@ def _scalar_count_instance(draw):
     return np.array(times, float), np.array(events), risks
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(_scalar_count_instance())
 @example((np.array([1.0]), np.array([1]), np.array([0.3])))
@@ -570,6 +570,15 @@ def test_sorted_scalar_counts_equal_dense_reference(instance):
     assert _TRAP[0] - _TRAP[1] > 0.1 and not _TRAP[1] < _TRAP[0] - 0.1
     for tol in (0.0, 1e-8, 0.1):
         sorted_counts = _scalar_case_counts(times, events, risks, tol)
-        dense = dense_scalar_counts(times, events, risks, tol)
+        with np.errstate(over="ignore"):  # the dense reference subtracts +-_BIG
+            dense = dense_scalar_counts(times, events, risks, tol)
         assert sorted_counts.dtype == dense.dtype == np.int64
         assert np.array_equal(sorted_counts, dense)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_risk_differences_score_without_warnings():
+    ds = SurvivalDataset(times=[1.0, 2.0], events=[1, 1])
+    for tol in (0.0, 0.1):
+        est, tally = concordance(ds, [_BIG, -_BIG], HARRELL.replace(tie_tolerance=tol))
+        assert est == 1.0 and tally.numerator == tally.denominator == 1.0

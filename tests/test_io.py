@@ -8,6 +8,7 @@ from survconcord import InputError, SurvivalDataset, SurvivalMatrix, TimeGrid, k
 from survconcord.io import (
     canonical_json,
     load_profiles_file,
+    read_covariate_pool,
     read_matrix_csv,
     read_subjects_csv,
     write_matrix_csv,
@@ -50,6 +51,44 @@ def test_subjects_errors_carry_line_numbers(tmp_path):
     path.write_text("id,time,event\n")
     with pytest.raises(InputError, match="no records"):
         read_subjects_csv(path)
+
+
+@pytest.mark.parametrize(
+    "read, header, row",
+    [
+        (read_subjects_csv, "id,time,event", "a,1,1"),
+        (lambda path: read_matrix_csv(path, ["a"]), "id,0,1", "a,1,0.5"),
+        (read_covariate_pool, "age,dose,stage", "61.5,2,3"),
+    ],
+    ids=["subjects", "matrix", "pool"],
+)
+def test_readers_share_row_rules(tmp_path, read, header, row):
+    path = tmp_path / "in.csv"
+    path.write_text("")
+    with pytest.raises(InputError, match=r"in\.csv:1: empty file$"):
+        read(path)
+    path.write_text(f"{header}\n\n{row}\n\n")  # blank lines are skipped
+    read(path)
+    short = row.rsplit(",", 1)[0]
+    path.write_text(f"{header}\n{row}\n\n{short}\n{row}\n")
+    with pytest.raises(InputError, match=r"in\.csv:4: expected 3 fields, got 2$"):
+        read(path)
+
+
+def test_subjects_writer_rejects_risks_of_the_wrong_length(tmp_path):
+    ds = SurvivalDataset(times=[1.0, 2.0], events=[1, 0])
+    for risks in ([0.5], [0.5, 0.25, 0.125]):
+        with pytest.raises(InputError, match=f"{len(risks)} risks for 2 subjects"):
+            write_subjects_csv(tmp_path / "s.csv", ds, risks=np.array(risks))
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_matrix_writer_rejects_ids_of_the_wrong_length(tmp_path):
+    sm = SurvivalMatrix(grid=TimeGrid([0.0, 1.0]), probs=[[1.0, 0.5], [1.0, 0.4]])
+    for ids in (["a"], ["a", "b", "c"]):
+        with pytest.raises(InputError, match=f"{len(ids)} ids for 2 matrix rows"):
+            write_matrix_csv(tmp_path / "m.csv", ids, sm)
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_matrix_round_trip_and_alignment(tmp_path):
