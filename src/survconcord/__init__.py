@@ -30,7 +30,6 @@ from .engine import (
 )
 from .km import StepFunction, ipcw_weights, km_fit
 from .profiles import (
-    BootstrapSpec,
     MultiverseReport,
     Profile,
     ProfileResult,
@@ -51,7 +50,7 @@ from .profiles import (
     survival_profile,
     survmetrics_profile,
 )
-from .resampling import BootstrapResult, bootstrap_ci
+from .resampling import BootstrapResult, BootstrapSpec, bootstrap_ci
 from .synthetic import (
     AgeInformedCensoring,
     UniformQuantileCensoring,

@@ -31,7 +31,6 @@ from .data import ComputationError, InputError, SurvivalDataset, TimeGrid
 from .engine import TRUNC_MAX_UNCENSORED, TRUNC_NONE, TRUNC_VALUE, Truncation
 from .km import km_fit
 from .profiles import (
-    BootstrapSpec,
     TRANSFORM_AT_TIME,
     TRANSFORM_EXPECTED_MORTALITY,
     TRANSFORM_NEG_RMST,
@@ -40,6 +39,7 @@ from .profiles import (
     get_profiles,
     run_multiverse,
 )
+from .resampling import BootstrapSpec
 from .synthetic import (
     AgeInformedCensoring,
     UniformQuantileCensoring,
@@ -76,11 +76,14 @@ def _parse_transform(text: str) -> TransformSpec:
     if kind == TRANSFORM_AT_TIME:
         if not arg:
             raise InputError("at-time transform needs a time, e.g. at-time:120")
-        return TransformSpec(kind=kind, time=float(arg))
+        time = sio._parse_float(arg, "--transform", "time")
+        return TransformSpec(kind=kind, time=time)
     if kind == TRANSFORM_EXPECTED_MORTALITY:
         return TransformSpec(kind=kind)
     if kind == TRANSFORM_NEG_RMST:
-        horizon = float(arg) if arg else DEFAULT_HORIZON
+        horizon = (
+            sio._parse_float(arg, "--transform", "horizon") if arg else DEFAULT_HORIZON
+        )
         return TransformSpec(kind=kind, horizon=horizon)
     raise InputError(
         f"unknown transform {text!r}; expected at-time:<t>, expected-mortality "
@@ -106,10 +109,11 @@ def _parse_grid(text: str) -> TimeGrid:
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise InputError("grid must be start:stop[:step] or a comma list")
-        start, stop = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else 1.0
+        start, stop = (sio._parse_float(v, "--grid", "grid bound") for v in parts[:2])
+        step = sio._parse_float(parts[2], "--grid", "step") if len(parts) == 3 else 1.0
         return TimeGrid.regular(stop, step=step, start=start)
-    return TimeGrid(np.array([float(v) for v in text.split(",")]))
+    times = [sio._parse_float(v, "--grid", "grid time") for v in text.split(",")]
+    return TimeGrid(np.array(times))
 
 
 def _parse_bootstrap(text: str) -> BootstrapSpec:
@@ -199,21 +203,31 @@ def _censoring_mechanism(name: str, cens: dict, epsilon: float):
 def cmd_simulate(args: argparse.Namespace) -> int:
     raw = _load_params(args.params)
     event_block = raw["event"]
+    cens_block = raw.get("censoring", {})
+    if not isinstance(cens_block, dict):
+        raise InputError(f"{args.params}: 'censoring' must be an object")
+    mechanism_name = args.mechanism.replace("-", "_")
+    epsilons = [
+        sio._parse_float(v, "--epsilon-list", "epsilon")
+        for v in args.epsilon_list.split(",")
+    ]
     try:
         params = WeibullPHParams(
             shape=float(event_block["shape"]),
             scale=float(event_block["scale"]),
             coefficients=np.asarray(event_block.get("coefficients", []), dtype=float),
         )
+        # Instantiating every mechanism up front validates epsilon ranges early.
+        mechanisms = {
+            eps: _censoring_mechanism(mechanism_name, cens_block, eps)
+            for eps in epsilons
+        }
+    except InputError:
+        raise  # range checks say what is wrong themselves
     except KeyError as exc:
         raise InputError(f"{args.params}: event block missing {exc}") from None
-    cens_block = raw.get("censoring", {})
-    mechanism_name = args.mechanism.replace("-", "_")
-    epsilons = [float(v) for v in args.epsilon_list.split(",")]
-    # Instantiating every mechanism up front validates epsilon ranges early.
-    mechanisms = {
-        eps: _censoring_mechanism(mechanism_name, cens_block, eps) for eps in epsilons
-    }
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{args.params}: invalid parameter ({exc})") from None
 
     pool = sio.read_covariate_pool(args.covariates) if args.covariates else None
     p = params.coefficients.size

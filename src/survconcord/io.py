@@ -41,26 +41,33 @@ def _parse_float(raw: str, where: str, what: str) -> float:
     return value
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> InputError:
+    return InputError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def _csv_rows(path: Path) -> Iterator:
     """Stream a CSV file: the header, then ``(path:line, fields)`` per row.
 
-    Blank lines are skipped.  An empty file, or a row whose field count
-    differs from the header's, raises :class:`InputError`.
+    Blank lines are skipped.  An empty file, text that is not UTF-8, or a
+    row whose field count differs from the header's, raises
+    :class:`InputError`.
     """
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}:1: empty file")
-        yield header
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield f"{path}:{lineno}", row
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}:1: empty file")
+            yield header
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise InputError(f"{path}:{lineno}: expected {len(header)} "
+                                     f"fields, got {len(row)}")
+                yield f"{path}:{lineno}", row
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
 
 
 def write_csv(out: str | Path | TextIO, header: list, rows: Iterable) -> None:
@@ -80,9 +87,11 @@ def write_csv(out: str | Path | TextIO, header: list, rows: Iterable) -> None:
 
 
 def read_json(path: str | Path):
-    """Decode a JSON file; malformed text raises :class:`InputError`."""
+    """Decode a JSON file; malformed or non-UTF-8 text raises :class:`InputError`."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from None
 

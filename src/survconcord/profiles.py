@@ -40,7 +40,7 @@ from .engine import (
     antolini_policy,
 )
 from .km import WEIGHT_PEC_PRODUCT, WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED, StepFunction
-from .resampling import bootstrap_resamples, check_bootstrap_args, percentile_interval
+from .resampling import BootstrapSpec
 from .transforms import expected_mortality, neg_rmst, risk_at_time
 
 # The single-profile forms of run_multiverse stay importable from this module,
@@ -441,23 +441,6 @@ class TransformSpec:
 
 
 @dataclass(frozen=True)
-class BootstrapSpec:
-    n_resamples: int = 100
-    sample_size: int | None = None
-    level: float = 0.95
-
-    def __post_init__(self) -> None:
-        check_bootstrap_args(self.n_resamples, self.sample_size, self.level)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_resamples": self.n_resamples,
-            "sample_size": self.sample_size,
-            "level": self.level,
-        }
-
-
-@dataclass(frozen=True)
 class ProfileResult:
     """One profile's cell in a multiverse report; ``error`` marks skipped cells."""
 
@@ -515,8 +498,9 @@ def run_multiverse(
 ) -> MultiverseReport:
     """Evaluate one dataset under many profiles side by side.
 
-    Scalar-risk profiles use ``risks`` directly, or ``transform`` applied to
-    ``matrix``; distribution profiles need ``matrix``.  ``tau`` overrides
+    Scalar-risk profiles use ``risks`` directly, or else ``transform`` applied
+    to ``matrix``; the provenance names the transform only when it was
+    applied.  Distribution profiles need ``matrix``.  ``tau`` overrides
     every profile's truncation default; without it, profiles that insist on
     an explicit truncation produce an error cell.  An incompatible input
     yields an error cell for that profile while the others still compute.
@@ -545,9 +529,11 @@ def run_multiverse(
     if matrix is not None and matrix.n != ds.n:
         raise InputError("survival matrix is not aligned with the dataset")
 
+    if risks_full is not None or matrix is None:
+        transform = None
     transformed = None
     transform_error = None
-    if risks_full is None and matrix is not None and transform is not None:
+    if transform is not None:
         try:
             transformed = transform.apply(matrix)
         except (InputError, ComputationError) as exc:
@@ -644,9 +630,7 @@ def _resample_values(
     samples: dict[int, list[float]] = {k: [] for k in live}
     failed = dict.fromkeys(live, 0)
     curves = any(plan.curves for plan in live.values())
-    for idx in bootstrap_resamples(
-        ds.n, spec.n_resamples, spec.sample_size, spec.level, seed
-    ):
+    for idx in spec.resamples(ds.n, seed):
         scorer = _Scorer(
             ds.subset(idx),
             risks=None if scalar is None else scalar[idx],
@@ -686,7 +670,7 @@ def _cell(
     )
     if resampled is not None:
         try:
-            boot = percentile_interval(*resampled, spec.level)
+            boot = spec.interval(*resampled)
         except ComputationError as exc:
             return _named(plan.profile, **fields, failed_resamples=resampled[1],
                           error=f"bootstrap: {exc}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -18,59 +18,44 @@ class BootstrapResult:
     n_failed: int
 
 
-def check_bootstrap_args(
-    n_resamples: int, sample_size: int | None, level: float
-) -> None:
-    """Reject bootstrap settings that cannot give an interval."""
-    if n_resamples < 1:
-        raise InputError("need at least one bootstrap resample")
-    if not 0.0 < level < 1.0:
-        raise InputError("confidence level must lie in (0, 1)")
-    if sample_size is not None and sample_size < 1:
-        raise InputError("sample size must be positive")
+@dataclass(frozen=True)
+class BootstrapSpec:
+    """Percentile bootstrap settings, checked where they are built."""
 
+    n_resamples: int = 100
+    sample_size: int | None = None
+    level: float = 0.95
 
-def bootstrap_resamples(
-    n: int,
-    n_resamples: int,
-    sample_size: int | None = None,
-    level: float = 0.95,
-    seed: int = 0,
-    indices: np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
-    """Index arrays of the resamples, drawn with replacement from ``indices``.
+    def __post_init__(self) -> None:
+        if self.n_resamples < 1:
+            raise InputError("need at least one bootstrap resample")
+        if not 0.0 < self.level < 1.0:
+            raise InputError("confidence level must lie in (0, 1)")
+        if self.sample_size is not None and self.sample_size < 1:
+            raise InputError("sample size must be positive")
 
-    ``indices`` defaults to all ``n`` subjects and ``sample_size`` to its
-    length.  The arguments are checked here, before the first draw; the
-    draws come from one ``PCG64(seed)`` stream, so a seed fixes the whole
-    sequence of resamples.
-    """
-    indices = np.arange(n) if indices is None else np.asarray(indices, dtype=int)
-    if sample_size is None:
-        sample_size = indices.size
-    check_bootstrap_args(n_resamples, sample_size, level)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return (
-        indices[rng.integers(0, indices.size, size=sample_size)]
-        for _ in range(n_resamples)
-    )
+    def to_dict(self) -> dict:
+        return asdict(self)
 
+    def resamples(self, n: int, seed: int) -> Iterator[np.ndarray]:
+        """Index arrays into ``n`` subjects, one per resample, from one PCG64(seed)."""
+        size = n if self.sample_size is None else self.sample_size
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return (rng.integers(0, n, size=size) for _ in range(self.n_resamples))
 
-def percentile_interval(
-    values: Sequence[float], n_failed: int, level: float
-) -> BootstrapResult:
-    """Percentile interval of the resample values that did not fail."""
-    if not values:
-        raise ComputationError("all bootstrap resamples failed")
-    samples = np.array(values)
-    tail = (1.0 - level) / 2.0
-    lower, upper = np.quantile(samples, [tail, 1.0 - tail])
-    return BootstrapResult(
-        lower=float(lower),
-        upper=float(upper),
-        samples=samples,
-        n_failed=n_failed,
-    )
+    def interval(self, values: Sequence[float], n_failed: int) -> BootstrapResult:
+        """Percentile interval of the resample values that did not fail."""
+        if not values:
+            raise ComputationError("all bootstrap resamples failed")
+        samples = np.array(values)
+        tail = (1.0 - self.level) / 2.0
+        lower, upper = np.quantile(samples, [tail, 1.0 - tail])
+        return BootstrapResult(
+            lower=float(lower),
+            upper=float(upper),
+            samples=samples,
+            n_failed=n_failed,
+        )
 
 
 def bootstrap_ci(
@@ -80,23 +65,25 @@ def bootstrap_ci(
     sample_size: int | None = None,
     level: float = 0.95,
     seed: int = 0,
-    indices: np.ndarray | None = None,
 ) -> BootstrapResult:
     """Percentile bootstrap interval around an estimator of subject indices.
 
     ``estimator`` receives an index array into ``ds`` and returns a scalar.
-    Resamples are drawn with replacement from ``indices`` (all subjects by
-    default); the point estimate on the unresampled data is the caller's.
-    Resamples on which the estimator raises :class:`ComputationError` (e.g.
-    no comparable pairs under heavy censoring) are counted and excluded from
-    the percentile computation rather than aborting the run.
+    Resamples of ``sample_size`` subjects (default ``ds.n``) are drawn as
+    :meth:`BootstrapSpec.resamples` draws them; the point estimate on the
+    unresampled data is the caller's.  Resamples on which the estimator
+    raises :class:`ComputationError` (e.g. no comparable pairs under heavy
+    censoring) are counted and excluded from the percentile computation
+    rather than aborting the run.
     """
-    draws = bootstrap_resamples(ds.n, n_resamples, sample_size, level, seed, indices)
+    if sample_size is None:
+        sample_size = ds.n
+    spec = BootstrapSpec(n_resamples, sample_size, level)
     values = []
     n_failed = 0
-    for draw in draws:
+    for draw in spec.resamples(ds.n, seed):
         try:
             values.append(estimator(draw))
         except ComputationError:
             n_failed += 1
-    return percentile_interval(values, n_failed, level)
+    return spec.interval(values, n_failed)

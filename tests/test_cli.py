@@ -267,3 +267,76 @@ def test_bad_integer_arguments_exit_2_before_writing(
         capsys.readouterr().err
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json", "subjects.csv"]
+
+
+_EVENT = {"shape": 1.0, "scale": 0.02, "coefficients": [0.5]}
+_NOT_UTF8 = b"id,time,event\n\xff,1,1\n"
+
+
+def _cindex_argv(*extra):
+    return ["cindex", "--subjects", "subjects.csv", "--matrix", "matrix.csv",
+            "--profiles", "hmisc", *extra, "--out", "out/report"]
+
+
+def _simulate_argv(*extra):
+    return ["simulate", "--params", "params.json", "--n", "5", "--datasets", "2",
+            "--epsilon-list", "0,1", *extra, "--out-dir", "out"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (_cindex_argv("--transform", "at-time:abc"), {},
+         "--transform: time is not a number: 'abc'"),
+        (_cindex_argv("--transform", "at-time:inf"), {},
+         "--transform: time must be finite, got 'inf'"),
+        (_cindex_argv("--transform", "neg-rmst:abc"), {},
+         "--transform: horizon is not a number: 'abc'"),
+        (_cindex_argv("--grid", "0:x"), {}, "--grid: grid bound is not a number: 'x'"),
+        (_cindex_argv("--grid", "1,y"), {}, "--grid: grid time is not a number: 'y'"),
+        (_simulate_argv("--epsilon-list", "0,abc"), {},
+         "--epsilon-list: epsilon is not a number: 'abc'"),
+        (_simulate_argv("--epsilon-list", "0,-1"), {}, "epsilon must be nonnegative"),
+        (_simulate_argv("--mechanism", "nope"), {}, "unknown mechanism 'nope'"),
+        (_simulate_argv(), {"params.json": {"event": {**_EVENT, "shape": "x"}}},
+         "params.json: invalid parameter"),
+        (_simulate_argv(), {"params.json": {"event": {**_EVENT, "coefficients": ["a"]}}},
+         "params.json: invalid parameter"),
+        (_simulate_argv(), {"params.json": {"event": _EVENT, "censoring": {"shape": "q"}}},
+         "params.json: invalid parameter"),
+        (_simulate_argv(), {"params.json": {"event": _EVENT, "censoring": [1.0]}},
+         "params.json: 'censoring' must be an object"),
+        (["km", "--subjects", "bad.csv", "--out", "km.csv"], {"bad.csv": _NOT_UTF8},
+         "bad.csv: not UTF-8 text"),
+        (_cindex_argv("--matrix", "bad.csv"), {"bad.csv": _NOT_UTF8},
+         "bad.csv: not UTF-8 text"),
+        (_cindex_argv("--profile-file", "bad.json"), {"bad.json": b"[\xff]"},
+         "bad.json: not UTF-8 text"),
+        (_simulate_argv("--covariates", "bad.csv"), {"bad.csv": b"x\n\xff\n"},
+         "bad.csv: not UTF-8 text"),
+        (_simulate_argv(), {"params.json": b'{"event": "\xff"}'},
+         "params.json: not UTF-8 text"),
+    ],
+    ids=["at-time", "at-time-inf", "neg-rmst", "grid-range", "grid-list", "epsilon",
+         "epsilon-range", "mechanism", "event-shape", "coefficients", "censoring-shape", "censoring-list",
+         "subjects-utf8", "matrix-utf8", "profiles-utf8", "pool-utf8", "params-utf8"],
+)
+def test_bad_input_values_exit_2_before_writing(
+    argv, files, message, subjects_file, tmp_path, monkeypatch, capsys
+):
+    grid = [0.0, 1.0, 2.0, 3.0]
+    lines = ["id," + ",".join(map(repr, grid))]
+    lines += [f"{sid},1.0,0.9,0.6,{p}" for sid, p in zip("abcd", [0.1, 0.2, 0.3, 0.4])]
+    (tmp_path / "matrix.csv").write_text("\n".join(lines) + "\n")
+    inputs = {"params.json": {"event": _EVENT}, **files}
+    for name, content in inputs.items():
+        if not isinstance(content, bytes):
+            content = json.dumps(content).encode()
+        (tmp_path / name).write_bytes(content)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == before

@@ -202,6 +202,13 @@ def test_multiverse_prefers_explicit_risks_over_transform():
         transform=TransformSpec(kind="neg-rmst", horizon=5.0),
     )
     assert report.result("hmisc").estimate == 0.0
+    # The provenance names a transform only where it was applied.
+    assert report.provenance["transform"] is None
+    spec = TransformSpec(kind="neg-rmst", horizon=5.0)
+    applied = run_multiverse(ds, matrix=sm, profiles=get_profiles(["hmisc"]),
+                             transform=spec)
+    assert applied.result("hmisc").estimate == 1.0
+    assert applied.provenance["transform"] == spec.to_dict()
 
 
 def test_multiverse_explicit_untruncated_tau_satisfies_survc1(four_subjects):
