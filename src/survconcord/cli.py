@@ -97,11 +97,12 @@ def _parse_tau(text: str) -> Truncation:
     if text == "max-uncensored":
         return Truncation(mode=TRUNC_MAX_UNCENSORED)
     try:
-        return Truncation(mode=TRUNC_VALUE, value=float(text))
+        value = float(text)
     except ValueError:
         raise InputError(
             f"invalid --tau {text!r}; expected none, max-uncensored or a number"
         ) from None
+    return Truncation(mode=TRUNC_VALUE, value=value)
 
 
 def _parse_grid(text: str) -> TimeGrid:
@@ -231,6 +232,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     pool = sio.read_covariate_pool(args.covariates) if args.covariates else None
     p = params.coefficients.size
+    if any(isinstance(m, AgeInformedCensoring) and not 0 <= m.age_column < p
+           for m in mechanisms.values()):
+        raise InputError("age column out of range for the given covariates")
     if pool is not None and pool.shape[1] != p:
         raise InputError(
             f"covariate pool has {pool.shape[1]} columns but the model has "

@@ -21,13 +21,13 @@ decides how pairs count.  The counts depend only on the data, the rank
 source and the tie tolerance, so policies scored on one dataset share one
 counting pass per rank source and tolerance (:class:`_Scorer`).
 
-Each rank source has one producer of those counts.  Scalar risks are
-counted by sorting, in O(n log² n) (:func:`_scalar_case_counts`); survival
-curves are counted blockwise over anchors, in O(n²) (:func:`_case_counts`).
-Both give the same exact integer counts as classifying every pair, and
-every weighted sum is a single correctly rounded ``math.fsum``, so estimates
-do not depend on the producer, the block size or the anchor order and are
-deterministic for a given input.
+Each rank source has one producer of those counts, and both take
+``(times, events, ranks, tol)``.  Scalar risks are counted by sorting, in
+O(n log² n) (:func:`_scalar_case_counts`); survival curves are counted
+blockwise over anchors, in O(n²) (:func:`_curve_case_counts`).  Both give
+the same exact integer counts as classifying every pair, and every weighted
+sum is a single correctly rounded ``math.fsum``, so estimates do not depend
+on the producer or the anchor order and are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -102,6 +102,11 @@ class Truncation:
         if self.mode == TRUNC_VALUE:
             if self.value is None or not math.isfinite(self.value):
                 raise InputError("truncation value must be a finite number")
+            if self.value <= 0:
+                # Times are >= 0, so no anchor would lie strictly below tau.
+                raise InputError(
+                    f"truncation value must be positive, got {self.value!r}"
+                )
         elif self.value is not None:
             raise InputError(f"truncation mode {self.mode!r} takes no value")
 
@@ -303,60 +308,38 @@ class PairTally:
         }
 
 
-_DEFAULT_BLOCK = 512
-_BLOCK_CELL_BUDGET = 1 << 22  # cap anchor-block width so temporaries stay modest
+_BLOCK_CELL_BUDGET = 1 << 22  # pairs per anchor block, so temporaries stay modest
 
 
-def _block_size(n: int, block: int | None) -> int:
-    if block is not None:
-        return block
-    return int(np.clip(_BLOCK_CELL_BUDGET // max(n, 1), 8, _DEFAULT_BLOCK))
-
-
-def _rank_codes(diff: np.ndarray, tol: float) -> np.ndarray:
-    """Map anchor-minus-other risk differences to rel codes 0/1/2."""
-    return np.where(diff > tol, 0, np.where(diff < -tol, 1, 2)).astype(np.int8)
-
-
-def _curve_ranks(
-    times: np.ndarray, sm: SurvivalMatrix, tol: float
-) -> Callable[[int, int], np.ndarray]:
-    """Rank codes by survival at the anchor's time (smaller survival is riskier)."""
-
-    def rel_block(a0: int, a1: int) -> np.ndarray:
-        # s[r, j] = S(T_anchor | x_j) for the anchor a0 + r.
-        s = np.ascontiguousarray(sm.step_lookup(times[a0:a1]).T)
-        s_own = s[np.arange(a1 - a0), np.arange(a0, a1)]
-        return _rank_codes(s - s_own[:, None], tol)
-
-    return rel_block
-
-
-def _case_counts(
-    times: np.ndarray,
-    events: np.ndarray,
-    rel_block: Callable[[int, int], np.ndarray],
-    block: int | None = None,
+def _curve_case_counts(
+    times: np.ndarray, events: np.ndarray, matrix: SurvivalMatrix, tol: float
 ) -> np.ndarray:
-    """Exact pair counts per anchor and case, ``(n, n_cases)`` int64, blockwise.
+    """Exact pair counts per anchor and case for survival curves, in O(n²).
 
     Row i counts the partners j != i of anchor i in each case of
-    :data:`CASE_ORDER`.  ``rel_block(a0, a1)`` gives the rank codes of the
-    anchors a0..a1-1 against every subject.  This dense O(n²) pass counts
-    survival curves (:func:`_curve_ranks`); scalar risks have their own
-    sorted producer, :func:`_scalar_case_counts`.
+    :data:`CASE_ORDER`.  Both curves are read at the anchor's time
+    (:meth:`SurvivalMatrix.step_lookup`) and the smaller survival value is
+    the riskier: the anchor ranks greater when ``S_j(T_i) - S_i(T_i) > tol``
+    and less when it is below ``-tol``.  Every pair is classified, in blocks
+    of 8 to 512 anchors sized to a fixed budget of pairs; rank codes are
+    int8 to keep the block small.
     """
     n = times.size
     n_cases = len(CASE_ORDER)
-    block = _block_size(n, block)
+    block = int(np.clip(_BLOCK_CELL_BUDGET // max(n, 1), 8, 512))
     ev = events.astype(np.intp)
     counts = np.empty((n, n_cases), dtype=np.int64)
     for a0 in range(0, n, block):
         a1 = min(a0 + block, n)
+        rows = np.arange(a1 - a0)
+        # s[r, j] = S(T_anchor | x_j) for the anchor a0 + r.
+        s = np.ascontiguousarray(matrix.step_lookup(times[a0:a1]).T)
+        s -= s[rows, a0 + rows][:, None]
+        rel = np.where(s > tol, 0, np.where(s < -tol, 1, 2)).astype(np.int8)
+        del s  # free the values before the time-sign temporaries
         sign_idx = np.sign(times[a0:a1, None] - times[None, :]).astype(np.intp) + 1
-        rel = rel_block(a0, a1)
         case_idx = _CASE_LOOKUP[sign_idx, ev[a0:a1, None], ev[None, :], rel]
-        key = np.arange(a1 - a0)[:, None] * n_cases + case_idx
+        key = rows[:, None] * n_cases + case_idx
         counts[a0:a1] = np.bincount(
             key.ravel(), minlength=(a1 - a0) * n_cases
         ).reshape(a1 - a0, n_cases)
@@ -427,13 +410,14 @@ def _scalar_case_counts(
 ) -> np.ndarray:
     """Exact pair counts per anchor and case for scalar risks, in O(n log² n).
 
-    Gives the same ``(n, n_cases)`` int64 array as :func:`_case_counts` with
-    rank codes ``m_i - m_j > tol`` (greater) and ``m_i - m_j < -tol`` (less),
-    without forming the n x n pairs.  Each risk gets a dense rank among the
-    distinct values; since ``m_i - v`` falls as v rises, anchor i ranks above
-    the partner ranks [0, lo), below [hi, R) and tied in between.  Both
-    bounds start from ``searchsorted`` and are then settled with the
-    predicates themselves (``v < m_i - tol`` is not the same float test).
+    Gives the same ``(n, n_cases)`` int64 array as classifying every pair
+    with rank relation ``m_i - m_j > tol`` (greater) and ``m_i - m_j < -tol``
+    (less), without forming the n x n pairs.  Each risk gets a dense rank
+    among the distinct values; since ``m_i - v`` falls as v rises, anchor i
+    ranks above the partner ranks [0, lo), below [hi, R) and tied in
+    between.  Both bounds start from ``searchsorted`` and are then settled
+    with the predicates themselves (``v < m_i - tol`` is not the same float
+    test).
 
     Partners are keyed ``delta_j * R + rank`` in time order.  Counting keys
     below each bound, and so per event status and rank relation, takes three
@@ -614,8 +598,7 @@ class _Scorer:
         if key not in self._counts:
             times, events = self.ds.times, self.ds.events
             if curves:
-                rel_block = _curve_ranks(times, self.matrix, tol)
-                counts = _case_counts(times, events, rel_block)
+                counts = _curve_case_counts(times, events, self.matrix, tol)
                 beyond = int(np.count_nonzero(times > self.matrix.grid.points[-1]))
             else:
                 counts, beyond = _scalar_case_counts(times, events, self.risks, tol), 0

@@ -526,8 +526,6 @@ def run_multiverse(
     if profiles is None:
         profiles = builtin_profiles()
     risks_full = None if risks is None else as_risk_array(risks, ds.n)
-    if matrix is not None and matrix.n != ds.n:
-        raise InputError("survival matrix is not aligned with the dataset")
 
     if risks_full is not None or matrix is None:
         transform = None

@@ -1,12 +1,7 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from survconcord import SurvivalDataset
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Naive reference estimators used to check the vectorized engine."""
+"""Naive reference estimators and pair counts used to check the engine."""
 
 import math
 
@@ -13,13 +13,7 @@ from survconcord import (
     km_fit,
 )
 from survconcord.data import CASE_ORDER, as_risk_array
-from survconcord.engine import (
-    G_SOURCE_PROVIDED,
-    ConcordancePolicy,
-    _case_counts,
-    _finalize,
-    _rank_codes,
-)
+from survconcord.engine import G_SOURCE_PROVIDED, ConcordancePolicy, _finalize
 from survconcord.km import WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED
 
 
@@ -132,15 +126,50 @@ def td_brute_force_oracle(ds: SurvivalDataset, sm, policy: ConcordancePolicy) ->
     return _finalize(num, den, policy.final_fold)
 
 
-def risk_ranks(m: np.ndarray, tol: float):
-    """Rank codes of anchors a0..a1-1 by scalar risk against every subject."""
+_RELATIONS = (RankRelation.GREATER, RankRelation.LESS, RankRelation.TIED)
 
-    def rel_block(a0: int, a1: int) -> np.ndarray:
-        return _rank_codes(m[a0:a1, None] - m[None, :], tol)
+# (sign(T_i - T_j) + 1, delta_i, delta_j, rank code) -> index into CASE_ORDER.
+_CASE_OF = np.array([
+    [[[CASE_ORDER.index(classify_pair(ti, di, tj, dj, rel)) for rel in _RELATIONS]
+      for dj in (0, 1)]
+     for di in (0, 1)]
+    for ti, tj in ((0.0, 1.0), (1.0, 1.0), (1.0, 0.0))
+])
 
-    return rel_block
+
+def _rank_codes(diff: np.ndarray, tol: float) -> np.ndarray:
+    """Index into ``_RELATIONS``: greater above tol, less below -tol, else tied."""
+    return np.where(diff > tol, 0, np.where(diff < -tol, 1, 2))
 
 
-def dense_scalar_counts(times, events, risks, tol: float, block: int | None = None):
-    """Scalar case counts from the dense pass: every pair's rank code, blockwise."""
-    return _case_counts(times, events, risk_ranks(risks, tol), block)
+def _dense_counts(times, events, codes: np.ndarray) -> np.ndarray:
+    """Counts per anchor row and case from the rank code of every ordered pair."""
+    n = times.size
+    n_cases = len(CASE_ORDER)
+    sign = np.sign(times[:, None] - times[None, :]).astype(int) + 1
+    ev = np.asarray(events, dtype=int)
+    case = _CASE_OF[sign, ev[:, None], ev[None, :], codes]
+    others = ~np.eye(n, dtype=bool)
+    key = (np.arange(n)[:, None] * n_cases + case)[others]
+    return np.bincount(key, minlength=n * n_cases).reshape(n, n_cases)
+
+
+def dense_scalar_counts(times, events, risks, tol: float) -> np.ndarray:
+    """Scalar case counts from every pair's rank relation ``m_i - m_j``."""
+    return _dense_counts(times, events, _rank_codes(risks[:, None] - risks[None, :], tol))
+
+
+def dense_curve_counts(times, events, sm, tol: float) -> tuple[np.ndarray, int]:
+    """Curve case counts and the number of anchors beyond the grid.
+
+    Both curves of a pair are read at the anchor's time: a curve is 1 before
+    the first grid point and the value at the last grid point at or below the
+    time otherwise.  The anchor ranks greater (riskier) when the partner's
+    value exceeds its own by more than ``tol``.
+    """
+    grid = np.asarray(sm.grid.points)
+    last = (grid[None, :] <= times[:, None]).sum(axis=1) - 1
+    # s[i, j] = S_j(T_i)
+    s = np.where(last[:, None] < 0, 1.0, np.asarray(sm.probs)[:, np.maximum(last, 0)].T)
+    counts = _dense_counts(times, events, _rank_codes(s - np.diag(s)[:, None], tol))
+    return counts, int(np.count_nonzero(times > grid[-1]))

@@ -316,10 +316,15 @@ def _simulate_argv(*extra):
          "bad.csv: not UTF-8 text"),
         (_simulate_argv(), {"params.json": b'{"event": "\xff"}'},
          "params.json: not UTF-8 text"),
+        (_cindex_argv("--tau", "-5"), {}, "truncation value must be positive, got -5.0"),
+        (_simulate_argv("--mechanism", "age_informed"),
+         {"params.json": {"event": _EVENT, "censoring": {"age_column": 1}}},
+         "age column out of range"),
     ],
     ids=["at-time", "at-time-inf", "neg-rmst", "grid-range", "grid-list", "epsilon",
          "epsilon-range", "mechanism", "event-shape", "coefficients", "censoring-shape", "censoring-list",
-         "subjects-utf8", "matrix-utf8", "profiles-utf8", "pool-utf8", "params-utf8"],
+         "subjects-utf8", "matrix-utf8", "profiles-utf8", "pool-utf8", "params-utf8",
+         "tau-negative", "age-column"],
 )
 def test_bad_input_values_exit_2_before_writing(
     argv, files, message, subjects_file, tmp_path, monkeypatch, capsys

@@ -20,15 +20,19 @@ from survconcord import (
     tie_weighted_policy,
 )
 from survconcord.engine import (
-    _case_counts,
-    _curve_ranks,
+    _curve_case_counts,
     _reduce,
     _scalar_case_counts,
 )
 from survconcord.km import ipcw_weights, km_fit
 
 from conftest import random_instance
-from oracle import brute_force_oracle, dense_scalar_counts, td_brute_force_oracle
+from oracle import (
+    brute_force_oracle,
+    dense_curve_counts,
+    dense_scalar_counts,
+    td_brute_force_oracle,
+)
 
 HARRELL = tie_weighted_policy(0.0, 0.0)
 ANTOLINI = antolini_policy(adjusted=False)
@@ -213,10 +217,12 @@ def test_blockwise_reduction_is_bit_identical():
     ds, risks = random_instance(rng, n_max=120, tie_rich=True)
     sm = _tied_curves(rng, ds)
     g = km_fit(ds, target="censoring")
-    rel = _curve_ranks(ds.times, sm, 0.0)
-    curve_counts = [_case_counts(ds.times, ds.events, rel, block=b) for b in (1, 7, 4096)]
-    assert all(np.array_equal(curve_counts[0], c) for c in curve_counts[1:])
-    # The sorted scalar producer gives the dense reference's counts exactly.
+    # Each producer gives the dense reference's counts exactly.
+    curve_counts = [
+        _curve_case_counts(ds.times, ds.events, sm, 0.0),
+        dense_curve_counts(ds.times, ds.events, sm, 0.0)[0],
+    ]
+    assert np.array_equal(*curve_counts)
     scalar_counts = [
         _scalar_case_counts(ds.times, ds.events, risks, 0.0),
         dense_scalar_counts(ds.times, ds.events, risks, 0.0),
@@ -244,6 +250,28 @@ def test_blockwise_reduction_is_bit_identical():
                 assert t.case_credit == first.case_credit
 
 
+@pytest.mark.parametrize("n", [2, 17, 90, 1100])  # 1100 anchors span three blocks
+def test_curve_counts_equal_dense_reference(n):
+    rng = np.random.default_rng(n)
+    times = rng.integers(0, 12, n).astype(float)
+    times[:2] = [0.0, 11.0]
+    events = (rng.random(n) < 0.6).astype(int)
+    # The grid starts above 0 and ends before the last time, and the curves
+    # take few distinct values, so step lookups and rank relations tie often.
+    grid = TimeGrid([1.5, 3.0, 4.0, 6.5, 8.0, 9.5])
+    probs = np.round(np.sort(rng.random((n, len(grid))), axis=1)[:, ::-1], 1)
+    sm = SurvivalMatrix(grid=grid, probs=probs)
+    ds = SurvivalDataset(times=times, events=events)
+    for tol in (0.0, 0.1, 0.25):
+        counts = _curve_case_counts(times, events, sm, tol)
+        expected, beyond = dense_curve_counts(times, events, sm, tol)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+        _, tally = concordance_td(ds, sm, ADJ_ANTOLINI.replace(tie_tolerance=tol))
+        assert tally.anchors_beyond_grid == beyond
+    assert np.any(times < grid.points[0]) and beyond > 0
+
+
 def _assert_every_partner_once(counts, n):
     assert counts.shape == (n, 18)
     assert counts.min() >= 0
@@ -256,8 +284,8 @@ def test_case_counts_cover_every_partner_once():
         ds, risks = random_instance(rng, n_max=80, tie_rich=True)
         sm = _tied_curves(rng, ds)
         for tol in (0.0, 0.1):
-            rel = _curve_ranks(ds.times, sm, tol)
-            _assert_every_partner_once(_case_counts(ds.times, ds.events, rel), ds.n)
+            counts = _curve_case_counts(ds.times, ds.events, sm, tol)
+            _assert_every_partner_once(counts, ds.n)
             counts = _scalar_case_counts(ds.times, ds.events, risks, tol)
             _assert_every_partner_once(counts, ds.n)
     # The sorted producer is affordable at sizes the dense pass was not.

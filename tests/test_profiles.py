@@ -362,6 +362,27 @@ def test_bootstrap_spec_rejected_where_built(kwargs, message):
         BootstrapSpec(**kwargs)
 
 
+@pytest.mark.parametrize("value", [0.0, -5.0])
+def test_non_positive_tau_rejected_where_built(value):
+    # Times are >= 0 and an anchor counts only when T_i < tau.
+    message = "truncation value must be positive"
+    with pytest.raises(InputError, match=message):
+        Truncation("value", value)
+    d = profile_to_dict(hmisc_profile(False))
+    d["policy"]["truncation"] = {"mode": "value", "value": value}
+    with pytest.raises(InputError, match=message):
+        profile_from_dict(d)
+
+
+def test_multiverse_rejects_misaligned_matrix():
+    ds, risks, sm = _tie_rich(20, seed=3)
+    short = sm.take(np.arange(ds.n - 1))
+    rmst = TransformSpec("neg-rmst", horizon=3.0)
+    for kwargs in (dict(risks=risks), dict(transform=rmst)):
+        with pytest.raises(InputError, match="survival matrix is not aligned"):
+            run_multiverse(ds, matrix=short, **kwargs)
+
+
 def _tie_rich(n, seed, event_rate=0.7, n_times=None):
     """Dataset with tied times, tied and near-tied risks, and a matrix."""
     rng = np.random.default_rng(seed)
@@ -394,7 +415,7 @@ def test_multiverse_counts_once_per_rank_source_and_tolerance(monkeypatch):
         return real_fit(data, target)
 
     # Scalar risks and curves each have their own producer; count both.
-    for name in ("_case_counts", "_scalar_case_counts"):
+    for name in ("_curve_case_counts", "_scalar_case_counts"):
         monkeypatch.setattr(engine, name, counting(getattr(engine, name)))
     monkeypatch.setattr(engine, "km_fit", fitting)
 
