@@ -52,7 +52,6 @@ from .profiles import (
 )
 from .resampling import BootstrapResult, BootstrapSpec, bootstrap_ci
 from .synthetic import (
-    AgeInformedCensoring,
     UniformQuantileCensoring,
     WeibullCensoring,
     WeibullPHParams,

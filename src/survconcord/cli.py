@@ -41,7 +41,6 @@ from .profiles import (
 )
 from .resampling import BootstrapSpec
 from .synthetic import (
-    AgeInformedCensoring,
     UniformQuantileCensoring,
     WeibullCensoring,
     WeibullPHParams,
@@ -130,6 +129,24 @@ def _parse_bootstrap(text: str) -> BootstrapSpec:
     return BootstrapSpec(n_resamples=n, sample_size=size, level=level)
 
 
+def _select_profiles(names: str | None, profile_file: str | None):
+    """``--profiles`` names resolve against the builtins and the file's profiles
+    (all builtins without names); every file profile is scored after them."""
+    extra = sio.load_profiles_file(profile_file) if profile_file else []
+    taken = {p.name for p in builtin_profiles()}
+    for profile in extra:
+        if profile.name in taken:
+            raise InputError(
+                f"{profile_file}: profile name {profile.name!r} is already taken"
+            )
+        taken.add(profile.name)
+    if not names:
+        return builtin_profiles() + extra
+    chosen = get_profiles([n.strip() for n in names.split(",")], extra)
+    named = {p.name for p in chosen}
+    return chosen + [p for p in extra if p.name not in named]
+
+
 def cmd_cindex(args: argparse.Namespace) -> int:
     ds, risks = sio.read_subjects_csv(args.subjects, risk_col=args.risk_col)
     matrix = None
@@ -138,19 +155,11 @@ def cmd_cindex(args: argparse.Namespace) -> int:
         if args.grid:
             matrix = interpolate(matrix, _parse_grid(args.grid))
 
-    profiles = None
-    if args.profiles:
-        profiles = get_profiles([p.strip() for p in args.profiles.split(",")])
-    if args.profile_file:
-        profiles = (profiles or builtin_profiles()) + sio.load_profiles_file(
-            args.profile_file
-        )
-
     report = run_multiverse(
         ds,
         risks=risks,
         matrix=matrix,
-        profiles=profiles,
+        profiles=_select_profiles(args.profiles, args.profile_file),
         transform=_parse_transform(args.transform) if args.transform else None,
         tau=_parse_tau(args.tau) if args.tau else None,
         bootstrap=_parse_bootstrap(args.bootstrap) if args.bootstrap else None,
@@ -179,19 +188,14 @@ def _load_params(path: str) -> dict:
 
 
 def _censoring_mechanism(name: str, cens: dict, epsilon: float):
-    if name == "weibull_scaled":
+    if name in ("weibull_scaled", "age_informed"):
+        age_informed = name == "age_informed"
         return WeibullCensoring(
             shape=float(cens.get("shape", 1.0)),
             scale=float(cens.get("scale", 1.0)),
             epsilon=epsilon,
-        )
-    if name == "age_informed":
-        return AgeInformedCensoring(
-            shape=float(cens.get("shape", 1.0)),
-            scale=float(cens.get("scale", 1.0)),
-            beta_age=float(cens.get("beta_age", 0.0)),
-            epsilon=epsilon,
-            age_column=int(cens.get("age_column", 0)),
+            beta_age=float(cens.get("beta_age", 0.0)) if age_informed else 0.0,
+            age_column=int(cens.get("age_column", 0)) if age_informed else None,
         )
     if name == "uniform_quantile":
         return UniformQuantileCensoring(epsilon=epsilon)
@@ -232,9 +236,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     pool = sio.read_covariate_pool(args.covariates) if args.covariates else None
     p = params.coefficients.size
-    if any(isinstance(m, AgeInformedCensoring) and not 0 <= m.age_column < p
-           for m in mechanisms.values()):
-        raise InputError("age column out of range for the given covariates")
+    for mechanism in mechanisms.values():
+        mechanism.check_covariates(p)
     if pool is not None and pool.shape[1] != p:
         raise InputError(
             f"covariate pool has {pool.shape[1]} columns but the model has "

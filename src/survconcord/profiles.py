@@ -69,6 +69,10 @@ class Profile:
     requires_tau: bool = False
     notes: str = ""
 
+    def __post_init__(self) -> None:
+        if self.family not in (FAMILY_C, FAMILY_C_TAU, FAMILY_C_TD):
+            raise InputError(f"unknown estimator family {self.family!r}")
+
     @property
     def requires_matrix(self) -> bool:
         return self.family == FAMILY_C_TD
@@ -318,8 +322,9 @@ def builtin_profiles() -> list[Profile]:
     ]
 
 
-def get_profiles(names: Sequence[str]) -> list[Profile]:
-    registry = {p.name: p for p in builtin_profiles()}
+def get_profiles(names: Sequence[str], extra: Sequence[Profile] = ()) -> list[Profile]:
+    """Look ``names`` up among the builtin profiles and the ``extra`` ones."""
+    registry = {p.name: p for p in [*builtin_profiles(), *extra]}
     out = []
     for name in names:
         if name not in registry:
@@ -391,12 +396,9 @@ def profile_from_dict(d: Mapping) -> Profile:
     _reject_unknown_keys(
         d, ("name", "family", "requires_tau", "notes", "policy"), "profile"
     )
-    family = d.get("family", FAMILY_C)
-    if family not in (FAMILY_C, FAMILY_C_TAU, FAMILY_C_TD):
-        raise InputError(f"unknown estimator family {family!r}")
     return Profile(
         name=str(d["name"]),
-        family=family,
+        family=d.get("family", FAMILY_C),
         policy=policy_from_dict(d.get("policy", {})),
         requires_tau=bool(d.get("requires_tau", False)),
         notes=str(d.get("notes", "")),
@@ -421,11 +423,15 @@ class TransformSpec:
 
     def __post_init__(self) -> None:
         if self.kind == TRANSFORM_AT_TIME:
-            if self.time is None:
-                raise InputError("at-time transform needs an evaluation time")
+            if self.time is None or not 0 <= self.time < np.inf:
+                raise InputError(
+                    f"at-time transform needs a finite time >= 0, got {self.time!r}"
+                )
         elif self.kind == TRANSFORM_NEG_RMST:
-            if self.horizon is None:
-                raise InputError("neg-rmst transform needs a horizon")
+            if self.horizon is None or not 0 < self.horizon < np.inf:
+                raise InputError(
+                    f"neg-rmst transform needs a finite horizon > 0, got {self.horizon!r}"
+                )
         elif self.kind != TRANSFORM_EXPECTED_MORTALITY:
             raise InputError(f"unknown transform {self.kind!r}")
 

@@ -3,8 +3,9 @@
 Event times follow a Weibull proportional-hazards model and are drawn by
 inverse-transform sampling.  Censoring times come from one of three
 mechanisms whose intensity is controlled by a scaling factor epsilon:
-a scaled Weibull hazard, an age-informed Weibull hazard, or a uniform
-distribution capped at a quantile of the event times.
+a scaled Weibull hazard, the same hazard informed by one covariate such
+as age, or a uniform distribution capped at a quantile of the event times.
+Each mechanism draws its own times from the censoring stream.
 
 Randomness is fully reproducible: every draw uses a PCG64 generator on a
 named child stream of the caller's seed (events and censoring never share a
@@ -74,11 +75,18 @@ class WeibullPHParams:
 
 @dataclass(frozen=True)
 class WeibullCensoring:
-    """Covariate-free Weibull censoring hazard scaled by epsilon (0 = no censoring)."""
+    """Weibull censoring hazard scaled by epsilon (0 = no censoring).
+
+    With ``age_column`` set, the rate also carries exp(beta_age * x[:, age_column]),
+    so censoring depends on one covariate (e.g. age); ``None`` leaves it
+    covariate-free.
+    """
 
     shape: float
     scale: float
     epsilon: float
+    beta_age: float = 0.0
+    age_column: int | None = None
 
     def __post_init__(self) -> None:
         if self.shape <= 0 or self.scale <= 0:
@@ -86,22 +94,27 @@ class WeibullCensoring:
         if self.epsilon < 0:
             raise InputError("epsilon must be nonnegative")
 
+    def check_covariates(self, n_covariates: int) -> None:
+        """Reject an age column that covariates with ``n_covariates`` columns lack."""
+        if self.age_column is not None and not 0 <= self.age_column < n_covariates:
+            raise InputError("age column out of range for the given covariates")
 
-@dataclass(frozen=True)
-class AgeInformedCensoring:
-    """Weibull censoring whose rate depends on one covariate column (e.g. age)."""
-
-    shape: float
-    scale: float
-    beta_age: float
-    epsilon: float
-    age_column: int = 0
-
-    def __post_init__(self) -> None:
-        if self.shape <= 0 or self.scale <= 0:
-            raise InputError("censoring shape and scale must be positive")
-        if self.epsilon < 0:
-            raise InputError("epsilon must be nonnegative")
+    def draw(self, event_times: np.ndarray, covariates: np.ndarray | None,
+             rng: np.random.Generator) -> np.ndarray:
+        if self.age_column is not None:
+            if covariates is None:
+                raise InputError("age-informed censoring requires covariates")
+            x = np.asarray(covariates, dtype=float)
+            self.check_covariates(x.shape[1] if x.ndim == 2 else 0)
+        # Drawn even when epsilon == 0, so the stream layout is identical
+        # across epsilon values.
+        u = 1.0 - rng.random(event_times.size)
+        if self.epsilon == 0:
+            return np.full(event_times.size, np.inf)
+        rate = self.epsilon * self.scale
+        if self.age_column is not None:
+            rate = rate * np.exp(self.beta_age * x[:, self.age_column])
+        return (-np.log(u) / rate) ** (1.0 / self.shape)
 
 
 @dataclass(frozen=True)
@@ -114,8 +127,21 @@ class UniformQuantileCensoring:
         if not 0.0 <= self.epsilon < 1.0:
             raise InputError("epsilon must lie in [0, 1) for uniform censoring")
 
+    def check_covariates(self, n_covariates: int) -> None:
+        """Uniform censoring ignores the covariates."""
 
-CensoringMechanism = WeibullCensoring | AgeInformedCensoring | UniformQuantileCensoring
+    def draw(self, event_times: np.ndarray, covariates: np.ndarray | None,
+             rng: np.random.Generator) -> np.ndarray:
+        lo = float(event_times.min())
+        hi = float(np.quantile(event_times, 1.0 - self.epsilon))
+        if not hi > lo:
+            raise InputError(
+                "uniform censoring range is degenerate (all event times equal)"
+            )
+        return lo + (hi - lo) * rng.random(event_times.size)
+
+
+CensoringMechanism = WeibullCensoring | UniformQuantileCensoring
 
 
 def generate_event_times(
@@ -136,44 +162,7 @@ def generate_censoring(
 ) -> np.ndarray:
     """Censoring times under the chosen mechanism; may contain +inf (no censoring)."""
     event_times = np.asarray(event_times, dtype=float)
-    n = event_times.size
-    rng = _rng(rng_seed, "censoring")
-
-    if isinstance(mechanism, WeibullCensoring):
-        if mechanism.epsilon == 0:
-            rng.random(n)  # keep the stream layout identical across epsilon values
-            return np.full(n, np.inf)
-        u = 1.0 - rng.random(n)
-        rate = mechanism.epsilon * mechanism.scale
-        return (-np.log(u) / rate) ** (1.0 / mechanism.shape)
-
-    if isinstance(mechanism, AgeInformedCensoring):
-        if covariates is None:
-            raise InputError("age-informed censoring requires covariates")
-        x = np.asarray(covariates, dtype=float)
-        if x.ndim != 2 or not 0 <= mechanism.age_column < x.shape[1]:
-            raise InputError("age column out of range for the given covariates")
-        if mechanism.epsilon == 0:
-            rng.random(n)
-            return np.full(n, np.inf)
-        u = 1.0 - rng.random(n)
-        rate = (
-            mechanism.epsilon
-            * mechanism.scale
-            * np.exp(mechanism.beta_age * x[:, mechanism.age_column])
-        )
-        return (-np.log(u) / rate) ** (1.0 / mechanism.shape)
-
-    if isinstance(mechanism, UniformQuantileCensoring):
-        lo = float(event_times.min())
-        hi = float(np.quantile(event_times, 1.0 - mechanism.epsilon))
-        if not hi > lo:
-            raise InputError(
-                "uniform censoring range is degenerate (all event times equal)"
-            )
-        return lo + (hi - lo) * rng.random(n)
-
-    raise InputError(f"unknown censoring mechanism {type(mechanism).__name__}")
+    return mechanism.draw(event_times, covariates, _rng(rng_seed, "censoring"))
 
 
 def assemble(

@@ -109,6 +109,46 @@ def test_cindex_with_bootstrap_and_custom_profiles(subjects_file, tmp_path):
     assert hm["ci_lower"] is not None and hm["ci_lower"] <= hm["estimate"] + 1e-12
 
 
+def _strict_profile(name):
+    return {"name": name, "family": "C",
+            "policy": {"case_table": {"1A": [1.0, 1.0], "1B": [1.0, 0.0]}}}
+
+
+def test_cindex_profiles_can_name_a_profile_file_entry(subjects_file, tmp_path):
+    profile_file = tmp_path / "mine.json"
+    profile_file.write_text(json.dumps([_strict_profile("mine"), _strict_profile("other")]))
+    out = tmp_path / "r"
+    code = main([
+        "cindex", "--subjects", str(subjects_file), "--risk-col", "risk",
+        "--profiles", "mine,hmisc", "--profile-file", str(profile_file), "--out", str(out),
+    ])
+    assert code == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert [r["name"] for r in report["results"]] == ["mine", "hmisc", "other"]
+    assert all(r["error"] is None for r in report["results"])
+
+
+@pytest.mark.parametrize(
+    "entries, taken",
+    [([_strict_profile("hmisc")], "hmisc"),
+     ([_strict_profile("mine"), _strict_profile("mine")], "mine")],
+    ids=["builtin", "file"],
+)
+def test_cindex_profile_file_name_clash_exits_2(
+    entries, taken, subjects_file, tmp_path, capsys
+):
+    profile_file = tmp_path / "clash.json"
+    profile_file.write_text(json.dumps(entries))
+    out = tmp_path / "r"
+    code = main([
+        "cindex", "--subjects", str(subjects_file), "--risk-col", "risk",
+        "--profile-file", str(profile_file), "--out", str(out),
+    ])
+    assert code == 2
+    assert f"{profile_file}: profile name {taken!r} is already taken" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_km_outputs(subjects_file, tmp_path, capsys):
     code = main(["km", "--subjects", str(subjects_file), "--target", "event"])
     assert code == 0
@@ -175,17 +215,23 @@ def test_simulate_rejects_bad_mechanism(tmp_path):
     assert code == 2
 
 
-def test_simulate_deterministic_across_runs(tmp_path):
+@pytest.mark.parametrize(
+    "mechanism, epsilons",
+    [("weibull_scaled", "0,3"), ("age_informed", "0,3"), ("uniform_quantile", "0,0.5")],
+    ids=["weibull_scaled", "age_informed", "uniform_quantile"],
+)
+def test_simulate_deterministic_across_runs(mechanism, epsilons, tmp_path):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({
         "event": {"shape": 1.0, "scale": 0.02, "coefficients": [0.5]},
-        "censoring": {"shape": 1.0, "scale": 0.02},
+        "censoring": {"shape": 1.0, "scale": 0.02, "beta_age": 0.8},
     }))
 
     def run(d):
         assert main([
             "simulate", "--params", str(params), "--n", "25", "--datasets", "2",
-            "--epsilon-list", "0,3", "--seed", "11", "--out-dir", str(d),
+            "--mechanism", mechanism, "--epsilon-list", epsilons, "--seed", "11",
+            "--out-dir", str(d),
         ]) == 0
         return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
 
@@ -316,6 +362,10 @@ def _simulate_argv(*extra):
          "bad.csv: not UTF-8 text"),
         (_simulate_argv(), {"params.json": b'{"event": "\xff"}'},
          "params.json: not UTF-8 text"),
+        (_cindex_argv("--transform", "at-time:-1"), {},
+         "at-time transform needs a finite time >= 0, got -1.0"),
+        (_cindex_argv("--transform", "neg-rmst:0"), {},
+         "neg-rmst transform needs a finite horizon > 0, got 0.0"),
         (_cindex_argv("--tau", "-5"), {}, "truncation value must be positive, got -5.0"),
         (_simulate_argv("--mechanism", "age_informed"),
          {"params.json": {"event": _EVENT, "censoring": {"age_column": 1}}},
@@ -324,7 +374,7 @@ def _simulate_argv(*extra):
     ids=["at-time", "at-time-inf", "neg-rmst", "grid-range", "grid-list", "epsilon",
          "epsilon-range", "mechanism", "event-shape", "coefficients", "censoring-shape", "censoring-list",
          "subjects-utf8", "matrix-utf8", "profiles-utf8", "pool-utf8", "params-utf8",
-         "tau-negative", "age-column"],
+         "at-time-negative", "neg-rmst-zero", "tau-negative", "age-column"],
 )
 def test_bad_input_values_exit_2_before_writing(
     argv, files, message, subjects_file, tmp_path, monkeypatch, capsys

@@ -6,6 +6,7 @@ import pytest
 from survconcord import (
     ComputationError,
     InputError,
+    Profile,
     SurvivalDataset,
     SurvivalMatrix,
     TimeGrid,
@@ -381,6 +382,26 @@ def test_multiverse_rejects_misaligned_matrix():
     for kwargs in (dict(risks=risks), dict(transform=rmst)):
         with pytest.raises(InputError, match="survival matrix is not aligned"):
             run_multiverse(ds, matrix=short, **kwargs)
+
+
+def test_profile_family_rejected_where_built():
+    with pytest.raises(InputError, match="unknown estimator family 'C_TD'"):
+        Profile(name="x", family="C_TD", policy=antolini_policy())
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [(dict(kind="neg-rmst", horizon=np.inf), "finite horizon > 0, got inf"),
+     (dict(kind="neg-rmst", horizon=0.0), "finite horizon > 0, got 0.0"),
+     (dict(kind="neg-rmst"), "finite horizon > 0, got None"),
+     (dict(kind="at-time", time=-1.0), "finite time >= 0, got -1.0"),
+     (dict(kind="at-time", time=np.nan), "finite time >= 0, got nan")],
+    ids=["horizon-inf", "horizon-zero", "horizon-missing", "time-negative", "time-nan"],
+)
+def test_transform_spec_rejected_where_built(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        TransformSpec(**kwargs)
+    assert TransformSpec("at-time", time=0.0).time == 0.0
 
 
 def _tie_rich(n, seed, event_rate=0.7, n_times=None):

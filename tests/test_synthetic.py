@@ -4,7 +4,6 @@ import pytest
 from survconcord import (
     ComputationError,
     InputError,
-    AgeInformedCensoring,
     UniformQuantileCensoring,
     WeibullCensoring,
     WeibullPHParams,
@@ -76,13 +75,29 @@ def test_age_informed_censoring_targets_older_subjects():
     rng = np.random.default_rng(44)
     age = rng.standard_normal((4000, 1))
     t = generate_event_times(EXP, age, rng_seed=11)
-    mech = AgeInformedCensoring(shape=1.0, scale=1.0, beta_age=2.0, epsilon=1.0)
+    mech = WeibullCensoring(shape=1.0, scale=1.0, epsilon=1.0, beta_age=2.0, age_column=0)
     c = generate_censoring(mech, t, age, rng_seed=12)
     ds = assemble(t, c)
     censored = ds.events == 0
     assert age[censored, 0].mean() > age[~censored, 0].mean()
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="requires covariates"):
         generate_censoring(mech, t, None, rng_seed=12)
+    with pytest.raises(InputError, match="age column out of range"):
+        generate_censoring(
+            WeibullCensoring(1.0, 1.0, 1.0, beta_age=2.0, age_column=1), t, age, rng_seed=12
+        )
+
+
+def test_zero_age_effect_draws_the_plain_weibull_times():
+    rng = np.random.default_rng(45)
+    x = rng.standard_normal((300, 2))
+    t = generate_event_times(EXP, x[:, :1], rng_seed=13)
+    for eps in (0.0, 0.7):
+        plain = generate_censoring(WeibullCensoring(1.3, 0.5, eps), t, None, rng_seed=14)
+        aged = generate_censoring(
+            WeibullCensoring(1.3, 0.5, eps, beta_age=0.0, age_column=0), t, x, rng_seed=14
+        )
+        assert np.array_equal(aged, plain)
 
 
 def test_uniform_quantile_censoring_bounds():
