@@ -216,6 +216,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sio._parse_float(v, "--epsilon-list", "epsilon")
         for v in args.epsilon_list.split(",")
     ]
+    # Each epsilon names a directory by its "g" tag, so tags must not repeat.
+    eps_tags = {eps: format(eps, "g") for eps in epsilons}
+    if len(set(eps_tags.values())) < len(epsilons):
+        raise InputError(f"--epsilon-list: repeated epsilon in {args.epsilon_list!r}")
     try:
         params = WeibullPHParams(
             shape=float(event_block["shape"]),
@@ -251,7 +255,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     width = max(3, len(str(args.datasets - 1)))
-    eps_tags = {eps: format(eps, "g") for eps in epsilons}
     for eps in epsilons:
         (out_dir / f"eps_{eps_tags[eps]}").mkdir(exist_ok=True)
     (out_dir / "uncensored").mkdir(exist_ok=True)

@@ -16,18 +16,21 @@ just different policies (see :mod:`survconcord.profiles`).
 
 Ranking can come from a scalar risk per subject or, for the time-dependent
 variant, from survival probabilities evaluated at the anchor subject's time;
-both rank sources feed the same counter and reducer, so the policy alone
+both rank sources feed the same map and reducer, so the policy alone
 decides how pairs count.  The counts depend only on the data, the rank
 source and the tie tolerance, so policies scored on one dataset share one
 counting pass per rank source and tolerance (:class:`_Scorer`).
 
-Each rank source has one producer of those counts, and both take
-``(times, events, ranks, tol)``.  Scalar risks are counted by sorting, in
-O(n log² n) (:func:`_scalar_case_counts`); survival curves are counted
-blockwise over anchors, in O(n²) (:func:`_curve_case_counts`).  Both give
-the same exact integer counts as classifying every pair, and every weighted
-sum is a single correctly rounded ``math.fsum``, so estimates do not depend
-on the producer or the anchor order and are deterministic for a given input.
+Each rank source has one producer, and both take ``(times, events, ranks,
+tol)`` and count geometry only: an ``(n, 18)`` array of each anchor's
+partners, itself included, per cell (time sign, partner status, rank
+relation).  Scalar risks are counted by sorting, in O(n log² n)
+(:func:`_scalar_cells`); survival curves blockwise, in O(n²)
+(:func:`_curve_cells`).  One map, :func:`_cases`, built from
+``classify_pair``, turns cells into case counts and drops the self-pair;
+the result equals classifying every pair.  Every weighted sum is a single
+correctly rounded ``math.fsum``, so estimates do not depend on the producer
+or the anchor order and are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -77,16 +80,14 @@ ALWAYS_EXCLUDED = (PairCase.C3, PairCase.C4, PairCase.C8)
 
 _REL_CODES = (RankRelation.GREATER, RankRelation.LESS, RankRelation.TIED)
 
-# (sign+1, delta_i, delta_j, rel) -> case index; single source of truth is
-# classify_pair, evaluated once over the full grid.
-_CASE_LOOKUP = np.empty((3, 2, 2, 3), dtype=np.int8)
-for _s, (_ti, _tj) in enumerate(((0.0, 1.0), (1.0, 1.0), (1.0, 0.0))):
-    for _di in (0, 1):
-        for _dj in (0, 1):
-            for _r, _rel in enumerate(_REL_CODES):
-                _CASE_LOOKUP[_s, _di, _dj, _r] = CASE_INDEX[
-                    classify_pair(_ti, _di, _tj, _dj, _rel)
-                ]
+# (delta_i, cell) -> case index, for the partner cell (sign(T_i - T_j) + 1) * 6
+# + delta_j * 3 + rel; classify_pair, evaluated once, is the single source.
+_CELL_CASE = np.array([
+    [CASE_INDEX[classify_pair(ti, di, tj, dj, rel)]
+     for ti, tj in ((0.0, 1.0), (1.0, 1.0), (1.0, 0.0))
+     for dj in (0, 1) for rel in _REL_CODES]
+    for di in (0, 1)
+], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -311,50 +312,53 @@ class PairTally:
 _BLOCK_CELL_BUDGET = 1 << 22  # pairs per anchor block, so temporaries stay modest
 
 
-def _curve_case_counts(
+def _curve_cells(
     times: np.ndarray, events: np.ndarray, matrix: SurvivalMatrix, tol: float
 ) -> np.ndarray:
-    """Exact pair counts per anchor and case for survival curves, in O(n²).
+    """Partner cells per anchor for survival curves, in O(n²).
 
-    Row i counts the partners j != i of anchor i in each case of
-    :data:`CASE_ORDER`.  Both curves are read at the anchor's time
-    (:meth:`SurvivalMatrix.step_lookup`) and the smaller survival value is
-    the riskier: the anchor ranks greater when ``S_j(T_i) - S_i(T_i) > tol``
-    and less when it is below ``-tol``.  Every pair is classified, in blocks
-    of 8 to 512 anchors sized to a fixed budget of pairs; rank codes are
-    int8 to keep the block small.
+    Both curves are read at the anchor's time (:meth:`SurvivalMatrix.step_lookup`)
+    and the smaller survival value is the riskier: the anchor ranks greater
+    when ``S_j(T_i) - S_i(T_i) > tol`` and less when it is below ``-tol``.
+    Every pair, self included, is counted in blocks of 8 to 512 anchors sized
+    to a fixed budget of pairs; cell codes are int8 to keep the block small.
     """
     n = times.size
-    n_cases = len(CASE_ORDER)
+    n_cells = _CELL_CASE.shape[1]
     block = int(np.clip(_BLOCK_CELL_BUDGET // max(n, 1), 8, 512))
-    ev = events.astype(np.intp)
-    counts = np.empty((n, n_cases), dtype=np.int64)
+    status = (3 * events).astype(np.int8)
+    cells = np.empty((n, n_cells), dtype=np.int64)
     for a0 in range(0, n, block):
         a1 = min(a0 + block, n)
         rows = np.arange(a1 - a0)
         # s[r, j] = S(T_anchor | x_j) for the anchor a0 + r.
         s = np.ascontiguousarray(matrix.step_lookup(times[a0:a1]).T)
         s -= s[rows, a0 + rows][:, None]
-        rel = np.where(s > tol, 0, np.where(s < -tol, 1, 2)).astype(np.int8)
+        cell = np.where(s > tol, 0, np.where(s < -tol, 1, 2)).astype(np.int8)
         del s  # free the values before the time-sign temporaries
-        sign_idx = np.sign(times[a0:a1, None] - times[None, :]).astype(np.intp) + 1
-        case_idx = _CASE_LOOKUP[sign_idx, ev[a0:a1, None], ev[None, :], rel]
-        key = rows[:, None] * n_cases + case_idx
-        counts[a0:a1] = np.bincount(
-            key.ravel(), minlength=(a1 - a0) * n_cases
-        ).reshape(a1 - a0, n_cases)
-    _subtract_self_pairs(counts, ev)
-    return counts
+        cell += status
+        cell += (np.sign(times[a0:a1, None] - times[None, :]).astype(np.int8) + 1) * 6
+        key = rows[:, None] * n_cells + cell
+        counts = np.bincount(key.ravel(), minlength=(a1 - a0) * n_cells)
+        cells[a0:a1] = counts.reshape(a1 - a0, n_cells)
+    return cells
 
 
-def _subtract_self_pairs(counts: np.ndarray, ev: np.ndarray) -> None:
-    """Remove each anchor's pair with itself from ``counts`` in place.
+def _cases(cells: np.ndarray, events: np.ndarray) -> np.ndarray:
+    """Case counts per anchor from its partner cells: the one map.
 
-    A self-pair has tied times and a rank difference of exactly 0, so it
-    always lands in 5C (event) or 8 (censored).
+    Each cell goes into the case :data:`_CELL_CASE` gives for the anchor's
+    event status, and the anchor's pair with itself, which a producer counts
+    in its (tied, own status, tied) cell, is taken out.
     """
-    self_case = np.where(ev == 1, CASE_INDEX[PairCase.C5C], CASE_INDEX[PairCase.C8])
-    counts[np.arange(ev.size), self_case] -= 1
+    ev = events.astype(np.intp)
+    rows = np.arange(ev.size)
+    lookup = _CELL_CASE[ev]
+    cases = np.zeros((ev.size, len(CASE_ORDER)), dtype=np.int64)
+    key = rows[:, None] * len(CASE_ORDER) + lookup
+    np.add.at(cases.reshape(-1), key.reshape(-1), cells.reshape(-1))
+    cases[rows, lookup[rows, 6 + 3 * ev + 2]] -= 1  # (tied, delta_i, tied)
+    return cases
 
 
 def _settle(
@@ -405,13 +409,13 @@ def _prefix_counts(
     return out
 
 
-def _scalar_case_counts(
+def _scalar_cells(
     times: np.ndarray, events: np.ndarray, risks: np.ndarray, tol: float
 ) -> np.ndarray:
-    """Exact pair counts per anchor and case for scalar risks, in O(n log² n).
+    """Partner cells per anchor for scalar risks, in O(n log² n).
 
-    Gives the same ``(n, n_cases)`` int64 array as classifying every pair
-    with rank relation ``m_i - m_j > tol`` (greater) and ``m_i - m_j < -tol``
+    Gives the same counts as classifying every pair, self included, with
+    rank relation ``m_i - m_j > tol`` (greater) and ``m_i - m_j < -tol``
     (less), without forming the n x n pairs.  Each risk gets a dense rank
     among the distinct values; since ``m_i - v`` falls as v rises, anchor i
     ranks above the partner ranks [0, lo), below [hi, R) and tied in
@@ -427,7 +431,6 @@ def _scalar_case_counts(
     prefix, earlier ones the prefix minus the block.
     """
     n = times.size
-    ev = events.astype(np.intp)
     values, rank = np.unique(risks, return_inverse=True)
     n_ranks = values.size
     # A difference that overflows to +-inf still compares right with tol.
@@ -448,7 +451,7 @@ def _scalar_case_counts(
     start = np.searchsorted(sorted_times, times, side="left")
     end = np.searchsorted(sorted_times, times, side="right")
     width = 2 * n_ranks
-    keys = (ev * n_ranks + rank)[order]
+    keys = (events.astype(np.intp) * n_ranks + rank)[order]
     censored = np.concatenate(([0], np.cumsum(keys < n_ranks)))
     # Key thresholds: censored below lo, below hi; all censored and events
     # below lo, below hi.
@@ -465,8 +468,7 @@ def _scalar_case_counts(
     upto_size = np.stack([censored[end], end - censored[end]])
     tied_size = upto_size - np.stack([censored[start], start - censored[start]])
 
-    counts = np.zeros((n, len(CASE_ORDER)), dtype=np.int64)
-    rows = np.arange(n)
+    cells = np.empty((n, 3, 2, 3), dtype=np.int64)
     # Time sign index 0: partner later, 1: tied, 2: partner earlier.
     ranges = (
         (total - upto, total_size - upto_size),
@@ -476,12 +478,9 @@ def _scalar_case_counts(
     for sign, (below, size) in enumerate(ranges):
         below_lo = np.stack([below[0], below[2] - size[0]])
         below_hi = np.stack([below[1], below[3] - size[0]])
-        by_rel = (below_lo, size - below_hi, below_hi - below_lo)
-        for rel, partners in enumerate(by_rel):
-            for dj in (0, 1):
-                counts[rows, _CASE_LOOKUP[sign, ev, dj, rel]] += partners[dj]
-    _subtract_self_pairs(counts, ev)
-    return counts
+        by_rel = np.stack([below_lo, size - below_hi, below_hi - below_lo])
+        cells[:, sign] = by_rel.transpose(2, 1, 0)  # to (anchor, delta_j, rel)
+    return cells.reshape(n, -1)
 
 
 def _reduce(
@@ -598,11 +597,11 @@ class _Scorer:
         if key not in self._counts:
             times, events = self.ds.times, self.ds.events
             if curves:
-                counts = _curve_case_counts(times, events, self.matrix, tol)
+                cells = _curve_cells(times, events, self.matrix, tol)
                 beyond = int(np.count_nonzero(times > self.matrix.grid.points[-1]))
             else:
-                counts, beyond = _scalar_case_counts(times, events, self.risks, tol), 0
-            self._counts[key] = (counts, beyond)
+                cells, beyond = _scalar_cells(times, events, self.risks, tol), 0
+            self._counts[key] = (_cases(cells, events), beyond)
         return self._counts[key]
 
 

@@ -323,16 +323,21 @@ def builtin_profiles() -> list[Profile]:
 
 
 def get_profiles(names: Sequence[str], extra: Sequence[Profile] = ()) -> list[Profile]:
-    """Look ``names`` up among the builtin profiles and the ``extra`` ones."""
+    """Look ``names`` up among the builtin profiles and the ``extra`` ones.
+
+    A name given twice is an error: it would score the same profile twice.
+    """
     registry = {p.name: p for p in [*builtin_profiles(), *extra]}
-    out = []
+    chosen: dict[str, Profile] = {}
     for name in names:
         if name not in registry:
             raise InputError(
                 f"unknown profile {name!r}; available: {', '.join(sorted(registry))}"
             )
-        out.append(registry[name])
-    return out
+        if name in chosen:
+            raise InputError(f"profile {name!r} is named more than once")
+        chosen[name] = registry[name]
+    return list(chosen.values())
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,13 @@ class WeibullCensoring:
     age_column: int | None = None
 
     def __post_init__(self) -> None:
-        if self.shape <= 0 or self.scale <= 0:
-            raise InputError("censoring shape and scale must be positive")
-        if self.epsilon < 0:
-            raise InputError("epsilon must be nonnegative")
+        for value in (self.shape, self.scale):
+            if not (value > 0 and math.isfinite(value)):
+                raise InputError("censoring shape and scale must be positive and finite")
+        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
+            raise InputError("epsilon must be nonnegative and finite")
+        if not math.isfinite(self.beta_age):
+            raise InputError("beta_age must be finite")
 
     def check_covariates(self, n_covariates: int) -> None:
         """Reject an age column that covariates with ``n_covariates`` columns lack."""

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -370,11 +371,20 @@ def _simulate_argv(*extra):
         (_simulate_argv("--mechanism", "age_informed"),
          {"params.json": {"event": _EVENT, "censoring": {"age_column": 1}}},
          "age column out of range"),
+        (_simulate_argv(),
+         {"params.json": {"event": _EVENT,
+                          "censoring": {"shape": math.nan, "scale": 0.02}}},
+         "censoring shape and scale must be positive and finite"),
+        (_simulate_argv("--epsilon-list", "0.5,0.50"), {},
+         "--epsilon-list: repeated epsilon in '0.5,0.50'"),
+        (_cindex_argv("--profiles", "hmisc,hmisc"), {},
+         "profile 'hmisc' is named more than once"),
     ],
     ids=["at-time", "at-time-inf", "neg-rmst", "grid-range", "grid-list", "epsilon",
          "epsilon-range", "mechanism", "event-shape", "coefficients", "censoring-shape", "censoring-list",
          "subjects-utf8", "matrix-utf8", "profiles-utf8", "pool-utf8", "params-utf8",
-         "at-time-negative", "neg-rmst-zero", "tau-negative", "age-column"],
+         "at-time-negative", "neg-rmst-zero", "tau-negative", "age-column",
+         "censoring-nan-shape", "epsilon-repeated", "profiles-repeated"],
 )
 def test_bad_input_values_exit_2_before_writing(
     argv, files, message, subjects_file, tmp_path, monkeypatch, capsys

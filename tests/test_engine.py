@@ -20,9 +20,11 @@ from survconcord import (
     tie_weighted_policy,
 )
 from survconcord.engine import (
-    _curve_case_counts,
+    _cases,
+    _curve_cells,
     _reduce,
-    _scalar_case_counts,
+    _scalar_cells,
+    _Scorer,
 )
 from survconcord.km import ipcw_weights, km_fit
 
@@ -217,14 +219,14 @@ def test_blockwise_reduction_is_bit_identical():
     ds, risks = random_instance(rng, n_max=120, tie_rich=True)
     sm = _tied_curves(rng, ds)
     g = km_fit(ds, target="censoring")
-    # Each producer gives the dense reference's counts exactly.
+    # Each producer's cells, mapped to cases, give the dense reference's counts.
     curve_counts = [
-        _curve_case_counts(ds.times, ds.events, sm, 0.0),
+        _cases(_curve_cells(ds.times, ds.events, sm, 0.0), ds.events),
         dense_curve_counts(ds.times, ds.events, sm, 0.0)[0],
     ]
     assert np.array_equal(*curve_counts)
     scalar_counts = [
-        _scalar_case_counts(ds.times, ds.events, risks, 0.0),
+        _cases(_scalar_cells(ds.times, ds.events, risks, 0.0), ds.events),
         dense_scalar_counts(ds.times, ds.events, risks, 0.0),
     ]
     assert np.array_equal(*scalar_counts)
@@ -250,32 +252,77 @@ def test_blockwise_reduction_is_bit_identical():
                 assert t.case_credit == first.case_credit
 
 
-@pytest.mark.parametrize("n", [2, 17, 90, 1100])  # 1100 anchors span three blocks
-def test_curve_counts_equal_dense_reference(n):
-    rng = np.random.default_rng(n)
+def _curve_instance(rng, n):
+    """Times from 0 to 11 around a grid from 1.5 to 9.5, with curves rounded
+    to 0.1 so that step lookups and rank relations tie often."""
     times = rng.integers(0, 12, n).astype(float)
-    times[:2] = [0.0, 11.0]
+    times[:2] = [0.0, 11.0]  # one anchor before the grid, one beyond it
     events = (rng.random(n) < 0.6).astype(int)
-    # The grid starts above 0 and ends before the last time, and the curves
-    # take few distinct values, so step lookups and rank relations tie often.
     grid = TimeGrid([1.5, 3.0, 4.0, 6.5, 8.0, 9.5])
     probs = np.round(np.sort(rng.random((n, len(grid))), axis=1)[:, ::-1], 1)
-    sm = SurvivalMatrix(grid=grid, probs=probs)
+    return times, events, SurvivalMatrix(grid=grid, probs=probs)
+
+
+@st.composite
+def _curve_count_instance(draw):
+    n = draw(st.integers(1, 30))
+    times = draw(st.lists(st.integers(0, 11), min_size=n, max_size=n))
+    events = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    # Grid points may start at 0 or above it and end before the last time.
+    grid = sorted(draw(st.lists(
+        st.sampled_from([0.0, 1.5, 3.0, 4.0, 6.5, 8.0, 9.5]), min_size=1, unique=True
+    )))
+    # Curves on a 0.1 lattice, so values tie and differences sit at the tolerance.
+    steps = draw(st.lists(
+        st.lists(st.integers(0, 10), min_size=len(grid), max_size=len(grid)),
+        min_size=n, max_size=n,
+    ))
+    probs = np.sort(np.array(steps) / 10, axis=1)[:, ::-1]
+    sm = SurvivalMatrix(grid=TimeGrid(grid), probs=probs)
+    return np.array(times, float), np.array(events), sm
+
+
+def _assert_curve_counts_equal_dense_reference(times, events, sm):
     ds = SurvivalDataset(times=times, events=events)
     for tol in (0.0, 0.1, 0.25):
-        counts = _curve_case_counts(times, events, sm, tol)
+        cells = _curve_cells(times, events, sm, tol)
         expected, beyond = dense_curve_counts(times, events, sm, tol)
-        assert counts.dtype == np.int64
+        assert cells.dtype == np.int64
+        assert np.array_equal(_cases(cells, events), expected)
+        counts, scored_beyond = _Scorer(ds, matrix=sm)._counts_for(True, tol)
         assert np.array_equal(counts, expected)
+        assert scored_beyond == beyond
+
+
+@pytest.mark.parametrize("n", [2, 17, 90, 1100])  # 1100 anchors span three blocks
+def test_curve_counts_equal_dense_reference(n):
+    times, events, sm = _curve_instance(np.random.default_rng(n), n)
+    _assert_curve_counts_equal_dense_reference(times, events, sm)
+    ds = SurvivalDataset(times=times, events=events)
+    for tol in (0.0, 0.1, 0.25):
         _, tally = concordance_td(ds, sm, ADJ_ANTOLINI.replace(tie_tolerance=tol))
-        assert tally.anchors_beyond_grid == beyond
-    assert np.any(times < grid.points[0]) and beyond > 0
+        assert tally.anchors_beyond_grid == dense_curve_counts(times, events, sm, tol)[1]
+    assert np.any(times < sm.grid.points[0]) and tally.anchors_beyond_grid > 0
 
 
-def _assert_every_partner_once(counts, n):
-    assert counts.shape == (n, 18)
-    assert counts.min() >= 0
-    assert np.all(counts.sum(axis=1) == n - 1)
+@settings(max_examples=150, deadline=None)
+@given(_curve_count_instance())
+def test_curve_counts_equal_dense_reference_on_drawn_instances(instance):
+    _assert_curve_counts_equal_dense_reference(*instance)
+
+
+def _assert_every_partner_once(cells, events):
+    n = events.size
+    assert cells.shape == (n, 18)
+    assert cells.min() >= 0
+    # Cells count every partner, the anchor itself included, and the anchor
+    # lands in its own (tied, delta_i, tied) cell (sign + 1) * 6 + delta_j * 3 + rel.
+    assert np.all(cells.sum(axis=1) == n)
+    assert np.all(cells[np.arange(n), 6 + 3 * events + 2] >= 1)
+    # Mapped to cases, the self-pair is gone.
+    cases = _cases(cells, events)
+    assert cases.min() >= 0
+    assert np.all(cases.sum(axis=1) == n - 1)
 
 
 def test_case_counts_cover_every_partner_once():
@@ -284,10 +331,10 @@ def test_case_counts_cover_every_partner_once():
         ds, risks = random_instance(rng, n_max=80, tie_rich=True)
         sm = _tied_curves(rng, ds)
         for tol in (0.0, 0.1):
-            counts = _curve_case_counts(ds.times, ds.events, sm, tol)
-            _assert_every_partner_once(counts, ds.n)
-            counts = _scalar_case_counts(ds.times, ds.events, risks, tol)
-            _assert_every_partner_once(counts, ds.n)
+            cells = _curve_cells(ds.times, ds.events, sm, tol)
+            _assert_every_partner_once(cells, ds.events)
+            cells = _scalar_cells(ds.times, ds.events, risks, tol)
+            _assert_every_partner_once(cells, ds.events)
     # The sorted producer is affordable at sizes the dense pass was not.
     n = 5000
     times = rng.integers(1, 300, n).astype(float)
@@ -295,7 +342,7 @@ def test_case_counts_cover_every_partner_once():
     risks = np.round(rng.normal(size=n), 2)
     risks[::5] += 5e-9
     for tol in (0.0, 1e-8, 0.1):
-        _assert_every_partner_once(_scalar_case_counts(times, events, risks, tol), n)
+        _assert_every_partner_once(_scalar_cells(times, events, risks, tol), events)
 
 
 def test_brute_force_guard():
@@ -597,7 +644,7 @@ def test_sorted_scalar_counts_equal_dense_reference(instance):
     times, events, risks = instance
     assert _TRAP[0] - _TRAP[1] > 0.1 and not _TRAP[1] < _TRAP[0] - 0.1
     for tol in (0.0, 1e-8, 0.1):
-        sorted_counts = _scalar_case_counts(times, events, risks, tol)
+        sorted_counts = _cases(_scalar_cells(times, events, risks, tol), events)
         with np.errstate(over="ignore"):  # the dense reference subtracts +-_BIG
             dense = dense_scalar_counts(times, events, risks, tol)
         assert sorted_counts.dtype == dense.dtype == np.int64

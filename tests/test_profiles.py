@@ -87,6 +87,13 @@ def test_profile_defaults():
         get_profiles(["not_a_profile"])
 
 
+def test_repeated_profile_name_rejected():
+    mine = dataclasses.replace(get_profiles(["hmisc"])[0], name="mine")
+    for names in (["hmisc", "hmisc"], ["mine", "hmisc", "mine"]):
+        with pytest.raises(InputError, match=f"profile '{names[0]}' is named more"):
+            get_profiles(names, extra=[mine])
+
+
 def test_hmisc_outx_equals_sksurv_zero_tolerance_on_tie_free_data():
     rng = np.random.default_rng(6)
     ds = SurvivalDataset(
@@ -424,9 +431,9 @@ def test_multiverse_counts_once_per_rank_source_and_tolerance(monkeypatch):
     calls = {}
     real_fit = engine.km_fit
 
-    def counting(producer):
+    def counting(producer, key):
         def count(*args, **kwargs):
-            calls["counts"] += 1
+            calls[key] += 1
             return producer(*args, **kwargs)
 
         return count
@@ -435,23 +442,25 @@ def test_multiverse_counts_once_per_rank_source_and_tolerance(monkeypatch):
         calls["fits"] += target == "censoring"
         return real_fit(data, target)
 
-    # Scalar risks and curves each have their own producer; count both.
-    for name in ("_curve_case_counts", "_scalar_case_counts"):
-        monkeypatch.setattr(engine, name, counting(getattr(engine, name)))
+    # Scalar risks and curves each have their own producer; count both, and
+    # the map from cells to cases, which must run once per counting pass.
+    for name in ("_curve_cells", "_scalar_cells"):
+        monkeypatch.setattr(engine, name, counting(getattr(engine, name), "counts"))
+    monkeypatch.setattr(engine, "_cases", counting(engine._cases, "maps"))
     monkeypatch.setattr(engine, "km_fit", fitting)
 
     def run(**kwargs):
-        calls.update(counts=0, fits=0)
+        calls.update(counts=0, maps=0, fits=0)
         report = run_multiverse(ds, risks=risks, matrix=sm, seed=2, **kwargs)
         scored = [r for r in report.results if r.error is None]
         assert len(scored) == 13 and report.result("survc1").error  # no tau
-        return calls["counts"], calls["fits"]
+        return calls["counts"], calls["maps"], calls["fits"]
 
     # Scalar at tolerance 0 and 1e-8, curves at tolerance 0; one censoring fit.
-    assert run() == (3, 1)
-    assert run(bootstrap=BootstrapSpec(4)) == (3 * 5, 5)
-    assert run(g=g) == (3, 0)
-    assert run(g=g, bootstrap=BootstrapSpec(4, sample_size=30)) == (3 * 5, 0)
+    assert run() == (3, 3, 1)
+    assert run(bootstrap=BootstrapSpec(4)) == (3 * 5, 3 * 5, 5)
+    assert run(g=g) == (3, 3, 0)
+    assert run(g=g, bootstrap=BootstrapSpec(4, sample_size=30)) == (3 * 5, 3 * 5, 0)
 
 
 def _single_profile_cell(ds, risks, sm, profile, *, tau=None, g=None,

@@ -88,6 +88,26 @@ def test_age_informed_censoring_targets_older_subjects():
         )
 
 
+_CENSORING_MESSAGES = {
+    "shape": "censoring shape and scale must be positive and finite",
+    "scale": "censoring shape and scale must be positive and finite",
+    "epsilon": "epsilon must be nonnegative and finite",
+    "beta_age": "beta_age must be finite",
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shape", np.nan), ("shape", np.inf), ("scale", np.nan), ("scale", 0.0),
+    ("epsilon", np.nan), ("epsilon", np.inf), ("epsilon", -1.0),
+    ("beta_age", np.nan), ("beta_age", -np.inf),
+])
+def test_weibull_censoring_rejects_non_finite_parameters(field, value):
+    params = {"shape": 1.0, "scale": 0.02, "epsilon": 1.0, "beta_age": 0.5,
+              "age_column": 0, field: value}
+    with pytest.raises(InputError, match=_CENSORING_MESSAGES[field]):
+        WeibullCensoring(**params)
+
+
 def test_zero_age_effect_draws_the_plain_weibull_times():
     rng = np.random.default_rng(45)
     x = rng.standard_normal((300, 2))
