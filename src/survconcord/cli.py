@@ -35,7 +35,6 @@ from .profiles import (
     TRANSFORM_EXPECTED_MORTALITY,
     TRANSFORM_NEG_RMST,
     TransformSpec,
-    builtin_profiles,
     get_profiles,
     run_multiverse,
 )
@@ -133,15 +132,12 @@ def _select_profiles(names: str | None, profile_file: str | None):
     """``--profiles`` names resolve against the builtins and the file's profiles
     (all builtins without names); every file profile is scored after them."""
     extra = sio.load_profiles_file(profile_file) if profile_file else []
-    taken = {p.name for p in builtin_profiles()}
-    for profile in extra:
-        if profile.name in taken:
-            raise InputError(
-                f"{profile_file}: profile name {profile.name!r} is already taken"
-            )
-        taken.add(profile.name)
+    try:
+        every = get_profiles(None, extra)
+    except InputError as exc:  # without names, only a file profile's name can fail
+        raise InputError(f"{profile_file}: {exc}") from None
     if not names:
-        return builtin_profiles() + extra
+        return every
     chosen = get_profiles([n.strip() for n in names.split(",")], extra)
     named = {p.name for p in chosen}
     return chosen + [p for p in extra if p.name not in named]
@@ -190,12 +186,15 @@ def _load_params(path: str) -> dict:
 def _censoring_mechanism(name: str, cens: dict, epsilon: float):
     if name in ("weibull_scaled", "age_informed"):
         age_informed = name == "age_informed"
+        age_column = cens.get("age_column", 0) if age_informed else None
+        if age_informed and age_column is None:
+            raise InputError("age_informed censoring needs an integer age_column")
         return WeibullCensoring(
             shape=float(cens.get("shape", 1.0)),
             scale=float(cens.get("scale", 1.0)),
             epsilon=epsilon,
             beta_age=float(cens.get("beta_age", 0.0)) if age_informed else 0.0,
-            age_column=int(cens.get("age_column", 0)) if age_informed else None,
+            age_column=age_column,
         )
     if name == "uniform_quantile":
         return UniformQuantileCensoring(epsilon=epsilon)

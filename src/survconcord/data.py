@@ -221,6 +221,8 @@ class TimeGrid:
     @classmethod
     def regular(cls, stop: float, step: float = 1.0, start: float = 0.0) -> "TimeGrid":
         """Grid {start, start+step, ...} up to and including stop (when hit exactly)."""
+        if not all(map(math.isfinite, (stop, step, start))):
+            raise InputError("grid start, stop and step must be finite")
         if step <= 0:
             raise InputError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 1e-12)) + 1

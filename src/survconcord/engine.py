@@ -179,8 +179,8 @@ class ConcordancePolicy:
             if table[case].comparable_weight != 0:
                 raise InputError(f"case {case.value} cannot be comparable")
         object.__setattr__(self, "case_table", MappingProxyType(table))
-        if self.tie_tolerance < 0:
-            raise InputError("tie tolerance must be nonnegative")
+        if not (self.tie_tolerance >= 0 and math.isfinite(self.tie_tolerance)):
+            raise InputError("tie tolerance must be finite and nonnegative")
         if self.weight_scheme not in WEIGHT_SCHEMES:
             raise InputError(f"unknown weight scheme {self.weight_scheme!r}")
         if self.g_source not in (G_SOURCE_TEST_SET, G_SOURCE_PROVIDED):

@@ -14,6 +14,7 @@ returns a deterministic, serializable report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ from .engine import (
     Truncation,
     _Scorer,
     antolini_policy,
+    tie_weighted_policy,
 )
 from .km import WEIGHT_PEC_PRODUCT, WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED, StepFunction
 from .resampling import BootstrapSpec
@@ -93,14 +95,6 @@ def _table(**overrides: tuple[float, float]) -> dict[PairCase, tuple[float, floa
     return out
 
 
-#: Strict pairs plus tied-time event/censored pairs, tied predictions at half
-#: credit: the table shared by hmisc, lifelines, sksurv and survival.
-_HALF_TIES = _table(
-    c1C=(1.0, 0.5), c2C=(1.0, 0.5),
-    c6A=(1.0, 1.0), c6B=(1.0, 0.0), c6C=(1.0, 0.5),
-)
-
-
 def hmisc_profile(include_tied_predictions: bool = True) -> Profile:
     """Hmisc::rcorr.cens.
 
@@ -110,15 +104,14 @@ def hmisc_profile(include_tied_predictions: bool = True) -> Profile:
     comparable set entirely.
     """
     if include_tied_predictions:
-        table = _HALF_TIES
+        policy = tie_weighted_policy(1.0, 0.5)
         name = "hmisc"
         note = "rcorr.cens with outx=FALSE: tied predictions comparable at half credit"
     else:
-        table = _table(c6A=(1.0, 1.0), c6B=(1.0, 0.0))
+        policy = ConcordancePolicy(case_table=_table(c6A=(1.0, 1.0), c6B=(1.0, 0.0)))
         name = "hmisc_outx"
         note = "rcorr.cens with outx=TRUE: tied-prediction pairs excluded"
-    return Profile(name=name, family=FAMILY_C,
-                   policy=ConcordancePolicy(case_table=table), notes=note)
+    return Profile(name=name, family=FAMILY_C, policy=policy, notes=note)
 
 
 def survmetrics_profile() -> Profile:
@@ -145,7 +138,7 @@ def survmetrics_profile() -> Profile:
 def lifelines_profile() -> Profile:
     """lifelines.utils.concordance_index: ties always in, always half credit."""
     return Profile(name="lifelines", family=FAMILY_C,
-                   policy=ConcordancePolicy(case_table=_HALF_TIES),
+                   policy=tie_weighted_policy(1.0, 0.5),
                    notes="concordance_index: tied predictions at half credit")
 
 
@@ -157,18 +150,12 @@ def pysurvival_profile(include_ties: bool = True) -> Profile:
     max(C, 1 - C), which can mask worse-than-random ranking.  With
     include_ties=False tied predictions stay comparable but earn no credit.
     """
-    tie_credit = 0.5 if include_ties else 0.0
-    table = _table(
-        c1C=(1.0, tie_credit), c2C=(1.0, tie_credit),
-        c6A=(1.0, 1.0), c6B=(1.0, 0.0), c6C=(1.0, tie_credit),
-    )
     return Profile(
         name="pysurvival" if include_ties else "pysurvival_noties",
         family=FAMILY_C,
-        policy=ConcordancePolicy(
-            case_table=table,
-            weight_scheme=WEIGHT_PEC_PRODUCT,
-            final_fold=FOLD_MAX_COMPLEMENT,
+        policy=tie_weighted_policy(
+            1.0, 0.5 if include_ties else 0.0,
+            weight_scheme=WEIGHT_PEC_PRODUCT, final_fold=FOLD_MAX_COMPLEMENT,
         ),
         notes="concordance_index: IPCW without truncation; reports max(C, 1-C)",
     )
@@ -185,7 +172,7 @@ def sksurv_censored_profile(tied_tolerance: float = _SKSURV_TIED_TOL) -> Profile
     """
     return Profile(
         name="sksurv_censored", family=FAMILY_C,
-        policy=ConcordancePolicy(case_table=_HALF_TIES, tie_tolerance=tied_tolerance),
+        policy=tie_weighted_policy(1.0, 0.5, tie_tolerance=tied_tolerance),
         notes="concordance_index_censored: tied_tol defines tied predictions",
     )
 
@@ -200,8 +187,8 @@ def sksurv_ipcw_profile(tied_tolerance: float = _SKSURV_TIED_TOL) -> Profile:
     """
     return Profile(
         name="sksurv_ipcw", family=FAMILY_C_TAU,
-        policy=ConcordancePolicy(
-            case_table=_HALF_TIES,
+        policy=tie_weighted_policy(
+            1.0, 0.5,
             tie_tolerance=tied_tolerance,
             weight_scheme=WEIGHT_UNO_SQUARED,
             g_source=G_SOURCE_PROVIDED,
@@ -267,7 +254,7 @@ def survival_profile(weighting: str = "n") -> Profile:
         raise InputError(f"unknown survival weighting {weighting!r}")
     return Profile(
         name=name, family=FAMILY_C_TAU,
-        policy=ConcordancePolicy(case_table=_HALF_TIES, weight_scheme=scheme),
+        policy=tie_weighted_policy(1.0, 0.5, weight_scheme=scheme),
         notes=f"concordance with timewt={weighting!r}",
     )
 
@@ -302,9 +289,10 @@ def pycox_profile(adjusted: bool = False) -> Profile:
     )
 
 
-def builtin_profiles() -> list[Profile]:
-    """All shipped emulation profiles with their default switches."""
-    return [
+@cache
+def _builtins() -> tuple[Profile, ...]:
+    """The shipped profiles, built on first use and shared for the process."""
+    return (
         hmisc_profile(True),
         hmisc_profile(False),
         survmetrics_profile(),
@@ -319,15 +307,30 @@ def builtin_profiles() -> list[Profile]:
         survc1_profile(),
         pycox_profile(False),
         pycox_profile(True),
-    ]
+    )
 
 
-def get_profiles(names: Sequence[str], extra: Sequence[Profile] = ()) -> list[Profile]:
-    """Look ``names`` up among the builtin profiles and the ``extra`` ones.
+def builtin_profiles() -> list[Profile]:
+    """All shipped emulation profiles with their default switches."""
+    return list(_builtins())
 
-    A name given twice is an error: it would score the same profile twice.
+
+def get_profiles(
+    names: Sequence[str] | None = None, extra: Sequence[Profile] = ()
+) -> list[Profile]:
+    """Look ``names`` up among the builtin profiles and the ``extra`` ones
+    (``None``: every builtin, then every extra).
+
+    An extra whose name a builtin or an earlier extra has, an unknown name
+    and a name given twice are errors: no two profiles may share a name.
     """
-    registry = {p.name: p for p in [*builtin_profiles(), *extra]}
+    registry = {p.name: p for p in _builtins()}
+    for profile in extra:
+        if profile.name in registry:
+            raise InputError(f"profile name {profile.name!r} is already taken")
+        registry[profile.name] = profile
+    if names is None:
+        return list(registry.values())
     chosen: dict[str, Profile] = {}
     for name in names:
         if name not in registry:
@@ -359,7 +362,10 @@ def policy_to_dict(policy: ConcordancePolicy) -> dict:
 
 
 def _reject_unknown_keys(d: Mapping, known: Sequence[str], what: str) -> None:
-    """Refuse keys that the ``*_to_dict`` functions never write (e.g. typos)."""
+    """Refuse a block that is not an object, and keys that the ``*_to_dict``
+    functions never write (e.g. typos)."""
+    if not isinstance(d, Mapping):
+        raise InputError(f"{what} must be an object, got {type(d).__name__}")
     unknown = sorted(set(d) - set(known))
     if unknown:
         raise InputError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
@@ -368,9 +374,11 @@ def _reject_unknown_keys(d: Mapping, known: Sequence[str], what: str) -> None:
 def policy_from_dict(d: Mapping) -> ConcordancePolicy:
     _reject_unknown_keys(d, ("case_table", "tie_tolerance", "weight_scheme",
                              "g_source", "truncation", "final_fold"), "policy")
+    raw_table = d.get("case_table", {})
+    _reject_unknown_keys(raw_table, [case.value for case in PairCase], "case_table")
     table = {
         PairCase(label): CaseRule(float(w), float(credit))
-        for label, (w, credit) in d.get("case_table", {}).items()
+        for label, (w, credit) in raw_table.items()
     }
     trunc = d.get("truncation", {"mode": TRUNC_NONE, "value": None})
     _reject_unknown_keys(trunc, ("mode", "value"), "truncation")
@@ -535,7 +543,7 @@ def run_multiverse(
     ``"bootstrap: all bootstrap resamples failed"``.
     """
     if profiles is None:
-        profiles = builtin_profiles()
+        profiles = _builtins()
     risks_full = None if risks is None else as_risk_array(risks, ds.n)
 
     if risks_full is not None or matrix is None:
@@ -555,7 +563,7 @@ def run_multiverse(
     for k, plan in enumerate(cells):
         if isinstance(plan, _Plan):
             try:
-                points[k] = full.score(plan.policy, plan.curves)
+                points[k] = full.score(plan.policy, plan.profile.requires_matrix)
             except ComputationError as exc:
                 cells[k] = _named(plan.profile, error=str(exc))
     resampled = {}
@@ -584,11 +592,6 @@ class _Plan:
     profile: Profile
     policy: ConcordancePolicy
     g_used: str | None
-
-    @property
-    def curves(self) -> bool:
-        # The family picks only the rank source; the policy decides the rest.
-        return self.profile.requires_matrix
 
 
 def _plan(
@@ -638,7 +641,7 @@ def _resample_values(
     """Each plan's estimates over the resamples, and how many failed."""
     samples: dict[int, list[float]] = {k: [] for k in live}
     failed = dict.fromkeys(live, 0)
-    curves = any(plan.curves for plan in live.values())
+    curves = any(plan.profile.requires_matrix for plan in live.values())
     for idx in spec.resamples(ds.n, seed):
         scorer = _Scorer(
             ds.subset(idx),
@@ -648,7 +651,8 @@ def _resample_values(
         )
         for k, plan in live.items():
             try:
-                samples[k].append(scorer.score(plan.policy, plan.curves)[0])
+                estimate, _ = scorer.score(plan.policy, plan.profile.requires_matrix)
+                samples[k].append(estimate)
             except ComputationError:
                 failed[k] += 1
     return {k: (samples[k], failed[k]) for k in live}

@@ -96,6 +96,11 @@ class WeibullCensoring:
             raise InputError("epsilon must be nonnegative and finite")
         if not math.isfinite(self.beta_age):
             raise InputError("beta_age must be finite")
+        column = self.age_column
+        if column is not None and (
+            isinstance(column, bool) or not isinstance(column, (int, np.integer))
+        ):
+            raise InputError(f"age_column must be an integer or None, got {column!r}")
 
     def check_covariates(self, n_covariates: int) -> None:
         """Reject an age column that covariates with ``n_covariates`` columns lack."""

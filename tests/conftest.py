@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from survconcord import SurvivalDataset
+from survconcord import SurvivalDataset, profiles
 
 
 @pytest.fixture
@@ -14,6 +16,22 @@ def four_subjects():
     )
     risks = np.array([0.9, 0.5, 0.7, 0.2])
     return ds, risks
+
+
+@pytest.fixture
+def profile_builds(monkeypatch):
+    """Names of the profiles constructed from here on, builtins not yet built."""
+    fresh = functools.cache(profiles._builtins.__wrapped__)
+    monkeypatch.setattr(profiles, "_builtins", fresh)
+    built = []
+    post_init = profiles.Profile.__post_init__
+
+    def counting(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(profiles.Profile, "__post_init__", counting)
+    return built
 
 
 def random_instance(rng, n_max=200, tie_rich=False):

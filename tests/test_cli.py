@@ -150,6 +150,17 @@ def test_cindex_profile_file_name_clash_exits_2(
     assert not (tmp_path / "r.json").exists()
 
 
+def test_cindex_runs_build_the_builtin_profiles_once(
+    profile_builds, subjects_file, tmp_path
+):
+    for selection in (["--profiles", "hmisc,pec"], []):
+        assert main([
+            "cindex", "--subjects", str(subjects_file), "--risk-col", "risk",
+            *selection, "--out", str(tmp_path / "r"),
+        ]) == 0
+    assert len(profile_builds) == 14
+
+
 def test_km_outputs(subjects_file, tmp_path, capsys):
     code = main(["km", "--subjects", str(subjects_file), "--target", "event"])
     assert code == 0
@@ -379,12 +390,25 @@ def _simulate_argv(*extra):
          "--epsilon-list: repeated epsilon in '0.5,0.50'"),
         (_cindex_argv("--profiles", "hmisc,hmisc"), {},
          "profile 'hmisc' is named more than once"),
+        (_cindex_argv("--profile-file", "p.json"),
+         {"p.json": [{"name": "x", "policy": {"tie_tolerance": math.nan}}]},
+         "p.json: profile #0: tie tolerance must be finite and nonnegative"),
+        (_cindex_argv("--profile-file", "p.json"), {"p.json": [{"name": "x", "policy": []}]},
+         "p.json: profile #0: policy must be an object, got list"),
+        (_simulate_argv("--mechanism", "age_informed"),
+         {"params.json": {"event": _EVENT, "censoring": {"age_column": 1.5}}},
+         "age_column must be an integer or None, got 1.5"),
+        (_simulate_argv("--mechanism", "age_informed"),
+         {"params.json": {"event": _EVENT, "censoring": {"age_column": None}}},
+         "age_informed censoring needs an integer age_column"),
     ],
     ids=["at-time", "at-time-inf", "neg-rmst", "grid-range", "grid-list", "epsilon",
          "epsilon-range", "mechanism", "event-shape", "coefficients", "censoring-shape", "censoring-list",
          "subjects-utf8", "matrix-utf8", "profiles-utf8", "pool-utf8", "params-utf8",
          "at-time-negative", "neg-rmst-zero", "tau-negative", "age-column",
-         "censoring-nan-shape", "epsilon-repeated", "profiles-repeated"],
+         "censoring-nan-shape", "epsilon-repeated", "profiles-repeated",
+         "profile-nan-tolerance", "profile-policy-list", "age-column-float",
+         "age-column-null"],
 )
 def test_bad_input_values_exit_2_before_writing(
     argv, files, message, subjects_file, tmp_path, monkeypatch, capsys

@@ -180,6 +180,9 @@ def test_invalid_inputs_rejected():
     )
     with pytest.raises(InputError, match="censoring distribution"):
         concordance(ds, [1.0, 0.0], provided_only)
+    for tol in (np.nan, np.inf):
+        with pytest.raises(InputError, match="tie tolerance must be finite"):
+            tie_weighted_policy(0.0, 0.5, tie_tolerance=tol)
 
 
 def test_engine_matches_brute_force_on_randoms():

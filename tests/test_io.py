@@ -160,13 +160,16 @@ def test_profiles_file_rejects_unknown_keys(tmp_path):
     misspelt_truncation = entry()
     misspelt_truncation["policy"]["truncation"]["valeu"] = 3.0
     cases = [
-        (misspelt_policy, "policy key(s): 'tie_tolerence'"),
-        (entry(requires_tua=True), "profile key(s): 'requires_tua'"),
-        (entry(td_variant="antolini"), "profile key(s): 'td_variant'"),
-        (misspelt_truncation, "truncation key(s): 'valeu'"),
+        (misspelt_policy, "unknown policy key(s): 'tie_tolerence'"),
+        (entry(requires_tua=True), "unknown profile key(s): 'requires_tua'"),
+        (entry(td_variant="antolini"), "unknown profile key(s): 'td_variant'"),
+        (misspelt_truncation, "unknown truncation key(s): 'valeu'"),
+        (entry(policy=[]), "policy must be an object, got list"),
+        (entry(policy={"case_table": []}), "case_table must be an object, got list"),
+        (entry(policy={"truncation": []}), "truncation must be an object, got list"),
     ]
     for bad, message in cases:
         path.write_text(canonical_json({"profiles": [payload[1], bad]}))
-        expected = re.escape(f"profile #1: unknown {message}")
+        expected = re.escape(f"profile #1: {message}")
         with pytest.raises(InputError, match=expected):
             load_profiles_file(path)

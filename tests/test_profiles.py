@@ -94,6 +94,29 @@ def test_repeated_profile_name_rejected():
             get_profiles(names, extra=[mine])
 
 
+def test_taken_extra_profile_name_rejected():
+    outx = get_profiles(["hmisc_outx"])[0]
+    mine = dataclasses.replace(outx, name="mine")
+    assert [p.name for p in get_profiles(None, [mine])] == [
+        *(p.name for p in builtin_profiles()), "mine"
+    ]
+    for extra in ([dataclasses.replace(outx, name="hmisc")], [mine, mine]):
+        taken = extra[-1].name
+        for names in (None, ["hmisc"]):
+            with pytest.raises(InputError, match=f"profile name '{taken}' is already taken"):
+                get_profiles(names, extra=extra)
+
+
+def test_builtin_profiles_are_built_once_per_process(profile_builds):
+    first, second = builtin_profiles(), builtin_profiles()
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    get_profiles(["hmisc", "pec"])
+    ds = SurvivalDataset(times=[1.0, 2.0, 3.0], events=[1, 1, 0])
+    run_multiverse(ds, risks=[3.0, 2.0, 1.0])
+    assert profile_builds == [p.name for p in first]
+
+
 def test_hmisc_outx_equals_sksurv_zero_tolerance_on_tie_free_data():
     rng = np.random.default_rng(6)
     ds = SurvivalDataset(

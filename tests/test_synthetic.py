@@ -93,6 +93,7 @@ _CENSORING_MESSAGES = {
     "scale": "censoring shape and scale must be positive and finite",
     "epsilon": "epsilon must be nonnegative and finite",
     "beta_age": "beta_age must be finite",
+    "age_column": "age_column must be an integer or None",
 }
 
 
@@ -100,6 +101,7 @@ _CENSORING_MESSAGES = {
     ("shape", np.nan), ("shape", np.inf), ("scale", np.nan), ("scale", 0.0),
     ("epsilon", np.nan), ("epsilon", np.inf), ("epsilon", -1.0),
     ("beta_age", np.nan), ("beta_age", -np.inf),
+    ("age_column", True), ("age_column", 1.5),
 ])
 def test_weibull_censoring_rejects_non_finite_parameters(field, value):
     params = {"shape": 1.0, "scale": 0.02, "epsilon": 1.0, "beta_age": 0.5,
