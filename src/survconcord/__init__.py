@@ -34,21 +34,11 @@ from .profiles import (
     Profile,
     ProfileResult,
     TransformSpec,
-    builtin_profiles,
     get_profiles,
-    hmisc_profile,
-    lifelines_profile,
     pec_profile,
     profile_from_dict,
     profile_to_dict,
-    pycox_profile,
-    pysurvival_profile,
     run_multiverse,
-    sksurv_censored_profile,
-    sksurv_ipcw_profile,
-    survc1_profile,
-    survival_profile,
-    survmetrics_profile,
 )
 from .resampling import BootstrapResult, BootstrapSpec, bootstrap_ci
 from .synthetic import (

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .data import ComputationError, InputError, SurvivalDataset, TimeGrid
+from .data import ComputationError, InputError, SurvivalDataset, TimeGrid, json_value
 from .engine import TRUNC_MAX_UNCENSORED, TRUNC_NONE, TRUNC_VALUE, Truncation
 from .km import km_fit
 from .profiles import (
@@ -176,25 +176,47 @@ def cmd_cindex(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_params(path: str) -> dict:
+#: Censoring numbers a params file may give, with their defaults.
+_CENSORING_NUMBERS = {"shape": 1.0, "scale": 1.0, "beta_age": 0.0}
+
+
+def _load_params(path: str) -> tuple[dict, WeibullPHParams, dict]:
+    """The params file as read, its event model and its censoring settings;
+    every number in the file must be a JSON number."""
     raw = sio.read_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("event"), dict):
         raise InputError(f"{path}: missing 'event' parameter block")
-    return raw
+    event, cens = raw["event"], raw.get("censoring", {})
+    if not isinstance(cens, dict):
+        raise InputError(f"{path}: 'censoring' must be an object")
+    coefficients = event.get("coefficients", [])
+    try:
+        shape = json_value(event["shape"], float, "event shape")
+        scale = json_value(event["scale"], float, "event scale")
+        if not isinstance(coefficients, list):
+            raise InputError(f"coefficients must be a JSON array, got {coefficients!r}")
+        beta = [json_value(b, float, "coefficient") for b in coefficients]
+        settings = {k: json_value(cens.get(k, default), float, f"censoring {k}")
+                    for k, default in _CENSORING_NUMBERS.items()}
+    except KeyError as exc:
+        raise InputError(f"{path}: event block missing {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: invalid parameter ({exc})") from None
+    settings["age_column"] = cens.get("age_column", 0)
+    return raw, WeibullPHParams(shape, scale, np.array(beta)), settings
 
 
 def _censoring_mechanism(name: str, cens: dict, epsilon: float):
     if name in ("weibull_scaled", "age_informed"):
         age_informed = name == "age_informed"
-        age_column = cens.get("age_column", 0) if age_informed else None
-        if age_informed and age_column is None:
+        if age_informed and cens["age_column"] is None:
             raise InputError("age_informed censoring needs an integer age_column")
         return WeibullCensoring(
-            shape=float(cens.get("shape", 1.0)),
-            scale=float(cens.get("scale", 1.0)),
+            shape=cens["shape"],
+            scale=cens["scale"],
             epsilon=epsilon,
-            beta_age=float(cens.get("beta_age", 0.0)) if age_informed else 0.0,
-            age_column=age_column,
+            beta_age=cens["beta_age"] if age_informed else 0.0,
+            age_column=cens["age_column"] if age_informed else None,
         )
     if name == "uniform_quantile":
         return UniformQuantileCensoring(epsilon=epsilon)
@@ -205,11 +227,7 @@ def _censoring_mechanism(name: str, cens: dict, epsilon: float):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    raw = _load_params(args.params)
-    event_block = raw["event"]
-    cens_block = raw.get("censoring", {})
-    if not isinstance(cens_block, dict):
-        raise InputError(f"{args.params}: 'censoring' must be an object")
+    raw, params, cens_block = _load_params(args.params)
     mechanism_name = args.mechanism.replace("-", "_")
     epsilons = [
         sio._parse_float(v, "--epsilon-list", "epsilon")
@@ -219,23 +237,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     eps_tags = {eps: format(eps, "g") for eps in epsilons}
     if len(set(eps_tags.values())) < len(epsilons):
         raise InputError(f"--epsilon-list: repeated epsilon in {args.epsilon_list!r}")
-    try:
-        params = WeibullPHParams(
-            shape=float(event_block["shape"]),
-            scale=float(event_block["scale"]),
-            coefficients=np.asarray(event_block.get("coefficients", []), dtype=float),
-        )
-        # Instantiating every mechanism up front validates epsilon ranges early.
-        mechanisms = {
-            eps: _censoring_mechanism(mechanism_name, cens_block, eps)
-            for eps in epsilons
-        }
-    except InputError:
-        raise  # range checks say what is wrong themselves
-    except KeyError as exc:
-        raise InputError(f"{args.params}: event block missing {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{args.params}: invalid parameter ({exc})") from None
+    # Instantiating every mechanism up front validates epsilon ranges early.
+    mechanisms = {
+        eps: _censoring_mechanism(mechanism_name, cens_block, eps) for eps in epsilons
+    }
 
     pool = sio.read_covariate_pool(args.covariates) if args.covariates else None
     p = params.coefficients.size

@@ -187,6 +187,29 @@ class SurvivalDataset:
         )
 
 
+_JSON_KINDS = {float: "number", bool: "boolean", str: "string"}
+
+
+def json_value(value, kind: type, what: str):
+    """``value`` from a decoded JSON file, checked to be of ``kind``.
+
+    ``float`` takes a JSON number and returns it as a float, ``bool`` takes
+    true or false and ``str`` a string.  Nothing is coerced: ``true`` is not
+    the number 1 and ``"0.5"`` is not a number.  Anything else raises
+    :class:`InputError` naming ``what``.
+    """
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise InputError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise InputError(f"{what} is beyond the float range") from None
+
+
 def as_risk_array(risks, n: int) -> np.ndarray:
     """Coerce an array-like to a validated float array of length n."""
     values = np.asarray(risks, dtype=float)
@@ -195,6 +218,10 @@ def as_risk_array(risks, n: int) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise InputError("risk vector contains non-finite values")
     return values
+
+
+#: More float64 values than numpy will allocate in one array.
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -225,7 +252,13 @@ class TimeGrid:
             raise InputError("grid start, stop and step must be finite")
         if step <= 0:
             raise InputError("grid step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-12)) + 1
+        span = (stop - start) / step
+        if not span < _MAX_GRID_POINTS:
+            raise InputError(
+                f"grid from {start!r} to {stop!r} by {step!r} has more points "
+                f"than an array can hold"
+            )
+        count = int(math.floor(span + 1e-12)) + 1
         if count < 1:
             raise InputError("grid stop precedes start")
         return cls(start + step * np.arange(count))

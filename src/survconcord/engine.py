@@ -78,6 +78,16 @@ G_SOURCE_PROVIDED = "provided"
 #: already counted through the opposite pair orientation.
 ALWAYS_EXCLUDED = (PairCase.C3, PairCase.C4, PairCase.C8)
 
+#: The strict pairs every shipped case table counts alike: the anchor's event
+#: is observed strictly first, and the pair earns credit when the anchor is
+#: ranked riskier.
+STRICT_PAIRS: Mapping[PairCase, tuple[float, float]] = MappingProxyType({
+    PairCase.C1A: (1.0, 1.0),
+    PairCase.C1B: (1.0, 0.0),
+    PairCase.C2A: (1.0, 1.0),
+    PairCase.C2B: (1.0, 0.0),
+})
+
 _REL_CODES = (RankRelation.GREATER, RankRelation.LESS, RankRelation.TIED)
 
 # (delta_i, cell) -> case index, for the partner cell (sign(T_i - T_j) + 1) * 6
@@ -224,11 +234,8 @@ def tie_weighted_policy(
     if not 0.0 <= omega_p <= 1.0:
         raise InputError("omega_p must lie in [0, 1]")
     table = {
-        PairCase.C1A: (1.0, 1.0),
-        PairCase.C1B: (1.0, 0.0),
+        **STRICT_PAIRS,
         PairCase.C1C: (1.0, omega_p),
-        PairCase.C2A: (1.0, 1.0),
-        PairCase.C2B: (1.0, 0.0),
         PairCase.C2C: (1.0, omega_p),
         PairCase.C6A: (omega_o, 1.0),
         PairCase.C6B: (omega_o, 0.0),

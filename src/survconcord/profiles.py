@@ -26,11 +26,13 @@ from .data import (
     SurvivalDataset,
     SurvivalMatrix,
     as_risk_array,
+    json_value,
 )
 from .engine import (
     FOLD_MAX_COMPLEMENT,
     G_SOURCE_PROVIDED,
     G_SOURCE_TEST_SET,
+    STRICT_PAIRS,
     TRUNC_MAX_UNCENSORED,
     TRUNC_NONE,
     CaseRule,
@@ -80,121 +82,11 @@ class Profile:
         return self.family == FAMILY_C_TD
 
 
-_STRICT_BASE = {
-    PairCase.C1A: (1.0, 1.0),
-    PairCase.C1B: (1.0, 0.0),
-    PairCase.C2A: (1.0, 1.0),
-    PairCase.C2B: (1.0, 0.0),
-}
-
-
 def _table(**overrides: tuple[float, float]) -> dict[PairCase, tuple[float, float]]:
-    out: dict[PairCase, tuple[float, float]] = dict(_STRICT_BASE)
+    out: dict[PairCase, tuple[float, float]] = dict(STRICT_PAIRS)
     for label, rule in overrides.items():
         out[PairCase(label.removeprefix("c"))] = rule
     return out
-
-
-def hmisc_profile(include_tied_predictions: bool = True) -> Profile:
-    """Hmisc::rcorr.cens.
-
-    Tied-time pairs with one event and one censoring count as comparable.
-    With the default (outx=FALSE) tied predictions stay in and earn half
-    credit; with outx=TRUE tied-prediction pairs are removed from the
-    comparable set entirely.
-    """
-    if include_tied_predictions:
-        policy = tie_weighted_policy(1.0, 0.5)
-        name = "hmisc"
-        note = "rcorr.cens with outx=FALSE: tied predictions comparable at half credit"
-    else:
-        policy = ConcordancePolicy(case_table=_table(c6A=(1.0, 1.0), c6B=(1.0, 0.0)))
-        name = "hmisc_outx"
-        note = "rcorr.cens with outx=TRUE: tied-prediction pairs excluded"
-    return Profile(name=name, family=FAMILY_C, policy=policy, notes=note)
-
-
-def survmetrics_profile() -> Profile:
-    """SurvMetrics::Cindex.
-
-    The only emulation that treats tied times with two observed events as
-    comparable (half credit unless predictions tie as well, then full), and
-    the only one that half-credits a tied-time event/censored pair ranked
-    the wrong way.
-    """
-    table = _table(
-        c1C=(1.0, 0.5), c2C=(1.0, 0.5),
-        c5A=(1.0, 0.5), c5B=(1.0, 0.5), c5C=(1.0, 1.0),
-        c6A=(1.0, 1.0), c6B=(1.0, 0.5), c6C=(1.0, 0.5),
-    )
-    return Profile(
-        name="survmetrics", family=FAMILY_C,
-        policy=ConcordancePolicy(case_table=table),
-        notes="Cindex: event/event tied times comparable; discordant tied-time "
-              "event/censored pairs get half credit",
-    )
-
-
-def lifelines_profile() -> Profile:
-    """lifelines.utils.concordance_index: ties always in, always half credit."""
-    return Profile(name="lifelines", family=FAMILY_C,
-                   policy=tie_weighted_policy(1.0, 0.5),
-                   notes="concordance_index: tied predictions at half credit")
-
-
-def pysurvival_profile(include_ties: bool = True) -> Profile:
-    """pysurvival.utils.metrics.concordance_index.
-
-    Censoring-weighted (product of inverse censoring survival at and just
-    before the anchor time) but never truncated, and the result is folded to
-    max(C, 1 - C), which can mask worse-than-random ranking.  With
-    include_ties=False tied predictions stay comparable but earn no credit.
-    """
-    return Profile(
-        name="pysurvival" if include_ties else "pysurvival_noties",
-        family=FAMILY_C,
-        policy=tie_weighted_policy(
-            1.0, 0.5 if include_ties else 0.0,
-            weight_scheme=WEIGHT_PEC_PRODUCT, final_fold=FOLD_MAX_COMPLEMENT,
-        ),
-        notes="concordance_index: IPCW without truncation; reports max(C, 1-C)",
-    )
-
-
-_SKSURV_TIED_TOL = 1e-8
-
-
-def sksurv_censored_profile(tied_tolerance: float = _SKSURV_TIED_TOL) -> Profile:
-    """sksurv.metrics.concordance_index_censored.
-
-    Unweighted; predictions are tied when their absolute difference is at
-    most the tolerance (default 1e-8).
-    """
-    return Profile(
-        name="sksurv_censored", family=FAMILY_C,
-        policy=tie_weighted_policy(1.0, 0.5, tie_tolerance=tied_tolerance),
-        notes="concordance_index_censored: tied_tol defines tied predictions",
-    )
-
-
-def sksurv_ipcw_profile(tied_tolerance: float = _SKSURV_TIED_TOL) -> Profile:
-    """sksurv.metrics.concordance_index_ipcw.
-
-    Weights pairs by the inverse squared censoring survival at the anchor
-    time, with the censoring distribution fitted on a *training* set supplied
-    by the caller; passing the evaluated data itself reproduces the
-    same-data workaround.  No truncation unless tau is given.
-    """
-    return Profile(
-        name="sksurv_ipcw", family=FAMILY_C_TAU,
-        policy=tie_weighted_policy(
-            1.0, 0.5,
-            tie_tolerance=tied_tolerance,
-            weight_scheme=WEIGHT_UNO_SQUARED,
-            g_source=G_SOURCE_PROVIDED,
-        ),
-        notes="concordance_index_ipcw: censoring survival fitted on a training set",
-    )
 
 
 def pec_profile(
@@ -240,79 +132,91 @@ def pec_profile(
     )
 
 
-def survival_profile(weighting: str = "n") -> Profile:
-    """survival::concordance with timewt "n" (uniform) or "n/G2" (IPCW).
-
-    Tied-time event/censored pairs are comparable; tied predictions earn half
-    credit.  No truncation unless ymax is given.
-    """
-    if weighting == "n":
-        scheme, name = WEIGHT_UNIFORM, "survival_n"
-    elif weighting == "n/G2":
-        scheme, name = WEIGHT_UNO_SQUARED, "survival_n_g2"
-    else:
-        raise InputError(f"unknown survival weighting {weighting!r}")
-    return Profile(
-        name=name, family=FAMILY_C_TAU,
-        policy=tie_weighted_policy(1.0, 0.5, weight_scheme=scheme),
-        notes=f"concordance with timewt={weighting!r}",
-    )
-
-
-def survc1_profile() -> Profile:
-    """survC1::Est.Cval.
-
-    Inverse squared censoring weights; refuses to run without an explicit
-    truncation time.  Tied times are never comparable, and a tied-prediction
-    pair whose partner is censored earns *full* credit (encoded verbatim from
-    the package's behaviour).
-    """
-    table = _table(c1C=(1.0, 0.5), c2C=(1.0, 1.0))
-    return Profile(
-        name="survc1", family=FAMILY_C_TAU,
-        policy=ConcordancePolicy(case_table=table, weight_scheme=WEIGHT_UNO_SQUARED),
-        requires_tau=True,
-        notes="Est.Cval: tau mandatory; tied times excluded; censored-partner "
-              "tied predictions fully credited",
-    )
-
-
-def pycox_profile(adjusted: bool = False) -> Profile:
-    """pycox.evaluation.EvalSurv.concordance_td ("antolini" or "adj_antolini")."""
-    variant = "adj_antolini" if adjusted else "antolini"
-    return Profile(
-        name="pycox_adj_ant" if adjusted else "pycox_ant",
-        family=FAMILY_C_TD,
-        policy=antolini_policy(adjusted=adjusted),
-        notes=f"concordance_td(method={variant!r}): ranks by survival at the "
-              "anchor's time",
-    )
-
-
 @cache
 def _builtins() -> tuple[Profile, ...]:
     """The shipped profiles, built on first use and shared for the process."""
     return (
-        hmisc_profile(True),
-        hmisc_profile(False),
-        survmetrics_profile(),
-        lifelines_profile(),
-        pysurvival_profile(True),
-        pysurvival_profile(False),
-        sksurv_censored_profile(),
-        sksurv_ipcw_profile(),
+        # Hmisc::rcorr.cens.  Tied-time pairs with one event and one censoring
+        # are comparable.  With the default outx=FALSE tied predictions stay in
+        # at half credit; outx=TRUE removes tied-prediction pairs entirely.
+        Profile("hmisc", FAMILY_C, tie_weighted_policy(1.0, 0.5),
+                notes="rcorr.cens with outx=FALSE: tied predictions comparable "
+                      "at half credit"),
+        Profile("hmisc_outx", FAMILY_C,
+                ConcordancePolicy(_table(c6A=(1.0, 1.0), c6B=(1.0, 0.0))),
+                notes="rcorr.cens with outx=TRUE: tied-prediction pairs excluded"),
+        # SurvMetrics::Cindex.  The only emulation that treats tied times with
+        # two observed events as comparable (half credit unless predictions
+        # tie as well, then full), and the only one that half-credits a
+        # tied-time event/censored pair ranked the wrong way.
+        Profile("survmetrics", FAMILY_C, ConcordancePolicy(_table(
+                    c1C=(1.0, 0.5), c2C=(1.0, 0.5),
+                    c5A=(1.0, 0.5), c5B=(1.0, 0.5), c5C=(1.0, 1.0),
+                    c6A=(1.0, 1.0), c6B=(1.0, 0.5), c6C=(1.0, 0.5))),
+                notes="Cindex: event/event tied times comparable; discordant "
+                      "tied-time event/censored pairs get half credit"),
+        # lifelines.utils.concordance_index: ties always in, always half credit.
+        Profile("lifelines", FAMILY_C, tie_weighted_policy(1.0, 0.5),
+                notes="concordance_index: tied predictions at half credit"),
+        # pysurvival.utils.metrics.concordance_index.  Censoring-weighted
+        # (product of inverse censoring survival at and just before the anchor
+        # time) but never truncated, and folded to max(C, 1 - C), which can
+        # mask worse-than-random ranking.  With include_ties=False
+        # (pysurvival_noties) tied predictions stay comparable for no credit.
+        Profile("pysurvival", FAMILY_C,
+                tie_weighted_policy(1.0, 0.5, weight_scheme=WEIGHT_PEC_PRODUCT,
+                                    final_fold=FOLD_MAX_COMPLEMENT),
+                notes="concordance_index: IPCW without truncation; reports "
+                      "max(C, 1-C)"),
+        Profile("pysurvival_noties", FAMILY_C,
+                tie_weighted_policy(1.0, 0.0, weight_scheme=WEIGHT_PEC_PRODUCT,
+                                    final_fold=FOLD_MAX_COMPLEMENT),
+                notes="concordance_index: IPCW without truncation; reports "
+                      "max(C, 1-C)"),
+        # sksurv.metrics.concordance_index_censored.  Unweighted; predictions
+        # are tied when their absolute difference is at most tied_tol (1e-8).
+        Profile("sksurv_censored", FAMILY_C,
+                tie_weighted_policy(1.0, 0.5, tie_tolerance=1e-8),
+                notes="concordance_index_censored: tied_tol defines tied predictions"),
+        # sksurv.metrics.concordance_index_ipcw.  Ties as above; pairs weighted
+        # by the inverse squared censoring survival at the anchor time, with
+        # the censoring distribution fitted on a *training* set supplied by the
+        # caller (passing the evaluated data itself reproduces the same-data
+        # workaround).  No truncation unless tau is given.
+        Profile("sksurv_ipcw", FAMILY_C_TAU,
+                tie_weighted_policy(1.0, 0.5, tie_tolerance=1e-8,
+                                    weight_scheme=WEIGHT_UNO_SQUARED,
+                                    g_source=G_SOURCE_PROVIDED),
+                notes="concordance_index_ipcw: censoring survival fitted on a "
+                      "training set"),
         pec_profile(),
-        survival_profile("n"),
-        survival_profile("n/G2"),
-        survc1_profile(),
-        pycox_profile(False),
-        pycox_profile(True),
+        # survival::concordance with timewt "n" (uniform) or "n/G2" (IPCW).
+        # Tied-time event/censored pairs are comparable; tied predictions earn
+        # half credit.  No truncation unless ymax is given.
+        Profile("survival_n", FAMILY_C_TAU, tie_weighted_policy(1.0, 0.5),
+                notes="concordance with timewt='n'"),
+        Profile("survival_n_g2", FAMILY_C_TAU,
+                tie_weighted_policy(1.0, 0.5, weight_scheme=WEIGHT_UNO_SQUARED),
+                notes="concordance with timewt='n/G2'"),
+        # survC1::Est.Cval.  Inverse squared censoring weights; refuses to run
+        # without an explicit truncation time.  Tied times are never
+        # comparable, and a tied-prediction pair whose partner is censored
+        # earns *full* credit (encoded verbatim from the package's behaviour).
+        Profile("survc1", FAMILY_C_TAU,
+                ConcordancePolicy(_table(c1C=(1.0, 0.5), c2C=(1.0, 1.0)),
+                                  weight_scheme=WEIGHT_UNO_SQUARED),
+                requires_tau=True,
+                notes="Est.Cval: tau mandatory; tied times excluded; "
+                      "censored-partner tied predictions fully credited"),
+        # pycox.evaluation.EvalSurv.concordance_td, method "antolini" or
+        # "adj_antolini".
+        Profile("pycox_ant", FAMILY_C_TD, antolini_policy(adjusted=False),
+                notes="concordance_td(method='antolini'): ranks by survival at "
+                      "the anchor's time"),
+        Profile("pycox_adj_ant", FAMILY_C_TD, antolini_policy(adjusted=True),
+                notes="concordance_td(method='adj_antolini'): ranks by survival "
+                      "at the anchor's time"),
     )
-
-
-def builtin_profiles() -> list[Profile]:
-    """All shipped emulation profiles with their default switches."""
-    return list(_builtins())
 
 
 def get_profiles(
@@ -376,20 +280,25 @@ def policy_from_dict(d: Mapping) -> ConcordancePolicy:
                              "g_source", "truncation", "final_fold"), "policy")
     raw_table = d.get("case_table", {})
     _reject_unknown_keys(raw_table, [case.value for case in PairCase], "case_table")
-    table = {
-        PairCase(label): CaseRule(float(w), float(credit))
-        for label, (w, credit) in raw_table.items()
-    }
+    table = {}
+    for label, rule in raw_table.items():
+        if not (isinstance(rule, (list, tuple)) and len(rule) == 2):
+            raise InputError(f"case {label} must be [weight, credit], got {rule!r}")
+        table[PairCase(label)] = CaseRule(
+            json_value(rule[0], float, f"case {label} weight"),
+            json_value(rule[1], float, f"case {label} credit"),
+        )
     trunc = d.get("truncation", {"mode": TRUNC_NONE, "value": None})
     _reject_unknown_keys(trunc, ("mode", "value"), "truncation")
+    value = trunc.get("value")
     return ConcordancePolicy(
         case_table=table,
-        tie_tolerance=float(d.get("tie_tolerance", 0.0)),
+        tie_tolerance=json_value(d.get("tie_tolerance", 0.0), float, "tie_tolerance"),
         weight_scheme=d.get("weight_scheme", WEIGHT_UNIFORM),
         g_source=d.get("g_source", G_SOURCE_TEST_SET),
         truncation=Truncation(
             mode=trunc.get("mode", TRUNC_NONE),
-            value=None if trunc.get("value") is None else float(trunc["value"]),
+            value=None if value is None else json_value(value, float, "truncation value"),
         ),
         final_fold=d.get("final_fold", "identity"),
     )
@@ -409,12 +318,14 @@ def profile_from_dict(d: Mapping) -> Profile:
     _reject_unknown_keys(
         d, ("name", "family", "requires_tau", "notes", "policy"), "profile"
     )
+    if "name" not in d:
+        raise InputError("missing 'name'")
     return Profile(
-        name=str(d["name"]),
+        name=json_value(d["name"], str, "name"),
         family=d.get("family", FAMILY_C),
         policy=policy_from_dict(d.get("policy", {})),
-        requires_tau=bool(d.get("requires_tau", False)),
-        notes=str(d.get("notes", "")),
+        requires_tau=json_value(d.get("requires_tau", False), bool, "requires_tau"),
+        notes=json_value(d.get("notes", ""), str, "notes"),
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InputError, SurvivalDataset, SurvivalMatrix, TimeGrid
-from .engine import ConcordancePolicy, PairCase, concordance
+from .engine import STRICT_PAIRS, ConcordancePolicy, concordance
 from .transforms import neg_rmst
 
 _STREAMS = {"events": 0, "censoring": 1}
@@ -193,12 +193,7 @@ def assemble(
 
 #: Ground-truth scoring: strict pairs only, so tied true curves leave the
 #: comparable set.
-_ORACLE_POLICY = ConcordancePolicy(case_table={
-    PairCase.C1A: (1.0, 1.0),
-    PairCase.C1B: (1.0, 0.0),
-    PairCase.C2A: (1.0, 1.0),
-    PairCase.C2B: (1.0, 0.0),
-})
+_ORACLE_POLICY = ConcordancePolicy(case_table=STRICT_PAIRS)
 
 
 def oracle_cindex(

@@ -1,6 +1,6 @@
 """Published pair-handling tables for each emulated implementation.
 
-Transcribed by hand as literal data, independent of the profile factories in
+Transcribed by hand as literal data, independent of the profile table in
 the package, so conformance tests compare two separate encodings of the same
 documented behaviour.
 
@@ -124,4 +124,24 @@ GOLDEN_WEIGHT_SCHEMES = {
     "survc1": "uno_squared",
     "pycox_ant": "uniform",
     "pycox_adj_ant": "uniform",
+}
+
+#: Every other setting of each shipped profile, in the order the package lists
+#: them: (family, requires_tau, tie tolerance, g_source, truncation mode,
+#: final fold).
+GOLDEN_SETTINGS = {
+    "hmisc": ("C", False, 0.0, "test_set", "none", "identity"),
+    "hmisc_outx": ("C", False, 0.0, "test_set", "none", "identity"),
+    "survmetrics": ("C", False, 0.0, "test_set", "none", "identity"),
+    "lifelines": ("C", False, 0.0, "test_set", "none", "identity"),
+    "pysurvival": ("C", False, 0.0, "test_set", "none", "max_with_complement"),
+    "pysurvival_noties": ("C", False, 0.0, "test_set", "none", "max_with_complement"),
+    "sksurv_censored": ("C", False, 1e-8, "test_set", "none", "identity"),
+    "sksurv_ipcw": ("C_tau", False, 1e-8, "provided", "none", "identity"),
+    "pec": ("C_tau", False, 0.0, "test_set", "max_uncensored", "identity"),
+    "survival_n": ("C_tau", False, 0.0, "test_set", "none", "identity"),
+    "survival_n_g2": ("C_tau", False, 0.0, "test_set", "none", "identity"),
+    "survc1": ("C_tau", True, 0.0, "test_set", "none", "identity"),
+    "pycox_ant": ("C_td", False, 0.0, "test_set", "none", "identity"),
+    "pycox_adj_ant": ("C_td", False, 0.0, "test_set", "none", "identity"),
 }

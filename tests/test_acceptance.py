@@ -42,12 +42,7 @@ from survconcord import (
     tie_weighted_policy,
 )
 from survconcord.engine import TRUNC_NONE
-from survconcord.profiles import (
-    builtin_profiles,
-    hmisc_profile,
-    pec_profile,
-    survival_profile,
-)
+from survconcord.profiles import get_profiles, pec_profile
 
 from conftest import random_instance
 from oracle import brute_force_oracle
@@ -92,11 +87,14 @@ def synthetic_sweep():
     ipcw_policy = pec_profile().policy.replace(
         truncation=Truncation("value", SWEEP_TAU)
     )
-    unweighted_policy = hmisc_profile().policy
-    denom_uniform = survival_profile("n").policy.replace(
+    hmisc, survival_n, survival_n_g2 = get_profiles(
+        ["hmisc", "survival_n", "survival_n_g2"]
+    )
+    unweighted_policy = hmisc.policy
+    denom_uniform = survival_n.policy.replace(
         truncation=Truncation("value", SWEEP_TAU)
     )
-    denom_ipcw = survival_profile("n/G2").policy.replace(
+    denom_ipcw = survival_n_g2.policy.replace(
         truncation=Truncation("value", SWEEP_TAU)
     )
 
@@ -157,7 +155,7 @@ def test_golden_case_table_conformance():
     }
     sign_times = {-1: (1.0, 2.0), 0: (2.0, 2.0), 1: (2.0, 1.0)}
     tables = dict(GOLDEN_CASE_TABLES)
-    profiles = {p.name: p for p in builtin_profiles()}
+    profiles = {p.name: p for p in get_profiles()}
     for flags, entries in PEC_FLAG_TABLE.items():
         toi, tpi, tmi = flags
         prof = pec_profile(bool(tpi), bool(toi), bool(tmi))
@@ -257,7 +255,7 @@ def test_oracle_equivalence_on_random_instances():
         # Same comparison through every shipped scalar case table, which
         # also exercises the non-standard credits (full-credit censored-
         # partner ties, half-credit discordant tied times, the 5x rows).
-        scalar_profiles = [p for p in builtin_profiles() if not p.requires_matrix]
+        scalar_profiles = [p for p in get_profiles() if not p.requires_matrix]
         extra = 0
         while extra < 200:
             ds, risks = random_instance(rng, n_max=100, tie_rich=True)
@@ -311,7 +309,7 @@ def test_collapse_without_censoring_or_ties():
             times=np.cumsum(rng.uniform(0.5, 2.0, n)), events=np.ones(n, int)
         )
         for risks in (rng.permutation(n).astype(float), -np.arange(float(n))):
-            scalar = [p for p in builtin_profiles() if not p.requires_matrix]
+            scalar = [p for p in get_profiles() if not p.requires_matrix]
             report = run_multiverse(
                 ds, risks=risks, profiles=scalar, tau=Truncation(TRUNC_NONE)
             )

@@ -401,6 +401,46 @@ def _simulate_argv(*extra):
         (_simulate_argv("--mechanism", "age_informed"),
          {"params.json": {"event": _EVENT, "censoring": {"age_column": None}}},
          "age_informed censoring needs an integer age_column"),
+        (_cindex_argv("--profile-file", "p.json"),
+         {"p.json": [{"name": "x", "requires_tau": "false"}]},
+         "p.json: profile #0: requires_tau must be a JSON boolean, got 'false'"),
+        (_cindex_argv("--profile-file", "p.json"),
+         {"p.json": [{"name": "x", "policy": {"tie_tolerance": True}}]},
+         "p.json: profile #0: tie_tolerance must be a JSON number, got True"),
+        (_cindex_argv("--profile-file", "p.json"),
+         {"p.json": [{"name": "x", "policy": {"tie_tolerance": "0.25"}}]},
+         "p.json: profile #0: tie_tolerance must be a JSON number, got '0.25'"),
+        (_cindex_argv("--profile-file", "p.json"),
+         {"p.json": [{"name": "x",
+                      "policy": {"truncation": {"mode": "value", "value": True}}}]},
+         "p.json: profile #0: truncation value must be a JSON number, got True"),
+        (_cindex_argv("--profile-file", "p.json"),
+         {"p.json": [{"name": "x", "policy": {"case_table": {"1A": [True, True]}}}]},
+         "p.json: profile #0: case 1A weight must be a JSON number, got True"),
+        (_cindex_argv("--profile-file", "p.json"), {"p.json": [{"name": ["a"]}]},
+         "p.json: profile #0: name must be a JSON string, got ['a']"),
+        (_cindex_argv("--profile-file", "p.json"), {"p.json": [{"notes": "x"}]},
+         "p.json: profile #0: missing 'name'"),
+        (_cindex_argv("--profile-file", "p.json"),
+         {"p.json": b'[{"name": "x", "policy": {"tie_tolerance": 1' + b"0" * 400 + b"}}]"},
+         "p.json: profile #0: tie_tolerance is beyond the float range"),
+        (_simulate_argv(), {"params.json": {"event": {**_EVENT, "shape": True}}},
+         "params.json: invalid parameter (event shape must be a JSON number, got True)"),
+        (_simulate_argv(), {"params.json": {"event": {**_EVENT, "scale": "0.01"}}},
+         "params.json: invalid parameter (event scale must be a JSON number, got '0.01')"),
+        (_simulate_argv(),
+         {"params.json": {"event": {**_EVENT, "coefficients": [True, False]}}},
+         "params.json: invalid parameter (coefficient must be a JSON number, got True)"),
+        (_simulate_argv(), {"params.json": {"event": {**_EVENT, "coefficients": "12"}}},
+         "params.json: invalid parameter (coefficients must be a JSON array, got '12')"),
+        (_simulate_argv("--mechanism", "age_informed"),
+         {"params.json": {"event": _EVENT, "censoring": {"beta_age": "0.5"}}},
+         "params.json: invalid parameter (censoring beta_age must be a JSON number, "
+         "got '0.5')"),
+        (_cindex_argv("--grid", "0:1e30:1"), {},
+         "grid from 0.0 to 1e+30 by 1.0 has more points than an array can hold"),
+        (_cindex_argv("--grid", "0:1:1e-300"), {},
+         "grid from 0.0 to 1.0 by 1e-300 has more points than an array can hold"),
     ],
     ids=["at-time", "at-time-inf", "neg-rmst", "grid-range", "grid-list", "epsilon",
          "epsilon-range", "mechanism", "event-shape", "coefficients", "censoring-shape", "censoring-list",
@@ -408,7 +448,12 @@ def _simulate_argv(*extra):
          "at-time-negative", "neg-rmst-zero", "tau-negative", "age-column",
          "censoring-nan-shape", "epsilon-repeated", "profiles-repeated",
          "profile-nan-tolerance", "profile-policy-list", "age-column-float",
-         "age-column-null"],
+         "age-column-null", "profile-requires-tau-string", "profile-tolerance-bool",
+         "profile-tolerance-string", "profile-tau-bool", "profile-case-rule-bool",
+         "profile-name-list", "profile-name-missing", "profile-tolerance-huge-int",
+         "event-shape-bool",
+         "event-scale-string", "coefficients-bool", "coefficients-string",
+         "beta-age-string", "grid-too-many-points", "grid-tiny-step"],
 )
 def test_bad_input_values_exit_2_before_writing(
     argv, files, message, subjects_file, tmp_path, monkeypatch, capsys

@@ -135,6 +135,9 @@ def test_time_grid_invariants():
     for args in ((10.0, np.nan), (np.inf, 1.0), (10.0, 1.0, np.nan)):
         with pytest.raises(InputError, match="must be finite"):
             TimeGrid.regular(*args)
+    for args in ((1e30,), (1.0, 1e-300), (1e308, 1e-300, -1e308)):
+        with pytest.raises(InputError, match="more points than an array can hold"):
+            TimeGrid.regular(*args)
     grid = TimeGrid.regular(10.0, step=2.5)
     assert grid.points.tolist() == [0.0, 2.5, 5.0, 7.5, 10.0]
 

@@ -12,10 +12,10 @@ from survconcord import (
     TimeGrid,
     Truncation,
     antolini_policy,
-    builtin_profiles,
     concordance,
     concordance_td,
     decompose,
+    get_profiles,
     neg_rmst,
     tie_weighted_policy,
 )
@@ -579,7 +579,7 @@ def test_concordance_td_is_invariant_under_subject_permutation(instance, policy)
 @settings(max_examples=60, deadline=None)
 @given(
     _permuted_instance(),
-    st.sampled_from([p.policy for p in builtin_profiles() if not p.requires_matrix]),
+    st.sampled_from([p.policy for p in get_profiles() if not p.requires_matrix]),
 )
 def test_strictly_monotone_risk_transform_changes_nothing(instance, policy):
     ds, risks, _ = instance

@@ -16,7 +16,7 @@ from survconcord.io import (
     write_step_function_csv,
     write_subjects_csv,
 )
-from survconcord.profiles import builtin_profiles, profile_to_dict, run_multiverse
+from survconcord.profiles import get_profiles, profile_to_dict, run_multiverse
 
 
 def test_subjects_round_trip(tmp_path):
@@ -132,7 +132,7 @@ def test_report_json_round_trips_byte_identical(tmp_path):
 
 def test_profiles_file_round_trip(tmp_path):
     path = tmp_path / "profiles.json"
-    payload = [profile_to_dict(p) for p in builtin_profiles()[:3]]
+    payload = [profile_to_dict(p) for p in get_profiles()[:3]]
     path.write_text(canonical_json(payload))
     loaded = load_profiles_file(path)
     assert [p.name for p in loaded] == [p["name"] for p in payload]
@@ -146,7 +146,7 @@ def test_profiles_file_round_trip(tmp_path):
 
 def test_profiles_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "profiles.json"
-    payload = [profile_to_dict(p) for p in builtin_profiles()]
+    payload = [profile_to_dict(p) for p in get_profiles()]
     path.write_text(canonical_json(payload))
     assert [profile_to_dict(p) for p in load_profiles_file(path)] == payload
 

@@ -13,18 +13,14 @@ from survconcord import (
     Truncation,
     antolini_policy,
     bootstrap_ci,
-    builtin_profiles,
     concordance,
     concordance_td,
     get_profiles,
-    hmisc_profile,
     km_fit,
     pec_profile,
     profile_from_dict,
     profile_to_dict,
     run_multiverse,
-    sksurv_censored_profile,
-    survival_profile,
     tie_weighted_policy,
 )
 from survconcord import engine
@@ -32,12 +28,17 @@ from survconcord.data import PairCase
 from survconcord.engine import TRUNC_NONE
 from survconcord.profiles import BootstrapSpec, TransformSpec, policy_to_dict
 
-from golden_tables import GOLDEN_CASE_TABLES, GOLDEN_WEIGHT_SCHEMES, PEC_FLAG_TABLE
+from golden_tables import (
+    GOLDEN_CASE_TABLES,
+    GOLDEN_SETTINGS,
+    GOLDEN_WEIGHT_SCHEMES,
+    PEC_FLAG_TABLE,
+)
 from oracle import td_brute_force_oracle
 
 
 def _by_name():
-    return {p.name: p for p in builtin_profiles()}
+    return {p.name: p for p in get_profiles()}
 
 
 def test_case_tables_match_published_behaviour():
@@ -76,12 +77,13 @@ def test_pec_flag_combinations():
 
 def test_profile_defaults():
     profiles = _by_name()
-    assert profiles["pec"].policy.truncation.mode == "max_uncensored"
-    assert profiles["survc1"].requires_tau
-    assert profiles["survival_n"].policy.truncation.mode == TRUNC_NONE
-    assert profiles["sksurv_censored"].policy.tie_tolerance == 1e-8
-    assert profiles["sksurv_ipcw"].policy.g_source == "provided"
-    assert profiles["pysurvival"].policy.final_fold == "max_with_complement"
+    assert list(profiles) == list(GOLDEN_SETTINGS)
+    for name, golden in GOLDEN_SETTINGS.items():
+        p = profiles[name]
+        got = (p.family, p.requires_tau, p.policy.tie_tolerance, p.policy.g_source,
+               p.policy.truncation.mode, p.policy.final_fold)
+        assert got == golden, name
+        assert p.policy.truncation.value is None, name
     assert profiles["pycox_ant"].requires_matrix
     with pytest.raises(Exception):
         get_profiles(["not_a_profile"])
@@ -98,7 +100,7 @@ def test_taken_extra_profile_name_rejected():
     outx = get_profiles(["hmisc_outx"])[0]
     mine = dataclasses.replace(outx, name="mine")
     assert [p.name for p in get_profiles(None, [mine])] == [
-        *(p.name for p in builtin_profiles()), "mine"
+        *(p.name for p in get_profiles()), "mine"
     ]
     for extra in ([dataclasses.replace(outx, name="hmisc")], [mine, mine]):
         taken = extra[-1].name
@@ -108,7 +110,7 @@ def test_taken_extra_profile_name_rejected():
 
 
 def test_builtin_profiles_are_built_once_per_process(profile_builds):
-    first, second = builtin_profiles(), builtin_profiles()
+    first, second = get_profiles(), get_profiles()
     assert first is not second
     assert all(a is b for a, b in zip(first, second, strict=True))
     get_profiles(["hmisc", "pec"])
@@ -123,11 +125,9 @@ def test_hmisc_outx_equals_sksurv_zero_tolerance_on_tie_free_data():
         times=rng.exponential(5.0, 30), events=rng.integers(0, 2, 30)
     )
     risks = rng.normal(size=30)
-    report = run_multiverse(
-        ds,
-        risks=risks,
-        profiles=[hmisc_profile(False), sksurv_censored_profile(tied_tolerance=0.0)],
-    )
+    outx, sksurv = get_profiles(["hmisc_outx", "sksurv_censored"])
+    exact = dataclasses.replace(sksurv, policy=sksurv.policy.replace(tie_tolerance=0.0))
+    report = run_multiverse(ds, risks=risks, profiles=[outx, exact])
     a, b = report.results
     assert a.estimate == b.estimate
 
@@ -139,7 +139,7 @@ def test_survival_untruncated_equals_hmisc_on_untied_times():
     )
     risks = np.round(rng.normal(size=25), 1)  # tied predictions allowed
     report = run_multiverse(
-        ds, risks=risks, profiles=[survival_profile("n"), hmisc_profile(True)]
+        ds, risks=risks, profiles=get_profiles(["survival_n", "hmisc"])
     )
     a, b = report.results
     assert a.estimate == b.estimate
@@ -150,7 +150,7 @@ def test_multiverse_collapse_without_censoring_or_ties():
     n = 40
     ds = SurvivalDataset(times=np.cumsum(rng.uniform(0.5, 2.0, n)), events=np.ones(n, int))
     risks = rng.permutation(n).astype(float)
-    scalar = [p for p in builtin_profiles() if not p.requires_matrix]
+    scalar = [p for p in get_profiles() if not p.requires_matrix]
     report = run_multiverse(
         ds, risks=risks, profiles=scalar, tau=Truncation(mode=TRUNC_NONE)
     )
@@ -179,7 +179,7 @@ def test_multiverse_four_subject_tied_time_profiles(four_subjects):
     report = run_multiverse(
         ds,
         risks=risks,
-        profiles=[hmisc_profile(False), survival_profile("n")],
+        profiles=get_profiles(["hmisc_outx", "survival_n"]),
     )
     for r in report.results:
         assert r.estimate == pytest.approx(4 / 6)
@@ -292,7 +292,7 @@ def _td_instance(n=40, seed=3):
 
 def test_profile_round_trip_through_dict():
     ds, sm = _td_instance()
-    for profile in builtin_profiles():
+    for profile in get_profiles():
         clone = profile_from_dict(profile_to_dict(profile))
         assert clone.name == profile.name
         assert clone.family == profile.family
@@ -399,7 +399,7 @@ def test_non_positive_tau_rejected_where_built(value):
     message = "truncation value must be positive"
     with pytest.raises(InputError, match=message):
         Truncation("value", value)
-    d = profile_to_dict(hmisc_profile(False))
+    d = profile_to_dict(get_profiles(["hmisc_outx"])[0])
     d["policy"]["truncation"] = {"mode": "value", "value": value}
     with pytest.raises(InputError, match=message):
         profile_from_dict(d)
@@ -551,7 +551,7 @@ def test_multiverse_cells_equal_single_profile_api(scenario):
     ds, risks, sm, options = _equivalence_scenarios()[scenario]
     seed = 9
     report = run_multiverse(ds, risks=risks, matrix=sm, seed=seed, **options)
-    for profile in builtin_profiles():
+    for profile in get_profiles():
         want = _single_profile_cell(ds, risks, sm, profile, seed=seed, **options)
         got = report.result(profile.name).to_dict()
         assert {key: got[key] for key in want} == want, profile.name
