@@ -77,6 +77,10 @@ def _parse_transform(text: str) -> TransformSpec:
         time = sio._parse_float(arg, "--transform", "time")
         return TransformSpec(kind=kind, time=time)
     if kind == TRANSFORM_EXPECTED_MORTALITY:
+        if arg:
+            raise InputError(
+                f"expected-mortality transform takes no argument, got {arg!r}"
+            )
         return TransformSpec(kind=kind)
     if kind == TRANSFORM_NEG_RMST:
         horizon = (
@@ -144,21 +148,28 @@ def _select_profiles(names: str | None, profile_file: str | None):
 
 
 def cmd_cindex(args: argparse.Namespace) -> int:
+    # Every option is checked before the data files are read.
+    profiles = _select_profiles(args.profiles, args.profile_file)
+    grid = _parse_grid(args.grid) if args.grid else None
+    transform = _parse_transform(args.transform) if args.transform else None
+    tau = _parse_tau(args.tau) if args.tau else None
+    bootstrap = _parse_bootstrap(args.bootstrap) if args.bootstrap else None
+
     ds, risks = sio.read_subjects_csv(args.subjects, risk_col=args.risk_col)
     matrix = None
     if args.matrix:
         matrix = sio.read_matrix_csv(args.matrix, ds.subject_ids)
-        if args.grid:
-            matrix = interpolate(matrix, _parse_grid(args.grid))
+        if grid is not None:
+            matrix = interpolate(matrix, grid)
 
     report = run_multiverse(
         ds,
         risks=risks,
         matrix=matrix,
-        profiles=_select_profiles(args.profiles, args.profile_file),
-        transform=_parse_transform(args.transform) if args.transform else None,
-        tau=_parse_tau(args.tau) if args.tau else None,
-        bootstrap=_parse_bootstrap(args.bootstrap) if args.bootstrap else None,
+        profiles=profiles,
+        transform=transform,
+        tau=tau,
+        bootstrap=bootstrap,
         seed=args.seed,
     )
 

@@ -487,7 +487,7 @@ def _scalar_cells(
         below_hi = np.stack([below[1], below[3] - size[0]])
         by_rel = np.stack([below_lo, size - below_hi, below_hi - below_lo])
         cells[:, sign] = by_rel.transpose(2, 1, 0)  # to (anchor, delta_j, rel)
-    return cells.reshape(n, -1)
+    return cells.reshape(n, 18)  # explicit: numpy cannot infer a width when n == 0
 
 
 def _reduce(

@@ -455,34 +455,36 @@ def run_multiverse(
     """
     if profiles is None:
         profiles = _builtins()
-    risks_full = None if risks is None else as_risk_array(risks, ds.n)
-
-    if risks_full is not None or matrix is None:
+    scalar, no_scalar = None, "requires a risk vector or a transform over a matrix"
+    if risks is not None:
+        scalar, no_scalar, transform = as_risk_array(risks, ds.n), None, None
+    elif matrix is None:
         transform = None
-    transformed = None
-    transform_error = None
-    if transform is not None:
+    elif transform is not None:
         try:
-            transformed = transform.apply(matrix)
+            scalar, no_scalar = transform.apply(matrix), None
         except (InputError, ComputationError) as exc:
-            transform_error = str(exc)
-    scalar = risks_full if risks_full is not None else transformed
+            no_scalar = f"transform failed: {exc}"
 
-    cells = [_plan(p, scalar, transform_error, matrix, tau, g) for p in profiles]
-    full = _Scorer(ds, risks=scalar, matrix=matrix, g=g)
-    points = {}
-    for k, plan in enumerate(cells):
-        if isinstance(plan, _Plan):
-            try:
-                points[k] = full.score(plan.policy, plan.profile.requires_matrix)
-            except ComputationError as exc:
-                cells[k] = _named(plan.profile, error=str(exc))
-    resampled = {}
-    if bootstrap is not None and points:
-        live = {k: cells[k] for k in points}
-        resampled = _resample_values(ds, scalar, matrix, g, live, bootstrap, seed)
-    for k, (estimate, tally) in points.items():
-        cells[k] = _cell(cells[k], estimate, tally, resampled.get(k), bootstrap)
+    plans = [_plan(p, no_scalar, matrix, tau, g) for p in profiles]
+    live = {k: plan for k, plan in enumerate(plans) if isinstance(plan, _Plan)}
+    full = _outcomes(_Scorer(ds, risks=scalar, matrix=matrix, g=g), live)
+    scored = {k: live[k] for k, outcome in full.items() if not isinstance(outcome, str)}
+    # Each scored plan's estimate per resample, None where the resample failed.
+    resampled: dict[int, list[float | None]] = {k: [] for k in scored}
+    if bootstrap is not None and scored:
+        curves = any(plan.profile.requires_matrix for plan in scored.values())
+        for idx in bootstrap.resamples(ds.n, seed):
+            scorer = _Scorer(
+                ds.subset(idx),
+                risks=None if scalar is None else scalar[idx],
+                matrix=matrix.take(idx) if curves else None,
+                g=g,
+            )
+            for k, outcome in _outcomes(scorer, scored).items():
+                resampled[k].append(None if isinstance(outcome, str) else outcome[0])
+    cells = tuple(_cell(profile, plan, full.get(k, plan), resampled.get(k), bootstrap)
+                  for k, (profile, plan) in enumerate(zip(profiles, plans)))
 
     provenance = {
         "dataset": {"n": ds.n, "n_events": ds.n_events},
@@ -493,7 +495,7 @@ def run_multiverse(
         "seed": seed,
         "profiles": [profile_to_dict(p) for p in profiles],
     }
-    return MultiverseReport(provenance=provenance, results=tuple(cells))
+    return MultiverseReport(provenance=provenance, results=cells)
 
 
 @dataclass(frozen=True)
@@ -507,26 +509,21 @@ class _Plan:
 
 def _plan(
     profile: Profile,
-    scalar: np.ndarray | None,
-    transform_error: str | None,
+    no_scalar: str | None,
     matrix: SurvivalMatrix | None,
     tau: Truncation | None,
     g: StepFunction | None,
-) -> _Plan | ProfileResult:
-    """The profile's plan, or its error cell when these inputs cannot score it."""
+) -> _Plan | str:
+    """The profile's plan, or why these inputs cannot score it."""
     if profile.requires_matrix:
         if matrix is None:
-            return _named(profile, error="requires a survival matrix")
-    elif scalar is None:
-        if transform_error is not None:
-            return _named(profile, error=f"transform failed: {transform_error}")
-        return _named(
-            profile, error="requires a risk vector or a transform over a matrix"
-        )
+            return "requires a survival matrix"
+    elif no_scalar is not None:
+        return no_scalar
 
     policy = profile.policy if tau is None else profile.policy.replace(truncation=tau)
     if profile.requires_tau and policy.truncation.mode == TRUNC_NONE and tau is None:
-        return _named(profile, error="requires an explicit truncation time")
+        return "requires an explicit truncation time"
     g_used = None
     if policy.weight_scheme != WEIGHT_UNIFORM:
         if g is not None:
@@ -540,47 +537,34 @@ def _plan(
     return _Plan(profile, policy, g_used)
 
 
-def _resample_values(
-    ds: SurvivalDataset,
-    scalar: np.ndarray | None,
-    matrix: SurvivalMatrix | None,
-    g: StepFunction | None,
-    live: Mapping[int, _Plan],
-    spec: BootstrapSpec,
-    seed: int,
-) -> dict[int, tuple[list[float], int]]:
-    """Each plan's estimates over the resamples, and how many failed."""
-    samples: dict[int, list[float]] = {k: [] for k in live}
-    failed = dict.fromkeys(live, 0)
-    curves = any(plan.profile.requires_matrix for plan in live.values())
-    for idx in spec.resamples(ds.n, seed):
-        scorer = _Scorer(
-            ds.subset(idx),
-            risks=None if scalar is None else scalar[idx],
-            matrix=matrix.take(idx) if curves else None,
-            g=g,
-        )
-        for k, plan in live.items():
-            try:
-                estimate, _ = scorer.score(plan.policy, plan.profile.requires_matrix)
-                samples[k].append(estimate)
-            except ComputationError:
-                failed[k] += 1
-    return {k: (samples[k], failed[k]) for k in live}
+#: A plan's estimate and tally on one dataset, or why it has none.
+_Outcome = tuple[float, PairTally] | str
 
 
-def _named(profile: Profile, **fields) -> ProfileResult:
-    return ProfileResult(name=profile.name, family=profile.family, **fields)
+def _outcomes(scorer: _Scorer, plans: Mapping[int, _Plan]) -> dict[int, _Outcome]:
+    """Each plan's estimate and tally on ``scorer``, or its error message."""
+    outcomes: dict[int, _Outcome] = {}
+    for k, plan in plans.items():
+        try:
+            outcomes[k] = scorer.score(plan.policy, plan.profile.requires_matrix)
+        except ComputationError as exc:
+            outcomes[k] = str(exc)
+    return outcomes
 
 
 def _cell(
-    plan: _Plan,
-    estimate: float,
-    tally: PairTally,
-    resampled: tuple[list[float], int] | None,
+    profile: Profile,
+    plan: _Plan | str,
+    outcome: _Outcome,
+    resampled: list[float | None] | None,
     spec: BootstrapSpec | None,
 ) -> ProfileResult:
-    """A scored cell; a failed interval keeps the tally and carries the error."""
+    """The cell from the full-data outcome and the resample estimates: an
+    error cell without a full-data estimate; a failed interval keeps the
+    tally and carries the error."""
+    if isinstance(outcome, str):
+        return ProfileResult(profile.name, profile.family, error=outcome)
+    estimate, tally = outcome
     fields = dict(
         estimate=estimate,
         numerator=tally.numerator,
@@ -592,12 +576,12 @@ def _cell(
         weight_scheme=tally.policy.weight_scheme,
         g_used=plan.g_used,
     )
-    if resampled is not None:
+    if spec is not None:
+        values = [v for v in resampled if v is not None]
+        fields["failed_resamples"] = len(resampled) - len(values)
         try:
-            boot = spec.interval(*resampled)
+            boot = spec.interval(values, fields["failed_resamples"])
+            fields.update(ci_lower=boot.lower, ci_upper=boot.upper)
         except ComputationError as exc:
-            return _named(plan.profile, **fields, failed_resamples=resampled[1],
-                          error=f"bootstrap: {exc}")
-        fields.update(ci_lower=boot.lower, ci_upper=boot.upper,
-                      failed_resamples=boot.n_failed)
-    return _named(plan.profile, **fields)
+            fields["error"] = f"bootstrap: {exc}"
+    return ProfileResult(profile.name, profile.family, **fields)

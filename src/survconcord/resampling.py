@@ -39,6 +39,10 @@ class BootstrapSpec:
 
     def resamples(self, n: int, seed: int) -> Iterator[np.ndarray]:
         """Index arrays into ``n`` subjects, one per resample, from one PCG64(seed)."""
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InputError(
+                f"bootstrap seed must be a nonnegative integer, got {seed!r}"
+            )
         size = n if self.sample_size is None else self.sample_size
         rng = np.random.Generator(np.random.PCG64(seed))
         return (rng.integers(0, n, size=size) for _ in range(self.n_resamples))

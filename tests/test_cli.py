@@ -441,6 +441,10 @@ def _simulate_argv(*extra):
          "grid from 0.0 to 1e+30 by 1.0 has more points than an array can hold"),
         (_cindex_argv("--grid", "0:1:1e-300"), {},
          "grid from 0.0 to 1.0 by 1e-300 has more points than an array can hold"),
+        (["cindex", "--subjects", "subjects.csv", "--grid", "0:1e30:1", "--out", "out/r"],
+         {}, "grid from 0.0 to 1e+30 by 1.0 has more points than an array can hold"),
+        (_cindex_argv("--transform", "expected-mortality:banana"), {},
+         "expected-mortality transform takes no argument, got 'banana'"),
     ],
     ids=["at-time", "at-time-inf", "neg-rmst", "grid-range", "grid-list", "epsilon",
          "epsilon-range", "mechanism", "event-shape", "coefficients", "censoring-shape", "censoring-list",
@@ -453,7 +457,8 @@ def _simulate_argv(*extra):
          "profile-name-list", "profile-name-missing", "profile-tolerance-huge-int",
          "event-shape-bool",
          "event-scale-string", "coefficients-bool", "coefficients-string",
-         "beta-age-string", "grid-too-many-points", "grid-tiny-step"],
+         "beta-age-string", "grid-too-many-points", "grid-tiny-step",
+         "grid-without-matrix", "expected-mortality-argument"],
 )
 def test_bad_input_values_exit_2_before_writing(
     argv, files, message, subjects_file, tmp_path, monkeypatch, capsys

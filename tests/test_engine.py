@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survconcord import (
+    BootstrapSpec,
     ComputationError,
     InputError,
     StepFunction,
@@ -17,6 +18,7 @@ from survconcord import (
     decompose,
     get_profiles,
     neg_rmst,
+    run_multiverse,
     tie_weighted_policy,
 )
 from survconcord.engine import (
@@ -167,6 +169,22 @@ def test_no_comparable_pairs_errors():
     all_censored = SurvivalDataset(times=[1.0, 2.0], events=[0, 0])
     with pytest.raises(ComputationError):
         concordance(all_censored, [1.0, 0.0], HARRELL)
+
+
+def test_empty_dataset_is_a_computation_error():
+    empty = SurvivalDataset(times=[], events=[])
+    sm = SurvivalMatrix(TimeGrid(np.array([1.0, 2.0])), np.empty((0, 2)))
+    with pytest.raises(ComputationError, match="no comparable pairs"):
+        concordance(empty, [], HARRELL)
+    with pytest.raises(ComputationError, match="no comparable pairs"):
+        concordance_td(empty, sm, ANTOLINI)
+    report = run_multiverse(empty, risks=[], matrix=sm, tau=Truncation("value", 1.5),
+                            bootstrap=BootstrapSpec(3))
+    errors = {r.name: r.error for r in report.results}
+    # Uniform profiles find no pairs; weighted ones cannot fit the censoring.
+    assert set(errors.values()) == {"no comparable pairs", "no records"}
+    assert errors["hmisc"] == errors["pycox_ant"] == "no comparable pairs"
+    assert all(r.estimate is None for r in report.results)
 
 
 def test_invalid_inputs_rejected():

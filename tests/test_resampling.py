@@ -7,6 +7,7 @@ from survconcord import (
     InputError,
     SurvivalDataset,
     bootstrap_ci,
+    run_multiverse,
 )
 
 
@@ -87,3 +88,19 @@ def test_bootstrap_validates_arguments():
         bootstrap_ci(ds, lambda i: 1.0, n_resamples=0)
     with pytest.raises(InputError):
         bootstrap_ci(ds, lambda i: 1.0, n_resamples=5, level=1.5)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+def test_bad_seed_is_an_input_error(seed):
+    ds = _dataset(4, 0)
+    risks = [0.4, 0.3, 0.2, 0.1]
+    with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        bootstrap_ci(ds, lambda i: 1.0, n_resamples=3, seed=seed)
+    with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        run_multiverse(ds, risks=risks, bootstrap=BootstrapSpec(3), seed=seed)
+
+
+def test_numpy_integer_seed_draws_like_the_int():
+    spec = BootstrapSpec(3)
+    for got, want in zip(spec.resamples(6, np.int64(9)), spec.resamples(6, 9)):
+        assert np.array_equal(got, want)
