@@ -27,11 +27,15 @@ class BootstrapSpec:
     level: float = 0.95
 
     def __post_init__(self) -> None:
+        size = 1 if self.sample_size is None else self.sample_size
+        for value in (self.n_resamples, size):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"bootstrap counts must be integers, got {value!r}")
         if self.n_resamples < 1:
             raise InputError("need at least one bootstrap resample")
         if not 0.0 < self.level < 1.0:
             raise InputError("confidence level must lie in (0, 1)")
-        if self.sample_size is not None and self.sample_size < 1:
+        if size < 1:
             raise InputError("sample size must be positive")
 
     def to_dict(self) -> dict:

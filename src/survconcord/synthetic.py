@@ -23,7 +23,10 @@ import numpy as np
 
 from .data import InputError, SurvivalDataset, SurvivalMatrix, TimeGrid
 from .engine import STRICT_PAIRS, ConcordancePolicy, concordance
-from .transforms import neg_rmst
+
+# neg_rmst stays importable from this module, although the oracle no longer
+# calls it: bench/tracing.py wraps it here.
+from .transforms import neg_rmst  # noqa: F401
 
 _STREAMS = {"events": 0, "censoring": 1}
 
@@ -191,36 +194,23 @@ def assemble(
     )
 
 
-#: Ground-truth scoring: strict pairs only, so tied true curves leave the
-#: comparable set.
-_ORACLE_POLICY = ConcordancePolicy(case_table=STRICT_PAIRS)
-
-
 def oracle_cindex(
-    params: WeibullPHParams,
-    covariates: np.ndarray,
-    uncensored_times: np.ndarray,
-    grid_step: float = 1.0,
+    params: WeibullPHParams, covariates: np.ndarray, uncensored_times: np.ndarray
 ) -> float:
-    """Ground-truth concordance from true model curves and uncensored times.
+    """Ground-truth concordance: the linear predictor scored on uncensored times.
 
-    Builds the true survival matrix on a step-spaced grid up to the maximum
-    uncensored time, reduces it to negative restricted mean survival time,
-    and scores it against the uncensored event times (no censoring, so
-    weighting and truncation are irrelevant).  The value is a bias reference:
-    it never sees censoring.
-
-    With identical covariates the true curves tie exactly; such pairs are
-    excluded so the result reads as the concordance probability among
-    distinguishable pairs.
+    Under proportional hazards S(t|x) falls strictly in the linear predictor
+    (lp), so the true curves rank subjects as lp does.  Strict pairs are
+    scored without censoring: the value is a bias reference.  An lp rounds by
+    at most gamma_p * sum_j |x_j b_j|, gamma_p = p u / (1 - p u), u = 2^-53
+    (Higham), so lps within twice the largest such bound tie, and pairs equal
+    in exact arithmetic leave the comparable set.
     """
-    uncensored_times = np.asarray(uncensored_times, dtype=float)
-    t_star = float(uncensored_times.max())
-    grid = TimeGrid.regular(t_star, step=grid_step)
-    sm = params.survival_matrix(grid, covariates)
-    risks = neg_rmst(sm, t_star)
-    ds = SurvivalDataset(
-        times=uncensored_times, events=np.ones(uncensored_times.size, dtype=np.int8)
-    )
-    estimate, _ = concordance(ds, risks, _ORACLE_POLICY)
-    return estimate
+    lp = params.linear_predictor(covariates)
+    pu = params.coefficients.size * 2.0**-53
+    sizes = np.abs(np.asarray(covariates, dtype=float) * params.coefficients).sum(axis=1)
+    tol = 2.0 * pu / (1.0 - pu) * float(sizes.max(initial=0.0))
+    times = np.asarray(uncensored_times, dtype=float)
+    ds = SurvivalDataset(times=times, events=np.ones(times.size, dtype=np.int8))
+    policy = ConcordancePolicy(case_table=STRICT_PAIRS, tie_tolerance=tol)
+    return concordance(ds, lp, policy)[0]

@@ -43,9 +43,15 @@ def interpolate(sm: SurvivalMatrix, dst: TimeGrid) -> SurvivalMatrix:
 
 
 def risk_at_time(sm: SurvivalMatrix, t: float) -> np.ndarray:
-    """Event probability by time t: 1 - S(t | x), with step lookup on the grid."""
-    if t < 0:
-        raise InputError("evaluation time must be nonnegative")
+    """Event probability by time t: 1 - S(t | x), with step lookup on the grid.
+
+    A time before the first grid point would read every curve as 1 and tie
+    every subject, so it is rejected like a non-finite time.
+    """
+    start = sm.grid.points[0]
+    if not start <= t < np.inf:
+        message = f"evaluation time must be finite and >= the grid start {start:g}"
+        raise InputError(f"{message}, got {t!r}")
     return 1.0 - sm.step_lookup(float(t))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,26 @@ def test_simulate_zero_effect_model_leaves_oracle_cell_empty(tmp_path):
     rows = (out_dir / "oracle.csv").read_text().splitlines()
     assert rows[1].endswith(",")  # empty oracle field
     assert (out_dir / "eps_0" / "dataset_000.csv").exists()
+
+
+def test_simulate_heavy_tail_oracle_cost_follows_n(tmp_path):
+    # Event shape 0.5 draws a largest time near 10^7; a unit-step grid oracle
+    # would ask for a 1000 x 10^7 survival matrix.  Do not run this against one.
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({
+        "event": {"shape": 0.5, "scale": 0.01, "coefficients": [0.5, -0.5]},
+    }))
+    out_dir = tmp_path / "sim"
+    start = time.perf_counter()
+    code = main([
+        "simulate", "--params", str(params), "--n", "1000", "--datasets", "1",
+        "--epsilon-list", "0", "--out-dir", str(out_dir),
+    ])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    _, t_star, oracle = (out_dir / "oracle.csv").read_text().splitlines()[1].split(",")
+    assert float(t_star) > 1e6 and 0.5 < float(oracle) < 1.0
+    assert elapsed < 1.0
 
 
 def test_simulate_rejects_bad_mechanism(tmp_path):

@@ -264,6 +264,19 @@ def test_multiverse_transform_failure_becomes_error_cell():
     assert report.result("pycox_ant").estimate is not None  # matrix path unaffected
 
 
+def test_multiverse_at_time_before_the_grid_is_an_error_cell():
+    sm = SurvivalMatrix(grid=TimeGrid([10.0, 20.0]), probs=[[0.9, 0.5], [0.8, 0.3]])
+    ds = SurvivalDataset(times=[5.0, 15.0], events=[1, 1])
+    report = run_multiverse(
+        ds, matrix=sm, profiles=get_profiles(["hmisc", "pycox_ant"]),
+        transform=TransformSpec(kind="at-time", time=5.0),
+    )
+    hmisc = report.result("hmisc")
+    assert hmisc.estimate is None
+    assert hmisc.error.startswith("transform failed: evaluation time must be finite")
+    assert report.result("pycox_ant").error is None  # matrix path unaffected
+
+
 def test_multiverse_bootstrap_intervals():
     n = 30
     ds = SurvivalDataset(times=np.arange(1.0, n + 1), events=np.ones(n, int))

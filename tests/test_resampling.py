@@ -88,6 +88,11 @@ def test_bootstrap_validates_arguments():
         bootstrap_ci(ds, lambda i: 1.0, n_resamples=0)
     with pytest.raises(InputError):
         bootstrap_ci(ds, lambda i: 1.0, n_resamples=5, level=1.5)
+    for n_resamples, sample_size in ((2.5, None), (True, None), (3.0, None),
+                                     (5, 2.5), (5, False), (5, "3")):
+        with pytest.raises(InputError, match="bootstrap counts must be integers"):
+            BootstrapSpec(n_resamples, sample_size=sample_size)
+    assert BootstrapSpec(np.int64(3), sample_size=np.int32(2)).n_resamples == 3
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survconcord import (
     ComputationError,
@@ -157,6 +161,61 @@ def test_oracle_tie_modes_with_constant_covariates():
     t = generate_event_times(EXP, x, rng_seed=2)
     with pytest.raises(ComputationError, match="no comparable pairs"):
         oracle_cindex(EXP, x, t)  # tied predictions are excluded
+
+
+def test_oracle_counts_every_pair_with_distinct_linear_predictors():
+    # A unit grid saturates here: subjects whose linear predictors differ by
+    # 1.39 got the same neg-RMST and left the comparable set (0.8959510770811664).
+    params = WeibullPHParams(shape=1.5, scale=1e-3, coefficients=[2.0, -1.0, 0.5, 3.0])
+    x = np.random.default_rng(0).standard_normal((400, 4))
+    t = generate_event_times(params, x, 0)
+    assert oracle_cindex(params, x, t) == 0.895952380952381
+
+
+@st.composite
+def _lattice_model(draw):
+    n = draw(st.integers(2, 60))
+    p = draw(st.integers(1, 5))
+    cells = st.integers(-20, 20).map(lambda k: k / 10)  # few values: many exact ties
+    x = np.array(draw(st.lists(st.lists(cells, min_size=p, max_size=p),
+                               min_size=n, max_size=n)))
+    beta = draw(st.lists(st.integers(-6, 6).map(lambda k: k / 2), min_size=p, max_size=p))
+    perm = draw(st.permutations(range(p)))
+    return x, np.array(beta), np.array(perm), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattice_model())
+def test_oracle_is_invariant_under_a_covariate_permutation(model):
+    # Reordering the terms moves each linear predictor by a few ulps; the
+    # rounding bound keeps exactly equal predictors tied either way.
+    x, beta, perm, seed = model
+    params = WeibullPHParams(shape=1.2, scale=0.05, coefficients=beta)
+    permuted = WeibullPHParams(shape=1.2, scale=0.05, coefficients=beta[perm])
+    t = generate_event_times(params, x, seed)
+    try:
+        value = oracle_cindex(params, x, t)
+    except ComputationError:
+        with pytest.raises(ComputationError):
+            oracle_cindex(permuted, x[:, perm], t)
+        return
+    assert oracle_cindex(permuted, x[:, perm], t) == value
+
+
+def test_oracle_memory_follows_n_not_the_time_scale():
+    # The largest time is about 10^7: a unit grid would need a ~62 GB matrix.
+    params = WeibullPHParams(shape=0.5, scale=0.01, coefficients=[0.5, -0.5])
+    x = np.random.default_rng(3).standard_normal((1000, 2))
+    t = generate_event_times(params, x, 4)
+    assert t.max() > 1e6
+    tracemalloc.start()
+    try:
+        value = oracle_cindex(params, x, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 < value < 1.0
+    assert peak < 2 * 2**20
 
 
 def test_oracle_race_small_scale():

@@ -57,6 +57,15 @@ def test_risk_at_time():
         risk_at_time(sm, -1.0)
 
 
+@pytest.mark.parametrize("t", [5.0, 9.999, np.nan, np.inf])
+def test_risk_at_time_rejects_a_time_before_the_grid_or_not_finite(t):
+    # Before the grid every curve would read 1: every risk 0, every pair tied.
+    sm = _matrix([10.0, 20.0], [[0.9, 0.5], [0.8, 0.3]])
+    with pytest.raises(InputError, match="finite and >= the grid start 10"):
+        risk_at_time(sm, t)
+    assert risk_at_time(sm, 10.0).tolist() == pytest.approx([0.1, 0.2])
+
+
 def test_expected_mortality_values():
     grid = [1.0, 2.0]
     assert expected_mortality(_matrix(grid, [[1.0, 1.0]]))[0] == 0.0
