@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +211,20 @@ def json_value(value, kind: type, what: str):
         raise InputError(f"{what} is beyond the float range") from None
 
 
+def as_float(value, what: str) -> float:
+    """A real number as a plain float, so that it is written as a JSON number.
+
+    Booleans (``True`` is not the number 1) and anything that is not a real
+    number raise :class:`InputError` naming ``what``.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise InputError(f"{what} is beyond the float range") from None
+
+
 def as_risk_array(risks, n: int) -> np.ndarray:
     """Coerce an array-like to a validated float array of length n."""
     values = np.asarray(risks, dtype=float)
@@ -310,29 +325,3 @@ class SurvivalMatrix:
     @property
     def n(self) -> int:
         return int(self.probs.shape[0])
-
-    def take(self, idx: np.ndarray) -> "SurvivalMatrix":
-        """Rows ``idx`` as a new matrix; they were validated here, so no re-check."""
-        out = object.__new__(SurvivalMatrix)
-        object.__setattr__(out, "grid", self.grid)
-        object.__setattr__(out, "probs", _readonly(self.probs[idx]))
-        return out
-
-    def step_lookup(self, t: float | np.ndarray) -> np.ndarray:
-        """Evaluate every row at time(s) t with previous-point step lookup.
-
-        Times before the first grid point evaluate to 1 (curves are anchored
-        at S(0) = 1); times beyond the last grid point carry the last value
-        forward.
-        """
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.grid.points, t, side="right") - 1
-        scalar = idx.ndim == 0
-        idx = np.atleast_1d(idx)
-        before = idx < 0
-        idx = np.clip(idx, 0, len(self.grid) - 1)
-        out = self.probs[:, idx]
-        if np.any(before):
-            out = out.copy()
-            out[:, before] = 1.0
-        return out[:, 0] if scalar else out

@@ -53,6 +53,7 @@ from .data import (
     RankRelation,
     SurvivalDataset,
     SurvivalMatrix,
+    as_float,
     as_risk_array,
     classify_pair,
 )
@@ -110,6 +111,8 @@ class Truncation:
     def __post_init__(self) -> None:
         if self.mode not in (TRUNC_NONE, TRUNC_VALUE, TRUNC_MAX_UNCENSORED):
             raise InputError(f"unknown truncation mode {self.mode!r}")
+        if self.value is not None:
+            object.__setattr__(self, "value", as_float(self.value, "truncation value"))
         if self.mode == TRUNC_VALUE:
             if self.value is None or not math.isfinite(self.value):
                 raise InputError("truncation value must be a finite number")
@@ -151,13 +154,14 @@ def _normalize_case_table(
 ) -> dict[PairCase, CaseRule]:
     full: dict[PairCase, CaseRule] = {}
     for case in CASE_ORDER:
-        rule = table.get(case)
-        if rule is None:
-            full[case] = CaseRule(0.0, 0.0)
-        elif isinstance(rule, CaseRule):
-            full[case] = rule
-        else:
-            full[case] = CaseRule(*rule)
+        rule = table.get(case, (0.0, 0.0))
+        if isinstance(rule, CaseRule):
+            rule = (rule.comparable_weight, rule.credit)
+        weight, credit = rule
+        full[case] = CaseRule(
+            as_float(weight, f"case {case.value} weight"),
+            as_float(credit, f"case {case.value} credit"),
+        )
     return full
 
 
@@ -189,7 +193,9 @@ class ConcordancePolicy:
             if table[case].comparable_weight != 0:
                 raise InputError(f"case {case.value} cannot be comparable")
         object.__setattr__(self, "case_table", MappingProxyType(table))
-        if not (self.tie_tolerance >= 0 and math.isfinite(self.tie_tolerance)):
+        tol = as_float(self.tie_tolerance, "tie tolerance")
+        object.__setattr__(self, "tie_tolerance", tol)
+        if not (tol >= 0 and math.isfinite(tol)):
             raise InputError("tie tolerance must be finite and nonnegative")
         if self.weight_scheme not in WEIGHT_SCHEMES:
             raise InputError(f"unknown weight scheme {self.weight_scheme!r}")
@@ -228,11 +234,9 @@ def tie_weighted_policy(
     anchor's event was observed and the other subject is censored;
     ``omega_p`` is the credit granted to tied predictions.  ``omega_o = 0``
     and ``omega_p = 0`` give the plain ignore-all-ties estimator.
+    :class:`ConcordancePolicy` rejects a negative or non-finite ``omega_o``
+    and an ``omega_p`` outside [0, 1].
     """
-    if omega_o < 0:
-        raise InputError("omega_o must be nonnegative")
-    if not 0.0 <= omega_p <= 1.0:
-        raise InputError("omega_p must lie in [0, 1]")
     table = {
         **STRICT_PAIRS,
         PairCase.C1C: (1.0, omega_p),
@@ -320,26 +324,31 @@ _BLOCK_CELL_BUDGET = 1 << 22  # pairs per anchor block, so temporaries stay mode
 
 
 def _curve_cells(
-    times: np.ndarray, events: np.ndarray, matrix: SurvivalMatrix, tol: float
+    times: np.ndarray, events: np.ndarray, points: np.ndarray, probs: np.ndarray,
+    tol: float,
 ) -> np.ndarray:
     """Partner cells per anchor for survival curves, in O(n²).
 
-    Both curves are read at the anchor's time (:meth:`SurvivalMatrix.step_lookup`)
-    and the smaller survival value is the riskier: the anchor ranks greater
-    when ``S_j(T_i) - S_i(T_i) > tol`` and less when it is below ``-tol``.
-    Every pair, self included, is counted in blocks of 8 to 512 anchors sized
-    to a fixed budget of pairs; cell codes are int8 to keep the block small.
+    Both curves are read at the anchor's time, in the column of the grid
+    ``points`` at or before it (1 before the first point, the last column
+    beyond the grid), and the smaller survival value is the riskier: the
+    anchor ranks greater when ``S_j(T_i) - S_i(T_i) > tol`` and less when it
+    is below ``-tol``.  Every pair, self included, is counted in blocks of 8
+    to 512 anchors sized to a fixed budget of pairs; cell codes are int8 to
+    keep the block small.
     """
     n = times.size
     n_cells = _CELL_CASE.shape[1]
     block = int(np.clip(_BLOCK_CELL_BUDGET // max(n, 1), 8, 512))
     status = (3 * events).astype(np.int8)
+    column = np.searchsorted(points, times, side="right") - 1
     cells = np.empty((n, n_cells), dtype=np.int64)
     for a0 in range(0, n, block):
         a1 = min(a0 + block, n)
         rows = np.arange(a1 - a0)
         # s[r, j] = S(T_anchor | x_j) for the anchor a0 + r.
-        s = np.ascontiguousarray(matrix.step_lookup(times[a0:a1]).T)
+        s = np.ascontiguousarray(probs[:, np.maximum(column[a0:a1], 0)].T)
+        s[column[a0:a1] < 0] = 1.0
         s -= s[rows, a0 + rows][:, None]
         cell = np.where(s > tol, 0, np.where(s < -tol, 1, 2)).astype(np.int8)
         del s  # free the values before the time-sign temporaries
@@ -555,32 +564,33 @@ class _Scorer:
     Counts are kept per (rank source, tie tolerance) and the censoring fit is
     made at most once, on first use, so policies that differ only in what
     :func:`_reduce` applies share one counting pass.  ``risks`` (a validated
-    array) feeds scalar ranking, ``matrix`` ranking by survival curves.
+    array) feeds scalar ranking, ``curves`` (grid points, probs) ranking by
+    survival curves.
     """
 
     def __init__(
         self,
         ds: SurvivalDataset,
         risks: np.ndarray | None = None,
-        matrix: SurvivalMatrix | None = None,
+        curves: tuple[np.ndarray, np.ndarray] | None = None,
         g: StepFunction | None = None,
     ) -> None:
-        if matrix is not None and matrix.n != ds.n:
+        if curves is not None and curves[1].shape[0] != ds.n:
             raise InputError("survival matrix is not aligned with the dataset")
         self.ds = ds
         self.risks = risks
-        self.matrix = matrix
+        self.curves = curves
         self.g = g
         self._counts: dict[tuple[bool, float], tuple[np.ndarray, int]] = {}
         self._censoring: StepFunction | None = None
 
     def score(
-        self, policy: ConcordancePolicy, curves: bool = False
+        self, policy: ConcordancePolicy, by_curves: bool = False
     ) -> tuple[float, PairTally]:
-        """Estimate and tally under ``policy``, ranking by curves if ``curves``."""
+        """Estimate and tally under ``policy``, ranking by curves if ``by_curves``."""
         weights = self._weights(policy)
         tau = policy.truncation.resolve(self.ds)
-        counts, beyond = self._counts_for(curves, policy.tie_tolerance)
+        counts, beyond = self._counts_for(by_curves, policy.tie_tolerance)
         tally = _reduce(counts, self.ds.times, policy, weights, tau, beyond)
         return _finalize(tally.numerator, tally.denominator, policy.final_fold), tally
 
@@ -598,14 +608,15 @@ class _Scorer:
             g = self._censoring
         return ipcw_weights(g, self.ds, policy.weight_scheme)
 
-    def _counts_for(self, curves: bool, tol: float) -> tuple[np.ndarray, int]:
+    def _counts_for(self, by_curves: bool, tol: float) -> tuple[np.ndarray, int]:
         """Case counts and the number of anchors beyond the curves' grid."""
-        key = (curves, tol)
+        key = (by_curves, tol)
         if key not in self._counts:
             times, events = self.ds.times, self.ds.events
-            if curves:
-                cells = _curve_cells(times, events, self.matrix, tol)
-                beyond = int(np.count_nonzero(times > self.matrix.grid.points[-1]))
+            if by_curves:
+                points, probs = self.curves
+                cells = _curve_cells(times, events, points, probs, tol)
+                beyond = int(np.count_nonzero(times > points[-1]))
             else:
                 cells, beyond = _scalar_cells(times, events, self.risks, tol), 0
             self._counts[key] = (_cases(cells, events), beyond)
@@ -636,15 +647,16 @@ def concordance_td(
 ) -> tuple[float, PairTally]:
     """Time-dependent concordance ranking by survival at the anchor's time.
 
-    For each ordered pair the predicted curves of both subjects are evaluated
-    at the anchor's observed time (:meth:`SurvivalMatrix.step_lookup`); the
-    subject with the smaller survival value is ranked riskier.  Everything
-    else (case table, tie tolerance, weights, truncation, fold and ``g``)
-    works as in :func:`concordance`; :func:`antolini_policy` gives the plain
-    and the tie-adjusted published variants.  Anchor times beyond the grid
-    evaluate at the last grid point and are flagged in the tally.
+    For each ordered pair the predicted curves of both subjects are read at
+    the anchor's observed time, in the grid column at or before it (1 before
+    the grid); the subject with the smaller survival value is ranked riskier.
+    Everything else (case table, tie tolerance, weights, truncation, fold and
+    ``g``) works as in :func:`concordance`; :func:`antolini_policy` gives the
+    plain and the tie-adjusted published variants.  Anchor times beyond the
+    grid evaluate at the last grid point and are flagged in the tally.
     """
-    return _Scorer(ds, matrix=sm, g=g).score(policy, curves=True)
+    scorer = _Scorer(ds, curves=(sm.grid.points, sm.probs), g=g)
+    return scorer.score(policy, by_curves=True)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,8 @@ class StepFunction:
 
     def _eval(self, t, side):
         t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
+            raise InputError("step function evaluated at a NaN time")
         if self.values.size == 0:
             out = np.ones_like(t)
         else:

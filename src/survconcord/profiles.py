@@ -25,6 +25,7 @@ from .data import (
     PairCase,
     SurvivalDataset,
     SurvivalMatrix,
+    as_float,
     as_risk_array,
     json_value,
 )
@@ -346,6 +347,10 @@ class TransformSpec:
     horizon: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("time", "horizon"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, as_float(value, f"transform {name}"))
         if self.kind == TRANSFORM_AT_TIME:
             if self.time is None or not 0 <= self.time < np.inf:
                 raise InputError(
@@ -468,17 +473,18 @@ def run_multiverse(
 
     plans = [_plan(p, no_scalar, matrix, tau, g) for p in profiles]
     live = {k: plan for k, plan in enumerate(plans) if isinstance(plan, _Plan)}
-    full = _outcomes(_Scorer(ds, risks=scalar, matrix=matrix, g=g), live)
+    curves = None if matrix is None else (matrix.grid.points, matrix.probs)
+    full = _outcomes(_Scorer(ds, risks=scalar, curves=curves, g=g), live)
     scored = {k: live[k] for k, outcome in full.items() if not isinstance(outcome, str)}
     # Each scored plan's estimate per resample, None where the resample failed.
     resampled: dict[int, list[float | None]] = {k: [] for k in scored}
     if bootstrap is not None and scored:
-        curves = any(plan.profile.requires_matrix for plan in scored.values())
+        resample_curves = any(plan.profile.requires_matrix for plan in scored.values())
         for idx in bootstrap.resamples(ds.n, seed):
             scorer = _Scorer(
                 ds.subset(idx),
                 risks=None if scalar is None else scalar[idx],
-                matrix=matrix.take(idx) if curves else None,
+                curves=(curves[0], curves[1][idx]) if resample_curves else None,
                 g=g,
             )
             for k, outcome in _outcomes(scorer, scored).items():

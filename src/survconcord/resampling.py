@@ -7,7 +7,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .data import ComputationError, InputError, SurvivalDataset
+from .data import ComputationError, InputError, SurvivalDataset, as_float
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,11 @@ class BootstrapSpec:
         for value in (self.n_resamples, size):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise InputError(f"bootstrap counts must be integers, got {value!r}")
+        # Plain Python numbers, so that to_dict() is written as JSON numbers.
+        object.__setattr__(self, "n_resamples", int(self.n_resamples))
+        if self.sample_size is not None:
+            object.__setattr__(self, "sample_size", int(self.sample_size))
+        object.__setattr__(self, "level", as_float(self.level, "confidence level"))
         if self.n_resamples < 1:
             raise InputError("need at least one bootstrap resample")
         if not 0.0 < self.level < 1.0:
@@ -84,8 +89,6 @@ def bootstrap_ci(
     censoring) are counted and excluded from the percentile computation
     rather than aborting the run.
     """
-    if sample_size is None:
-        sample_size = ds.n
     spec = BootstrapSpec(n_resamples, sample_size, level)
     values = []
     n_failed = 0

@@ -52,7 +52,7 @@ def risk_at_time(sm: SurvivalMatrix, t: float) -> np.ndarray:
     if not start <= t < np.inf:
         message = f"evaluation time must be finite and >= the grid start {start:g}"
         raise InputError(f"{message}, got {t!r}")
-    return 1.0 - sm.step_lookup(float(t))
+    return 1.0 - sm.probs[:, np.searchsorted(sm.grid.points, t, side="right") - 1]
 
 
 def expected_mortality(sm: SurvivalMatrix) -> np.ndarray:

@@ -150,11 +150,3 @@ def test_survival_matrix_clamps_tiny_wiggle_and_rejects_rises():
         SurvivalMatrix(grid=grid, probs=[[1.0, 0.5, 0.6]])
     with pytest.raises(InputError, match="outside"):
         SurvivalMatrix(grid=grid, probs=[[1.2, 0.5, 0.4]])
-
-
-def test_survival_matrix_step_lookup():
-    sm = SurvivalMatrix(grid=TimeGrid([1.0, 2.0]), probs=[[0.8, 0.4]])
-    assert sm.step_lookup(0.5) == pytest.approx(1.0)  # before the grid
-    assert sm.step_lookup(1.0) == pytest.approx(0.8)
-    assert sm.step_lookup(1.9) == pytest.approx(0.8)
-    assert sm.step_lookup(50.0) == pytest.approx(0.4)  # carried forward

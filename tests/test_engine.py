@@ -203,6 +203,16 @@ def test_invalid_inputs_rejected():
             tie_weighted_policy(0.0, 0.5, tie_tolerance=tol)
 
 
+@pytest.mark.parametrize(
+    "omega_o, omega_p", [(-1.0, 0.5), (1.0, 1.5), (np.nan, 0.5), (1.0, np.nan)]
+)
+def test_tie_weighted_policy_rejects_bad_omegas(omega_o, omega_p):
+    # The policy's own case-table checks: 6A weight >= 0 and finite, 1C
+    # credit in [0, 1].
+    with pytest.raises(InputError, match="case (6A|1C)"):
+        tie_weighted_policy(omega_o, omega_p)
+
+
 def test_engine_matches_brute_force_on_randoms():
     rng = np.random.default_rng(42)
     schemes = ["uniform", "uno_squared", "pec_product"]
@@ -228,6 +238,11 @@ def test_engine_matches_brute_force_on_randoms():
     assert checked > 30
 
 
+def _curves(sm):
+    """A matrix as the (grid points, probs) pair the curve producer reads."""
+    return sm.grid.points, sm.probs
+
+
 def _tied_curves(rng, ds):
     """Survival curves on an integer grid, rounded so that many values tie."""
     grid = TimeGrid(np.arange(0.0, ds.times.max()))
@@ -242,7 +257,7 @@ def test_blockwise_reduction_is_bit_identical():
     g = km_fit(ds, target="censoring")
     # Each producer's cells, mapped to cases, give the dense reference's counts.
     curve_counts = [
-        _cases(_curve_cells(ds.times, ds.events, sm, 0.0), ds.events),
+        _cases(_curve_cells(ds.times, ds.events, *_curves(sm), 0.0), ds.events),
         dense_curve_counts(ds.times, ds.events, sm, 0.0)[0],
     ]
     assert np.array_equal(*curve_counts)
@@ -254,12 +269,13 @@ def test_blockwise_reduction_is_bit_identical():
 
     perm = rng.permutation(ds.n)
     shuffled = ds.subset(perm)
+    shuffled_sm = SurvivalMatrix(grid=sm.grid, probs=sm.probs[perm])
     for scheme in ("uniform", "uno_squared", "pec_product"):
         pol = tie_weighted_policy(1.0, 0.5, weight_scheme=scheme)
         weights = ipcw_weights(g, ds, scheme)
         for counts, permuted in (
             (scalar_counts, concordance(shuffled, risks[perm], pol, g=g)),
-            (curve_counts, concordance_td(shuffled, sm.take(perm), pol, g=g)),
+            (curve_counts, concordance_td(shuffled, shuffled_sm, pol, g=g)),
         ):
             tallies = [_reduce(c, ds.times, pol, weights, None) for c in counts]
             # Reordering the anchors changes no bit of a correctly rounded sum.
@@ -306,11 +322,11 @@ def _curve_count_instance(draw):
 def _assert_curve_counts_equal_dense_reference(times, events, sm):
     ds = SurvivalDataset(times=times, events=events)
     for tol in (0.0, 0.1, 0.25):
-        cells = _curve_cells(times, events, sm, tol)
+        cells = _curve_cells(times, events, *_curves(sm), tol)
         expected, beyond = dense_curve_counts(times, events, sm, tol)
         assert cells.dtype == np.int64
         assert np.array_equal(_cases(cells, events), expected)
-        counts, scored_beyond = _Scorer(ds, matrix=sm)._counts_for(True, tol)
+        counts, scored_beyond = _Scorer(ds, curves=_curves(sm))._counts_for(True, tol)
         assert np.array_equal(counts, expected)
         assert scored_beyond == beyond
 
@@ -352,7 +368,7 @@ def test_case_counts_cover_every_partner_once():
         ds, risks = random_instance(rng, n_max=80, tie_rich=True)
         sm = _tied_curves(rng, ds)
         for tol in (0.0, 0.1):
-            cells = _curve_cells(ds.times, ds.events, sm, tol)
+            cells = _curve_cells(ds.times, ds.events, *_curves(sm), tol)
             _assert_every_partner_once(cells, ds.events)
             cells = _scalar_cells(ds.times, ds.events, risks, tol)
             _assert_every_partner_once(cells, ds.events)

@@ -4,7 +4,18 @@ import re
 import numpy as np
 import pytest
 
-from survconcord import InputError, SurvivalDataset, SurvivalMatrix, TimeGrid, km_fit
+from survconcord import (
+    ConcordancePolicy,
+    InputError,
+    Profile,
+    SurvivalDataset,
+    SurvivalMatrix,
+    TimeGrid,
+    Truncation,
+    km_fit,
+    tie_weighted_policy,
+)
+from survconcord.data import PairCase
 from survconcord.io import (
     canonical_json,
     load_profiles_file,
@@ -16,7 +27,12 @@ from survconcord.io import (
     write_step_function_csv,
     write_subjects_csv,
 )
-from survconcord.profiles import get_profiles, profile_to_dict, run_multiverse
+from survconcord.profiles import (
+    TransformSpec,
+    get_profiles,
+    profile_to_dict,
+    run_multiverse,
+)
 
 
 def test_subjects_round_trip(tmp_path):
@@ -142,6 +158,48 @@ def test_profiles_file_round_trip(tmp_path):
     path.write_text('{"profiles": [{"name": "x", "family": "bogus"}]}')
     with pytest.raises(InputError, match="family"):
         load_profiles_file(path)
+
+
+def _c1a(rule):
+    return ConcordancePolicy({PairCase.C1A: rule}).case_table[PairCase.C1A]
+
+
+#: Each numeric knob, built from x, read back as stored.
+_KNOBS = {
+    "tie tolerance": lambda x: tie_weighted_policy(0, 0, tie_tolerance=x).tie_tolerance,
+    "case weight": lambda x: _c1a((x, 1.0)).comparable_weight,
+    "case credit": lambda x: _c1a((1.0, x)).credit,
+    "truncation value": lambda x: Truncation("value", x).value,
+    "transform time": lambda x: TransformSpec("at-time", time=x).time,
+    "transform horizon": lambda x: TransformSpec("neg-rmst", horizon=x).horizon,
+}
+
+
+@pytest.mark.parametrize("knob", list(_KNOBS))
+def test_numeric_knobs_are_plain_floats_and_reject_booleans(knob):
+    build = _KNOBS[knob]
+    for value in (1, np.int64(1), np.float32(1.0), 1.0):
+        stored = build(value)
+        assert type(stored) is float and stored == 1.0
+        canonical_json(stored)  # a numpy scalar is not JSON serializable
+    for value in (True, np.True_):
+        with pytest.raises(InputError, match="must be a number"):
+            build(value)
+
+
+def test_report_with_integer_and_numpy_knobs_reloads_as_profiles(tmp_path):
+    ds = SurvivalDataset(times=[1.0, 2.0, 3.0, 4.0], events=[1, 0, 1, 1])
+    policy = tie_weighted_policy(
+        np.int64(1), 0.5, tie_tolerance=np.float32(0),
+        truncation=Truncation("value", np.int64(3)),
+    )
+    profile = Profile("custom", "C_tau", policy)
+    report = run_multiverse(ds, risks=[4.0, 3.0, 2.0, 1.0], profiles=[profile])
+    path = tmp_path / "provenance.json"
+    path.write_text(canonical_json(report.to_dict()["provenance"]))
+    assert '"value": 3.0' in path.read_text()
+    [loaded] = load_profiles_file(path)
+    assert loaded == profile
 
 
 def test_profiles_file_rejects_unknown_keys(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from survconcord import (
     ComputationError,
+    InputError,
     StepFunction,
     SurvivalDataset,
     ipcw_weights,
@@ -88,6 +89,18 @@ def test_step_evaluation_left_and_right():
     assert f.evaluate_left(2.0) == 1.0
     assert f.evaluate(0.0) == 1.0
     assert f.evaluate(99.0) == 0.5  # constant beyond the last jump
+
+
+@pytest.mark.parametrize("f", [
+    StepFunction([1.0, 2.0], [0.8, 0.5]),
+    StepFunction([], []),
+])
+@pytest.mark.parametrize("t", [np.nan, [1.0, np.nan]])
+def test_step_evaluation_rejects_nan(f, t):
+    # A NaN time must not read as the value beyond the last jump.
+    for evaluate in (f.evaluate, f.evaluate_left):
+        with pytest.raises(InputError, match="NaN time"):
+            evaluate(t)
 
 
 def test_ipcw_schemes():

@@ -327,14 +327,8 @@ def test_profile_round_trip_through_dict():
         assert clone.policy.final_fold == profile.policy.final_fold
 
 
-def test_matrix_take_reuses_validated_rows():
+def test_td_bootstrap_equals_rebuilding_each_matrix():
     ds, sm = _td_instance()
-    idx = np.random.default_rng(3).integers(0, sm.n, sm.n)
-    taken = sm.take(idx)
-    rebuilt = SurvivalMatrix(grid=sm.grid, probs=sm.probs[idx])
-    assert np.array_equal(taken.probs, rebuilt.probs)
-    assert taken.grid is sm.grid and not taken.probs.flags.writeable
-
     # A C_td bootstrap scores the same resamples as rebuilding each matrix.
     profile = get_profiles(["pycox_adj_ant"])[0]
     spec = BootstrapSpec(n_resamples=15, sample_size=30)
@@ -406,6 +400,14 @@ def test_bootstrap_spec_rejected_where_built(kwargs, message):
         BootstrapSpec(**kwargs)
 
 
+def test_bootstrap_spec_stores_plain_numbers():
+    spec = BootstrapSpec(np.int64(5), np.int32(3), np.float32(0.5))
+    assert spec.to_dict() == {"n_resamples": 5, "sample_size": 3, "level": 0.5}
+    assert [type(v) for v in spec.to_dict().values()] == [int, int, float]
+    with pytest.raises(InputError, match="confidence level must be a number"):
+        BootstrapSpec(5, level=np.True_)
+
+
 @pytest.mark.parametrize("value", [0.0, -5.0])
 def test_non_positive_tau_rejected_where_built(value):
     # Times are >= 0 and an anchor counts only when T_i < tau.
@@ -420,7 +422,7 @@ def test_non_positive_tau_rejected_where_built(value):
 
 def test_multiverse_rejects_misaligned_matrix():
     ds, risks, sm = _tie_rich(20, seed=3)
-    short = sm.take(np.arange(ds.n - 1))
+    short = SurvivalMatrix(grid=sm.grid, probs=sm.probs[:-1])
     rmst = TransformSpec("neg-rmst", horizon=3.0)
     for kwargs in (dict(risks=risks), dict(transform=rmst)):
         with pytest.raises(InputError, match="survival matrix is not aligned"):
@@ -510,7 +512,8 @@ def _single_profile_cell(ds, risks, sm, profile, *, tau=None, g=None,
 
     def score(sub, idx):
         if profile.requires_matrix:
-            return concordance_td(sub, sm.take(idx), policy, g=g)
+            resampled = SurvivalMatrix(grid=sm.grid, probs=sm.probs[idx])
+            return concordance_td(sub, resampled, policy, g=g)
         return concordance(sub, risks[idx], policy, g=g)
 
     try:

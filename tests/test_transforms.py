@@ -53,6 +53,11 @@ def test_risk_at_time():
     sm = _matrix([0.0, 10.0], [[1.0, 0.2], [1.0, 0.8]])
     assert risk_at_time(sm, 10.0).tolist() == pytest.approx([0.8, 0.2])
     assert risk_at_time(sm, 0.0).tolist() == [0.0, 0.0]  # anchored at S(0)=1
+    # Step lookup: the grid point at or before t, carried forward beyond it.
+    sm = _matrix([1.0, 2.0], [[0.8, 0.4]])
+    assert risk_at_time(sm, 1.0).tolist() == pytest.approx([0.2])
+    assert risk_at_time(sm, 1.9).tolist() == pytest.approx([0.2])
+    assert risk_at_time(sm, 50.0).tolist() == pytest.approx([0.6])
     with pytest.raises(InputError):
         risk_at_time(sm, -1.0)
 
