@@ -205,10 +205,7 @@ def json_value(value, kind: type, what: str):
         ok = isinstance(value, kind)
     if not ok:
         raise InputError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise InputError(f"{what} is beyond the float range") from None
+    return as_float(value, what) if kind is float else value
 
 
 def as_float(value, what: str) -> float:
@@ -223,6 +220,16 @@ def as_float(value, what: str) -> float:
         return float(value)
     except OverflowError:  # an integer beyond the float range
         raise InputError(f"{what} is beyond the float range") from None
+
+
+def as_seed(seed) -> int:
+    """A nonnegative integer seed, numpy integers included, as a plain int.
+
+    Booleans and anything else raise :class:`InputError`.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
 
 
 def as_risk_array(risks, n: int) -> np.ndarray:

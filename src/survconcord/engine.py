@@ -218,16 +218,7 @@ class ConcordancePolicy:
         return dataclasses.replace(self, **changes)
 
 
-def tie_weighted_policy(
-    omega_o: float,
-    omega_p: float,
-    *,
-    tie_tolerance: float = 0.0,
-    weight_scheme: str = WEIGHT_UNIFORM,
-    g_source: str = G_SOURCE_TEST_SET,
-    truncation: Truncation = NO_TRUNCATION,
-    final_fold: str = FOLD_IDENTITY,
-) -> ConcordancePolicy:
+def tie_weighted_policy(omega_o: float, omega_p: float, **knobs) -> ConcordancePolicy:
     """Policy for the classical tie-weight family.
 
     ``omega_o`` is the comparability weight of tied-time pairs where the
@@ -235,7 +226,8 @@ def tie_weighted_policy(
     ``omega_p`` is the credit granted to tied predictions.  ``omega_o = 0``
     and ``omega_p = 0`` give the plain ignore-all-ties estimator.
     :class:`ConcordancePolicy` rejects a negative or non-finite ``omega_o``
-    and an ``omega_p`` outside [0, 1].
+    and an ``omega_p`` outside [0, 1].  ``knobs`` are the other
+    :class:`ConcordancePolicy` fields, by keyword, with its defaults.
     """
     table = {
         **STRICT_PAIRS,
@@ -245,14 +237,7 @@ def tie_weighted_policy(
         PairCase.C6B: (omega_o, 0.0),
         PairCase.C6C: (omega_o, omega_p),
     }
-    return ConcordancePolicy(
-        case_table=table,
-        tie_tolerance=tie_tolerance,
-        weight_scheme=weight_scheme,
-        g_source=g_source,
-        truncation=truncation,
-        final_fold=final_fold,
-    )
+    return ConcordancePolicy(case_table=table, **knobs)
 
 
 def antolini_policy(adjusted: bool = False) -> ConcordancePolicy:
@@ -681,26 +666,29 @@ class DecompositionReport:
     recombined: float
 
 
-def decompose(tally: PairTally, omega_p: float) -> DecompositionReport:
+def decompose(tally: PairTally) -> DecompositionReport:
     """Split a uniform-weight tie-family tally into its weighted-average blocks.
 
     Requires a tally produced with uniform weights by a policy of the
-    :func:`tie_weighted_policy` family whose tied-prediction credit equals
-    ``omega_p``; recombining the blocks reproduces the original estimate.
+    :func:`tie_weighted_policy` family, whose ``omega_o`` (the weight of case
+    6A) and ``omega_p`` (the credit of case 1C) it reads; recombining the
+    blocks reproduces the original estimate.
     """
     policy = tally.policy
     if policy.weight_scheme != WEIGHT_UNIFORM:
         raise InputError("decomposition is defined for uniform weights only")
     omega_o = policy.case_table[PairCase.C6A].comparable_weight
+    omega_p = policy.case_table[PairCase.C1C].credit
+    foreign = InputError("tally was not produced by a tie-weighted policy")
+    if not 0.0 <= omega_p <= 1.0:  # only an excluded case 1C can carry it
+        raise foreign
     expected = tie_weighted_policy(omega_o, omega_p)
     for case in CASE_ORDER:
         got, want = policy.case_table[case], expected.case_table[case]
         bad_weight = got.comparable_weight != want.comparable_weight
         bad_credit = want.comparable_weight > 0 and got.credit != want.credit
         if bad_weight or bad_credit:
-            raise InputError(
-                "tally was not produced by a tie-weighted policy matching omega_p"
-            )
+            raise foreign
 
     sum_a = tally.count("1A", "1B", "1C", "2A", "2B", "2C")
     sum_ac = tally.count("1A", "2A")

@@ -166,7 +166,6 @@ def write_subjects_csv(
     path: str | Path,
     ds: SurvivalDataset,
     risks: np.ndarray | None = None,
-    risk_col: str = "risk",
 ) -> None:
     header = ["id", "time", "event"]
     columns = [ds.subject_ids, ds.times.tolist(), ds.events.tolist()]
@@ -174,7 +173,7 @@ def write_subjects_csv(
         risks = np.asarray(risks)
         if risks.shape != (ds.n,):
             raise InputError(f"{path}: {risks.size} risks for {ds.n} subjects")
-        header.append(risk_col)
+        header.append("risk")
         columns.append(risks.tolist())
     if ds.covariates is not None:
         header += [f"cov_{j + 1}" for j in range(ds.covariates.shape[1])]

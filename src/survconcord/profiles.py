@@ -27,6 +27,7 @@ from .data import (
     SurvivalMatrix,
     as_float,
     as_risk_array,
+    as_seed,
     json_value,
 )
 from .engine import (
@@ -337,6 +338,13 @@ TRANSFORM_AT_TIME = "at-time"
 TRANSFORM_EXPECTED_MORTALITY = "expected-mortality"
 TRANSFORM_NEG_RMST = "neg-rmst"
 
+#: The numbers each transform kind takes.
+_TRANSFORM_NUMBERS = {
+    TRANSFORM_AT_TIME: ("time",),
+    TRANSFORM_EXPECTED_MORTALITY: (),
+    TRANSFORM_NEG_RMST: ("horizon",),
+}
+
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -347,10 +355,15 @@ class TransformSpec:
     horizon: float | None = None
 
     def __post_init__(self) -> None:
+        if self.kind not in _TRANSFORM_NUMBERS:
+            raise InputError(f"unknown transform {self.kind!r}")
         for name in ("time", "horizon"):
             value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, as_float(value, f"transform {name}"))
+            if value is None:
+                continue
+            if name not in _TRANSFORM_NUMBERS[self.kind]:
+                raise InputError(f"{self.kind} transform takes no {name}")
+            object.__setattr__(self, name, as_float(value, f"transform {name}"))
         if self.kind == TRANSFORM_AT_TIME:
             if self.time is None or not 0 <= self.time < np.inf:
                 raise InputError(
@@ -361,8 +374,6 @@ class TransformSpec:
                 raise InputError(
                     f"neg-rmst transform needs a finite horizon > 0, got {self.horizon!r}"
                 )
-        elif self.kind != TRANSFORM_EXPECTED_MORTALITY:
-            raise InputError(f"unknown transform {self.kind!r}")
 
     def apply(self, sm: SurvivalMatrix) -> np.ndarray:
         if self.kind == TRANSFORM_AT_TIME:
@@ -458,6 +469,7 @@ def run_multiverse(
     ``failed_resamples`` equal to the number of resamples and the error
     ``"bootstrap: all bootstrap resamples failed"``.
     """
+    seed = as_seed(seed)
     if profiles is None:
         profiles = _builtins()
     scalar, no_scalar = None, "requires a risk vector or a transform over a matrix"

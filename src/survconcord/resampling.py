@@ -7,7 +7,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .data import ComputationError, InputError, SurvivalDataset, as_float
+from .data import ComputationError, InputError, SurvivalDataset, as_float, as_seed
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,8 @@ class BootstrapSpec:
 
     def resamples(self, n: int, seed: int) -> Iterator[np.ndarray]:
         """Index arrays into ``n`` subjects, one per resample, from one PCG64(seed)."""
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise InputError(
-                f"bootstrap seed must be a nonnegative integer, got {seed!r}"
-            )
         size = n if self.sample_size is None else self.sample_size
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = np.random.Generator(np.random.PCG64(as_seed(seed)))
         return (rng.integers(0, n, size=size) for _ in range(self.n_resamples))
 
     def interval(self, values: Sequence[float], n_failed: int) -> BootstrapResult:
@@ -74,22 +70,19 @@ class BootstrapSpec:
 def bootstrap_ci(
     ds: SurvivalDataset,
     estimator: Callable[[np.ndarray], float],
-    n_resamples: int,
-    sample_size: int | None = None,
-    level: float = 0.95,
+    spec: BootstrapSpec,
     seed: int = 0,
 ) -> BootstrapResult:
     """Percentile bootstrap interval around an estimator of subject indices.
 
     ``estimator`` receives an index array into ``ds`` and returns a scalar.
-    Resamples of ``sample_size`` subjects (default ``ds.n``) are drawn as
-    :meth:`BootstrapSpec.resamples` draws them; the point estimate on the
+    The resamples are the ones ``spec.resamples(ds.n, seed)`` draws, as in
+    ``run_multiverse(bootstrap=spec, seed=seed)``; the point estimate on the
     unresampled data is the caller's.  Resamples on which the estimator
     raises :class:`ComputationError` (e.g. no comparable pairs under heavy
     censoring) are counted and excluded from the percentile computation
     rather than aborting the run.
     """
-    spec = BootstrapSpec(n_resamples, sample_size, level)
     values = []
     n_failed = 0
     for draw in spec.resamples(ds.n, seed):

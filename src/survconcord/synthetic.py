@@ -180,7 +180,6 @@ def assemble(
     event_times: np.ndarray,
     censor_times: np.ndarray,
     covariates: np.ndarray | None = None,
-    subject_ids: tuple[str, ...] = (),
 ) -> SurvivalDataset:
     """Observed data: T = min(event, censoring), event observed iff it is strictly first."""
     event_times = np.asarray(event_times, dtype=float)
@@ -189,9 +188,7 @@ def assemble(
         raise InputError("event and censoring time arrays must have equal length")
     times = np.minimum(event_times, censor_times)
     events = (event_times < censor_times).astype(np.int8)
-    return SurvivalDataset(
-        times=times, events=events, subject_ids=subject_ids, covariates=covariates
-    )
+    return SurvivalDataset(times=times, events=events, covariates=covariates)
 
 
 def oracle_cindex(

@@ -31,8 +31,6 @@ def interpolate(sm: SurvivalMatrix, dst: TimeGrid) -> SurvivalMatrix:
     first source value otherwise; points beyond the source grid carry the
     last value forward.
     """
-    if not isinstance(dst, TimeGrid):
-        dst = TimeGrid(np.asarray(dst, dtype=float))
     src = sm.grid.points
     out = np.empty((sm.n, len(dst)))
     for i in range(sm.n):
@@ -78,11 +76,13 @@ def neg_rmst(sm: SurvivalMatrix, t_star: float) -> np.ndarray:
     contributes S(t | x) times the distance to the next grid point, clipped
     at t_star (the last grid point's rectangle extends to t_star).  Higher
     values mean higher risk, matching the direction of expected mortality.
-    Supports non-uniform grids.
+    Supports non-uniform grids.  A t_star that is not finite would give every
+    subject -inf and tie them all, so it is rejected like one not past the
+    first grid point.
     """
     grid = sm.grid.points
-    if not t_star > grid[0]:
-        raise InputError("t_star must exceed the first grid point")
+    if not grid[0] < t_star < np.inf:
+        raise InputError("t_star must be finite and exceed the first grid point")
     nxt = np.append(grid[1:], np.inf)
     include = grid < t_star
     dt = np.minimum(nxt[include], t_star) - grid[include]

@@ -290,7 +290,7 @@ def test_decomposition_identity():
                         estimate, tally = concordance(ds, risks, policy)
                     except ComputationError:
                         continue
-                    report = decompose(tally, omega_p)
+                    report = decompose(tally)
                     assert abs(report.recombined - estimate) <= 1e-12
             checked += 1
         print(f"  {checked} tie-rich instances x 4 weight settings")

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from survconcord import (
     BootstrapSpec,
     ComputationError,
+    ConcordancePolicy,
     InputError,
+    PairCase,
     StepFunction,
     SurvivalDataset,
     SurvivalMatrix,
@@ -22,6 +24,7 @@ from survconcord import (
     tie_weighted_policy,
 )
 from survconcord.engine import (
+    STRICT_PAIRS,
     _cases,
     _curve_cells,
     _reduce,
@@ -501,7 +504,7 @@ def test_decompose_without_tied_times_is_base_estimator(four_subjects):
     ds = SurvivalDataset(times=[1.0, 2.0, 3.0], events=[1, 1, 1])
     risks = [3.0, 1.0, 2.0]
     est, tally = concordance(ds, risks, HARRELL)
-    rep = decompose(tally, omega_p=0.0)
+    rep = decompose(tally)
     assert rep.alpha == 1.0
     assert rep.tied_time_concordant is None
     assert rep.recombined == pytest.approx(est, abs=1e-15)
@@ -512,7 +515,7 @@ def test_decompose_without_tied_predictions_has_zero_tie_shares():
     risks = [3.0, 1.0, 2.0]
     pol = tie_weighted_policy(1.0, 0.5)
     est, tally = concordance(ds, risks, pol)
-    rep = decompose(tally, omega_p=0.5)
+    rep = decompose(tally)
     assert rep.strict_tied_predictions == 0.0
     assert rep.tied_time_tied_predictions == 0.0
     assert rep.recombined == pytest.approx(est, abs=1e-12)
@@ -522,7 +525,7 @@ def test_decompose_four_subject_full_identity(four_subjects):
     ds, risks = four_subjects
     pol = tie_weighted_policy(1.0, 0.5)
     est, tally = concordance(ds, risks, pol)
-    rep = decompose(tally, omega_p=0.5)
+    rep = decompose(tally)
     assert rep.recombined == pytest.approx(est, abs=1e-12)
     assert 0.0 < rep.alpha < 1.0
 
@@ -539,7 +542,7 @@ def test_decompose_identity_on_tie_rich_randoms():
                     est, tally = concordance(ds, risks, pol)
                 except ComputationError:
                     continue
-                rep = decompose(tally, omega_p)
+                rep = decompose(tally)
                 assert rep.recombined == pytest.approx(est, abs=1e-12)
                 checked += 1
     assert checked > 50
@@ -550,10 +553,15 @@ def test_decompose_rejects_foreign_tallies():
     pol = tie_weighted_policy(0.0, 0.5, weight_scheme="uno_squared")
     _, tally = concordance(ds, [2.0, 1.0], pol)
     with pytest.raises(InputError, match="uniform"):
-        decompose(tally, 0.5)
-    _, tally2 = concordance(ds, [2.0, 1.0], tie_weighted_policy(0.0, 0.5))
-    with pytest.raises(InputError, match="omega_p"):
-        decompose(tally2, 0.0)
+        decompose(tally)
+    # survmetrics' table half-credits discordant tied-time pairs, and a case
+    # 1C left out carries a credit that no tie-weighted policy grants.
+    survmetrics = get_profiles(["survmetrics"])[0].policy
+    excluded_1c = ConcordancePolicy({**STRICT_PAIRS, PairCase.C1C: (0.0, 5.0)})
+    for pol in (survmetrics, excluded_1c):
+        _, foreign = concordance(ds, [2.0, 1.0], pol)
+        with pytest.raises(InputError, match="not produced by a tie-weighted policy"):
+            decompose(foreign)
 
 
 # --- properties --------------------------------------------------------------

@@ -338,7 +338,7 @@ def test_td_bootstrap_equals_rebuilding_each_matrix():
         resampled = SurvivalMatrix(grid=sm.grid, probs=sm.probs[i])
         return concordance_td(ds.subset(i), resampled, profile.policy)[0]
 
-    boot = bootstrap_ci(ds, rebuild_each, n_resamples=15, sample_size=30, seed=5)
+    boot = bootstrap_ci(ds, rebuild_each, spec, seed=5)
     got = report.result("pycox_adj_ant")
     assert (got.ci_lower, got.ci_upper) == (boot.lower, boot.upper)
     assert got.failed_resamples == boot.n_failed
@@ -440,8 +440,13 @@ def test_profile_family_rejected_where_built():
      (dict(kind="neg-rmst", horizon=0.0), "finite horizon > 0, got 0.0"),
      (dict(kind="neg-rmst"), "finite horizon > 0, got None"),
      (dict(kind="at-time", time=-1.0), "finite time >= 0, got -1.0"),
-     (dict(kind="at-time", time=np.nan), "finite time >= 0, got nan")],
-    ids=["horizon-inf", "horizon-zero", "horizon-missing", "time-negative", "time-nan"],
+     (dict(kind="at-time", time=np.nan), "finite time >= 0, got nan"),
+     (dict(kind="expected-mortality", time=7, horizon=-1),
+      "expected-mortality transform takes no time"),
+     (dict(kind="at-time", time=1.0, horizon=5.0), "at-time transform takes no horizon"),
+     (dict(kind="neg-rmst", time=1.0, horizon=5.0), "neg-rmst transform takes no time")],
+    ids=["horizon-inf", "horizon-zero", "horizon-missing", "time-negative", "time-nan",
+         "mortality-time", "at-time-horizon", "rmst-time"],
 )
 def test_transform_spec_rejected_where_built(kwargs, message):
     with pytest.raises(InputError, match=message):
@@ -535,9 +540,7 @@ def _single_profile_cell(ds, risks, sm, profile, *, tau=None, g=None,
     if bootstrap is not None:
         try:
             boot = bootstrap_ci(
-                ds, lambda idx: score(ds.subset(idx), idx)[0],
-                n_resamples=bootstrap.n_resamples, sample_size=bootstrap.sample_size,
-                level=bootstrap.level, seed=seed,
+                ds, lambda idx: score(ds.subset(idx), idx)[0], bootstrap, seed=seed
             )
         except ComputationError as exc:
             cell.update(failed_resamples=bootstrap.n_resamples, error=f"bootstrap: {exc}")

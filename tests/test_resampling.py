@@ -9,6 +9,7 @@ from survconcord import (
     bootstrap_ci,
     run_multiverse,
 )
+from survconcord.io import canonical_json
 
 
 def _dataset(n_events, n_censored):
@@ -21,14 +22,14 @@ def _dataset(n_events, n_censored):
 
 def test_bootstrap_constant_estimator_degenerate_interval():
     ds = _dataset(6, 0)
-    result = bootstrap_ci(ds, lambda idx: 1.0, n_resamples=50, seed=2)
+    result = bootstrap_ci(ds, lambda idx: 1.0, BootstrapSpec(50), seed=2)
     assert (result.lower, result.upper) == (1.0, 1.0)
     assert np.all(result.samples == 1.0)
 
 
 def test_bootstrap_single_resample():
     ds = _dataset(6, 0)
-    result = bootstrap_ci(ds, lambda idx: float(idx.sum()), n_resamples=1, seed=4)
+    result = bootstrap_ci(ds, lambda idx: float(idx.sum()), BootstrapSpec(1), seed=4)
     assert result.lower == result.upper == result.samples[0]
 
 
@@ -40,7 +41,7 @@ def test_bootstrap_failures_recorded_and_excluded():
             raise ComputationError("no comparable pairs")
         return 0.5
 
-    result = bootstrap_ci(ds, sometimes, n_resamples=40, seed=7)
+    result = bootstrap_ci(ds, sometimes, BootstrapSpec(40), seed=7)
     assert 0 < result.n_failed < 40
     assert result.samples.size == 40 - result.n_failed
     assert result.lower == result.upper == 0.5
@@ -49,7 +50,7 @@ def test_bootstrap_failures_recorded_and_excluded():
         raise ComputationError("no comparable pairs")
 
     with pytest.raises(ComputationError, match="all bootstrap"):
-        bootstrap_ci(ds, always_fails, n_resamples=5, sample_size=3, seed=7)
+        bootstrap_ci(ds, always_fails, BootstrapSpec(5, sample_size=3), seed=7)
 
 
 @pytest.mark.parametrize("n, sample_size", [(7, None), (7, 3), (4, 9)])
@@ -76,18 +77,18 @@ def test_bootstrap_deterministic_and_bounded():
     def estimator(idx):
         return concordance(ds.subset(idx), risks[idx], pol)[0]
 
-    a = bootstrap_ci(ds, estimator, n_resamples=30, level=0.9, seed=11)
-    b = bootstrap_ci(ds, estimator, n_resamples=30, level=0.9, seed=11)
+    spec = BootstrapSpec(30, level=0.9)
+    a = bootstrap_ci(ds, estimator, spec, seed=11)
+    b = bootstrap_ci(ds, estimator, spec, seed=11)
     assert np.array_equal(a.samples, b.samples)
     assert 0.0 <= a.lower <= a.upper <= 1.0
 
 
 def test_bootstrap_validates_arguments():
-    ds = _dataset(4, 0)
     with pytest.raises(InputError):
-        bootstrap_ci(ds, lambda i: 1.0, n_resamples=0)
+        BootstrapSpec(0)
     with pytest.raises(InputError):
-        bootstrap_ci(ds, lambda i: 1.0, n_resamples=5, level=1.5)
+        BootstrapSpec(5, level=1.5)
     for n_resamples, sample_size in ((2.5, None), (True, None), (3.0, None),
                                      (5, 2.5), (5, False), (5, "3")):
         with pytest.raises(InputError, match="bootstrap counts must be integers"):
@@ -100,12 +101,23 @@ def test_bad_seed_is_an_input_error(seed):
     ds = _dataset(4, 0)
     risks = [0.4, 0.3, 0.2, 0.1]
     with pytest.raises(InputError, match="seed must be a nonnegative integer"):
-        bootstrap_ci(ds, lambda i: 1.0, n_resamples=3, seed=seed)
+        bootstrap_ci(ds, lambda i: 1.0, BootstrapSpec(3), seed=seed)
     with pytest.raises(InputError, match="seed must be a nonnegative integer"):
         run_multiverse(ds, risks=risks, bootstrap=BootstrapSpec(3), seed=seed)
+    with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        run_multiverse(ds, risks=risks, seed=seed)
 
 
 def test_numpy_integer_seed_draws_like_the_int():
     spec = BootstrapSpec(3)
     for got, want in zip(spec.resamples(6, np.int64(9)), spec.resamples(6, 9)):
         assert np.array_equal(got, want)
+
+
+def test_numpy_integer_seed_is_recorded_as_the_int():
+    ds = _dataset(4, 0)
+    risks = [0.4, 0.3, 0.2, 0.1]
+    for bootstrap in (None, BootstrapSpec(3)):
+        report = run_multiverse(ds, risks=risks, bootstrap=bootstrap, seed=np.int64(9))
+        assert type(report.provenance["seed"]) is int
+        assert '"seed": 9' in canonical_json(report.to_dict())

@@ -104,6 +104,9 @@ def test_neg_rmst_strict_horizon_and_uneven_grid():
     assert neg_rmst(sm, 9.0)[0] == pytest.approx(-(2.0 + 1.5 + 1.0 + 0.1 * 2))
     with pytest.raises(InputError):
         neg_rmst(sm, 0.0)
+    # An infinite horizon would give every subject -inf and tie them all.
+    with pytest.raises(InputError, match="finite"):
+        neg_rmst(sm, np.inf)
 
 
 def test_neg_rmst_monotone_under_pointwise_dominance():
