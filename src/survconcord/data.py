@@ -152,12 +152,19 @@ class SurvivalDataset:
         _reject_first(events, (events == 0) | (events == 1), "non-binary event")
         object.__setattr__(self, "times", _readonly(times.copy()))
         object.__setattr__(self, "events", _readonly(events.astype(np.int8)))
-        if not self.subject_ids:
-            object.__setattr__(
-                self, "subject_ids", tuple(str(k) for k in range(times.size))
+        ids = self.subject_ids
+        try:
+            flat = not isinstance(ids, (str, bytes)) and np.ndim(ids) == 1
+        except ValueError:  # a ragged nesting
+            flat = False
+        if not flat:
+            raise InputError(
+                f"subject_ids must be a 1-d sequence of ids, got {type(ids).__name__}"
             )
-        elif len(self.subject_ids) != times.size:
+        ids = tuple(map(str, ids)) or tuple(map(str, range(times.size)))
+        if len(ids) != times.size:
             raise InputError("subject_ids length does not match times")
+        object.__setattr__(self, "subject_ids", ids)
         if self.covariates is not None:
             cov = _float_array(self.covariates, "covariates")
             if cov.ndim != 2 or cov.shape[0] != times.size:
@@ -260,7 +267,7 @@ class TimeGrid:
             raise InputError("grid contains non-finite values")
         if points[0] < 0:
             raise InputError("grid must start at a nonnegative time")
-        if points.size > 1 and not np.all(np.diff(points) > 0):
+        if not np.all(np.diff(points) > 0):
             raise InputError("grid must be strictly increasing")
         object.__setattr__(self, "points", _readonly(points))
 
@@ -317,16 +324,15 @@ class SurvivalMatrix:
         if probs.size and (probs.min() < -tol or probs.max() > 1.0 + tol):
             raise InputError("survival probabilities outside [0, 1]")
         probs = np.clip(probs, 0.0, 1.0)
-        if probs.shape[1] > 1:
-            rises = np.diff(probs, axis=1)
-            worst = rises.max(initial=0.0)
-            if worst > tol:
-                rows = np.unique(np.nonzero(rises > tol)[0])
-                raise InputError(
-                    f"survival rows increase over time beyond tolerance "
-                    f"(worst rise {worst:.3e}, rows {rows[:5].tolist()})"
-                )
-            probs = np.minimum.accumulate(probs, axis=1)
+        rises = np.diff(probs, axis=1)
+        worst = rises.max(initial=0.0)
+        if worst > tol:
+            rows = np.unique(np.nonzero(rises > tol)[0])
+            raise InputError(
+                f"survival rows increase over time beyond tolerance "
+                f"(worst rise {worst:.3e}, rows {rows[:5].tolist()})"
+            )
+        probs = np.minimum.accumulate(probs, axis=1)
         object.__setattr__(self, "probs", _readonly(probs))
 
     @property

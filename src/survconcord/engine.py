@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -141,8 +141,7 @@ class Truncation:
 NO_TRUNCATION = Truncation()
 
 
-@dataclass(frozen=True)
-class CaseRule:
+class CaseRule(NamedTuple):
     """Contribution of one pair case: comparability weight and concordance credit."""
 
     comparable_weight: float
@@ -152,12 +151,22 @@ class CaseRule:
 def _normalize_case_table(
     table: Mapping[PairCase, CaseRule | tuple[float, float]]
 ) -> dict[PairCase, CaseRule]:
+    if not isinstance(table, Mapping):
+        raise InputError(f"case table must be a mapping, got {type(table).__name__}")
+    for key in table:
+        if not isinstance(key, PairCase):
+            raise InputError(
+                f"case table key {key!r} is not a PairCase; write e.g. PairCase('1A')"
+            )
     full: dict[PairCase, CaseRule] = {}
     for case in CASE_ORDER:
         rule = table.get(case, (0.0, 0.0))
-        if isinstance(rule, CaseRule):
-            rule = (rule.comparable_weight, rule.credit)
-        weight, credit = rule
+        try:
+            weight, credit = rule
+        except (TypeError, ValueError):
+            raise InputError(
+                f"case {case.value} must be (weight, credit), got {rule!r}"
+            ) from None
         full[case] = CaseRule(
             as_float(weight, f"case {case.value} weight"),
             as_float(credit, f"case {case.value} credit"),
@@ -448,9 +457,9 @@ def _scalar_cells(
         )
 
     order = np.argsort(times, kind="stable")
-    sorted_times = times[order]
-    start = np.searchsorted(sorted_times, times, side="left")
-    end = np.searchsorted(sorted_times, times, side="right")
+    _, block, size = np.unique(times, return_inverse=True, return_counts=True)
+    end = np.cumsum(size)[block]
+    start = end - size[block]
     width = 2 * n_ranks
     keys = (events.astype(np.intp) * n_ranks + rank)[order]
     censored = np.concatenate(([0], np.cumsum(keys < n_ranks)))
@@ -460,9 +469,8 @@ def _scalar_cells(
 
     total = np.searchsorted(np.sort(keys), thresholds).reshape(4, n)
     upto = _prefix_counts(keys, width, np.tile(end, 4), thresholds).reshape(4, n)
-    block_of = np.concatenate(([0], np.cumsum(sorted_times[1:] != sorted_times[:-1])))
-    block_keys = np.sort(block_of * width + keys)
-    needles = np.tile(block_of[start] * width, 4) + thresholds
+    block_keys = np.sort(block[order] * width + keys)
+    needles = np.tile(block * width, 4) + thresholds
     tied = (np.searchsorted(block_keys, needles) - np.tile(start, 4)).reshape(4, n)
     # Partners per event status (censored, event) in each range.
     total_size = np.array([[censored[n]], [n - censored[n]]])
@@ -580,10 +588,8 @@ class _Scorer:
         return _finalize(tally.numerator, tally.denominator, policy.final_fold), tally
 
     def _weights(self, policy: ConcordancePolicy) -> np.ndarray:
-        if policy.weight_scheme == WEIGHT_UNIFORM:
-            return np.ones(self.ds.n)
         g = self.g
-        if g is None:
+        if g is None and policy.weight_scheme != WEIGHT_UNIFORM:
             if policy.g_source == G_SOURCE_PROVIDED:
                 raise InputError(
                     "policy requires an externally fitted censoring distribution"
@@ -682,13 +688,12 @@ def decompose(tally: PairTally) -> DecompositionReport:
     foreign = InputError("tally was not produced by a tie-weighted policy")
     if not 0.0 <= omega_p <= 1.0:  # only an excluded case 1C can carry it
         raise foreign
-    expected = tie_weighted_policy(omega_o, omega_p)
-    for case in CASE_ORDER:
-        got, want = policy.case_table[case], expected.case_table[case]
-        bad_weight = got.comparable_weight != want.comparable_weight
-        bad_credit = want.comparable_weight > 0 and got.credit != want.credit
-        if bad_weight or bad_credit:
-            raise foreign
+
+    def comparable(p: ConcordancePolicy) -> dict[PairCase, CaseRule]:
+        return {c: r for c, r in p.case_table.items() if r.comparable_weight > 0}
+
+    if comparable(policy) != comparable(tie_weighted_policy(omega_o, omega_p)):
+        raise foreign
 
     sum_a = tally.count("1A", "1B", "1C", "2A", "2B", "2C")
     sum_ac = tally.count("1A", "2A")

@@ -116,6 +116,8 @@ def read_subjects_csv(
         risk_idx: int | None = None
         for pos, name in enumerate(extra, start=3):
             if risk_col is not None and name == risk_col:
+                if risk_idx is not None:
+                    raise InputError(f"{path}:1: risk column {risk_col!r} is named twice")
                 risk_idx = pos
             elif name == "risk":
                 pass  # part of the standard schema; ignored unless requested

@@ -40,8 +40,8 @@ class StepFunction:
         vals = np.asarray(self.values, dtype=float).copy()
         if jt.ndim != 1 or vals.shape != jt.shape:
             raise InputError("jump_times and values must be 1-d arrays of equal length")
-        if jt.size and not np.all(np.diff(jt) > 0):
-            raise InputError("jump times must be strictly increasing")
+        if not (np.all(np.isfinite(jt)) and np.all(np.diff(jt) > 0)):
+            raise InputError("jump times must be finite and strictly increasing")
         if vals.size and (np.any(np.diff(vals) > 0) or vals.min() < 0 or vals.max() > 1):
             raise InputError("values must be nonincreasing within [0, 1]")
         object.__setattr__(self, "jump_times", _readonly(jt))
@@ -59,11 +59,9 @@ class StepFunction:
         t = np.asarray(t, dtype=float)
         if np.isnan(t).any():
             raise InputError("step function evaluated at a NaN time")
-        if self.values.size == 0:
-            out = np.ones_like(t)
-        else:
-            idx = np.searchsorted(self.jump_times, t, side=side) - 1
-            out = np.where(idx < 0, 1.0, self.values[np.clip(idx, 0, None)])
+        out = np.concatenate(([1.0], self.values))[
+            np.searchsorted(self.jump_times, t, side=side)
+        ]
         return float(out) if t.ndim == 0 else out
 
 
@@ -85,21 +83,16 @@ def km_fit(ds: SurvivalDataset, target: str = "event") -> StepFunction:
     else:
         raise InputError(f"unknown target {target!r}")
 
-    order = np.argsort(ds.times, kind="stable")
-    times = ds.times[order]
-    d = d[order].astype(np.int64)
-
-    uniq, start = np.unique(times, return_index=True)
-    n = times.size
+    # return_index makes numpy sort stably, so each distinct time keeps its
+    # first spelling (-0.0 or 0.0) in input order.
+    uniq, _, inverse, size = np.unique(
+        ds.times, return_index=True, return_inverse=True, return_counts=True
+    )
     # At-risk count just before each distinct time; events of the chosen kind at it.
-    at_risk = n - start
-    cum_d = np.concatenate([[0], np.cumsum(d)])
-    end = np.concatenate([start[1:], [n]])
-    d_at = cum_d[end] - cum_d[start]
+    at_risk = ds.n - np.cumsum(size) + size
+    d_at = np.bincount(inverse[d], minlength=uniq.size)
 
     keep = d_at > 0
-    if not np.any(keep):
-        return StepFunction(np.empty(0), np.empty(0))
     # Exact rational accumulation: the estimate is a product of integer
     # ratios, so carrying it as a Fraction and rounding once per jump keeps
     # e.g. the no-censoring case identical to the empirical survivor function.
@@ -112,22 +105,22 @@ def km_fit(ds: SurvivalDataset, target: str = "event") -> StepFunction:
 
 
 def ipcw_weights(
-    g: StepFunction, ds: SurvivalDataset, scheme: str
+    g: StepFunction | None, ds: SurvivalDataset, scheme: str
 ) -> np.ndarray:
     """Per-subject censoring weights from a fitted censoring survivor function.
 
     Returns 1/G(T_i)^2 for ``uno_squared`` or 1/(G(T_i-) G(T_i)) for
-    ``pec_product``; ``uniform`` gives all ones.  Subjects whose weight would
-    divide by G = 0 get NaN: their pairs are dropped (and counted) by the
-    estimator instead of contributing unbounded weights.
+    ``pec_product``; ``uniform`` gives all ones and reads no ``g``.  Subjects
+    whose weight would divide by G = 0 get NaN: their pairs are dropped (and
+    counted) by the estimator instead of contributing unbounded weights.
     """
     if scheme == WEIGHT_UNIFORM:
         return np.ones(ds.n)
-    g_at = np.asarray(g.evaluate(ds.times), dtype=float)
+    g_at = g.evaluate(ds.times)
     if scheme == WEIGHT_UNO_SQUARED:
         denom = g_at * g_at
     elif scheme == WEIGHT_PEC_PRODUCT:
-        denom = np.asarray(g.evaluate_left(ds.times), dtype=float) * g_at
+        denom = g.evaluate_left(ds.times) * g_at
     else:
         raise InputError(f"unknown weight scheme {scheme!r}")
     return np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), np.nan)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -237,16 +237,21 @@ def get_profiles(
         registry[profile.name] = profile
     if names is None:
         return list(registry.values())
-    chosen: dict[str, Profile] = {}
+    _reject_repeated_names(names)
     for name in names:
         if name not in registry:
             raise InputError(
                 f"unknown profile {name!r}; available: {', '.join(sorted(registry))}"
             )
-        if name in chosen:
+    return [registry[name] for name in names]
+
+
+def _reject_repeated_names(names: Iterable[str]) -> None:
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
             raise InputError(f"profile {name!r} is named more than once")
-        chosen[name] = registry[name]
-    return list(chosen.values())
+        seen.add(name)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +453,8 @@ def run_multiverse(
     to ``matrix``; the provenance names the transform only when it was
     applied.  Distribution profiles need ``matrix``.  ``tau`` overrides
     every profile's truncation default; without it, profiles that insist on
-    an explicit truncation produce an error cell.  An incompatible input
+    an explicit truncation produce an error cell.  Two profiles may not share
+    a name.  An incompatible input
     yields an error cell for that profile while the others still compute.
 
     Profiles whose censoring distribution is normally fitted on a separate
@@ -472,6 +478,7 @@ def run_multiverse(
     seed = as_seed(seed)
     if profiles is None:
         profiles = _builtins()
+    _reject_repeated_names(p.name for p in profiles)
     scalar, no_scalar = None, "requires a risk vector or a transform over a matrix"
     if risks is not None:
         scalar, no_scalar, transform = as_risk_array(risks, ds.n), None, None

@@ -1,6 +1,7 @@
 """Naive reference estimators and pair counts used to check the engine."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +19,27 @@ from survconcord.km import WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED
 
 
 BRUTE_FORCE_LIMIT = 2000
+
+
+def km_reference(ds: SurvivalDataset, target: str = "event"):
+    """Naive product-limit fit: jump times and values, as lists.
+
+    Each distinct time is spelt as it first occurs in input order, so -0.0
+    and 0.0 keep their sign.  A time with d > 0 events of ``target``'s kind
+    and n = #{T >= t} at risk contributes the factor (n - d) / n; each
+    jump's value is the exact Fraction product of the factors up to it.
+    """
+    times = ds.times.tolist()
+    hits = (ds.events == (1 if target == "event" else 0)).tolist()
+    factor = {}
+    for t in dict.fromkeys(times):  # distinct times, first spelling kept
+        d = sum(h for u, h in zip(times, hits) if u == t)
+        if d:
+            at_risk = sum(u >= t for u in times)
+            factor[t] = Fraction(at_risk - d, at_risk)
+    jumps = sorted(factor)
+    values = [float(math.prod(f for u, f in factor.items() if u <= t)) for t in jumps]
+    return jumps, values
 
 
 def brute_force_oracle(

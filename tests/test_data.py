@@ -113,6 +113,17 @@ def test_dataset_structure_checks():
         SurvivalDataset(times=[1.0, 2.0], events=[1])
     with pytest.raises(InputError):
         SurvivalDataset(times=[1.0], events=[1], subject_ids=("a", "b"))
+    for ids in ("ab", b"ab", np.array("ab"), np.array([["a"], ["b"]]), [["a"], "b"], 5):
+        with pytest.raises(InputError, match="subject_ids must be a 1-d sequence"):
+            SurvivalDataset(times=[1.0, 2.0], events=[1, 0], subject_ids=ids)
+    for ids, stored in (
+        (np.array(["a", "b"]), ("a", "b")),
+        ([1, 2], ("1", "2")),
+        ([], ("0", "1")),
+    ):
+        ds = SurvivalDataset(times=[1.0, 2.0], events=[1, 0], subject_ids=ids)
+        assert type(ds.subject_ids) is tuple and ds.subject_ids == stored
+        assert all(type(i) is str for i in ds.subject_ids)
     ds = SurvivalDataset(times=[1.0, 2.0], events=[1, 0])
     assert ds.n == 2 and ds.n_events == 1
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from survconcord import (
     ConcordancePolicy,
     InputError,
     PairCase,
+    Profile,
     StepFunction,
     SurvivalDataset,
     SurvivalMatrix,
@@ -20,6 +21,8 @@ from survconcord import (
     decompose,
     get_profiles,
     neg_rmst,
+    profile_from_dict,
+    profile_to_dict,
     run_multiverse,
     tie_weighted_policy,
 )
@@ -562,6 +565,20 @@ def test_decompose_rejects_foreign_tallies():
         _, foreign = concordance(ds, [2.0, 1.0], pol)
         with pytest.raises(InputError, match="not produced by a tie-weighted policy"):
             decompose(foreign)
+
+
+def test_decompose_ignores_credits_of_excluded_cases():
+    # A profile file keeps comparable cases only, so omega_o = 0 loses the
+    # omega_p credit of the excluded case 6C; the reloaded tally still
+    # decomposes, to the same report.
+    profile = Profile("ignore_tied_times", "C", tie_weighted_policy(0.0, 0.5))
+    loaded = profile_from_dict(profile_to_dict(profile))
+    assert loaded.policy.case_table[PairCase.C6C] != profile.policy.case_table[PairCase.C6C]
+    ds = SurvivalDataset(times=[1.0, 1.0, 2.0, 3.0, 3.0], events=[1, 0, 1, 1, 0])
+    risks = [2.0, 2.0, 1.0, 1.0, 0.0]
+    reports = [decompose(concordance(ds, risks, p.policy)[1]) for p in (profile, loaded)]
+    assert reports[0] == reports[1]
+    assert reports[0].omega_p == 0.5 and reports[0].strict_tied_predictions > 0
 
 
 # --- properties --------------------------------------------------------------

@@ -16,6 +16,7 @@ from survconcord import (
     tie_weighted_policy,
 )
 from survconcord.data import PairCase
+from survconcord.engine import STRICT_PAIRS
 from survconcord.io import (
     canonical_json,
     load_profiles_file,
@@ -67,6 +68,9 @@ def test_subjects_errors_carry_line_numbers(tmp_path):
     path.write_text("id,time,event\n")
     with pytest.raises(InputError, match="no records"):
         read_subjects_csv(path)
+    path.write_text("id,time,event,risk,risk\na,1,1,0.5,0.7\n")
+    with pytest.raises(InputError, match=r"bad\.csv:1: risk column 'risk' is named twice"):
+        read_subjects_csv(path, risk_col="risk")
 
 
 @pytest.mark.parametrize(
@@ -231,3 +235,16 @@ def test_profiles_file_rejects_unknown_keys(tmp_path):
         expected = re.escape(f"profile #1: {message}")
         with pytest.raises(InputError, match=expected):
             load_profiles_file(path)
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"1A": (1.0, 1.0), PairCase.C1B: (1.0, 0.0)},
+     "case table key '1A' is not a PairCase; write e.g. PairCase('1A')"),
+    ({**STRICT_PAIRS, "6A": (1.0, 1.0)}, "case table key '6A' is not a PairCase"),
+    ({PairCase.C1A: (1.0, 1.0, 5)}, "case 1A must be (weight, credit), got (1.0, 1.0, 5)"),
+    ({PairCase.C1A: 1.0}, "case 1A must be (weight, credit), got 1.0"),
+    ([(PairCase.C1A, (1.0, 1.0))], "case table must be a mapping, got list"),
+])
+def test_policy_rejects_case_tables_it_cannot_read(table, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        ConcordancePolicy(table)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from survconcord import (
     ComputationError,
@@ -9,6 +11,8 @@ from survconcord import (
     ipcw_weights,
     km_fit,
 )
+
+from oracle import km_reference
 
 
 def test_no_censoring_matches_empirical_survivor():
@@ -83,12 +87,38 @@ def test_matches_statsmodels_survival_function():
         assert np.allclose(got, expected, atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, 3.0]), st.integers(0, 1)),
+    min_size=1, max_size=40,
+))
+@example([(-0.0, 1), (0.0, 0), (0.0, 1), (1.0, 0)])
+@example([(0.0, 0), (-0.0, 1), (-0.0, 0)])
+def test_km_fit_equals_naive_reference_bit_for_bit(records):
+    times, events = zip(*records)
+    ds = SurvivalDataset(times=times, events=events)
+    for target in ("event", "censoring"):
+        fit = km_fit(ds, target)
+        jumps, values = km_reference(ds, target)
+        assert fit.jump_times.tolist() == jumps
+        # -0.0 == 0.0, so the sign of a jump at zero is compared on its own.
+        assert np.signbit(fit.jump_times).tolist() == np.signbit(jumps).tolist()
+        assert fit.values.tolist() == values
+
+
 def test_step_evaluation_left_and_right():
     f = StepFunction(jump_times=[2.0], values=[0.5])
     assert f.evaluate(2.0) == 0.5
     assert f.evaluate_left(2.0) == 1.0
     assert f.evaluate(0.0) == 1.0
     assert f.evaluate(99.0) == 0.5  # constant beyond the last jump
+
+
+@pytest.mark.parametrize("jump_times", [[np.nan], [1.0, np.inf], [2.0, 1.0], [1.0, 1.0]])
+def test_step_function_rejects_bad_jump_times(jump_times):
+    # A lone NaN jump would read 1.0 at every time.
+    with pytest.raises(InputError, match="finite and strictly increasing"):
+        StepFunction(jump_times, [0.5] * len(jump_times))
 
 
 @pytest.mark.parametrize("f", [

@@ -94,6 +94,9 @@ def test_repeated_profile_name_rejected():
     for names in (["hmisc", "hmisc"], ["mine", "hmisc", "mine"]):
         with pytest.raises(InputError, match=f"profile '{names[0]}' is named more"):
             get_profiles(names, extra=[mine])
+    ds = SurvivalDataset(times=[1.0, 2.0], events=[1, 1])
+    with pytest.raises(InputError, match="profile 'mine' is named more than once"):
+        run_multiverse(ds, risks=[2.0, 1.0], profiles=[mine, mine])
 
 
 def test_taken_extra_profile_name_rejected():
