@@ -190,7 +190,7 @@ class SurvivalDataset:
         return SurvivalDataset(
             times=self.times[indices],
             events=self.events[indices],
-            subject_ids=tuple(self.subject_ids[i] for i in indices),
+            subject_ids=tuple(map(self.subject_ids.__getitem__, indices.tolist())),
             covariates=None if self.covariates is None else self.covariates[indices],
         )
 

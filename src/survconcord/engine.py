@@ -28,9 +28,10 @@ relation).  Scalar risks are counted by sorting, in O(n log² n)
 (:func:`_scalar_cells`); survival curves blockwise, in O(n²)
 (:func:`_curve_cells`).  One map, :func:`_cases`, built from
 ``classify_pair``, turns cells into case counts and drops the self-pair;
-the result equals classifying every pair.  Every weighted sum is a single
-correctly rounded ``math.fsum``, so estimates do not depend on the producer
-or the anchor order and are deterministic for a given input.
+the result equals classifying every pair.  Every weighted sum is the exact
+sum of its float terms, found in integers and rounded once
+(:func:`_exact_sums`), so estimates do not depend on the producer or the
+anchor order and are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -492,6 +493,57 @@ def _scalar_cells(
     return cells.reshape(n, 18)  # explicit: numpy cannot infer a width when n == 0
 
 
+#: Case labels in case order, the keys of every tally mapping.
+_CASE_LABELS = tuple(c.value for c in CASE_ORDER)
+
+#: Rows below which a float64 sum of mantissa halves (each under 2**27) is exact.
+_EXACT_ROWS = 1 << 26
+
+
+def _exact_sums(terms: np.ndarray) -> tuple[list[int], int]:
+    """Exact column sums of ``terms``: column k sums to ``ints[k] * 2**scale``.
+
+    Every finite float is M * 2**(E - 53) for an integer |M| < 2**53
+    (``np.frexp``).  M splits into a high half below 2**27 and a low half
+    below 2**26, and one ``np.bincount`` per half sums them per (column, E).
+    With fewer than 2**26 rows each such sum is an integer below 2**53, so
+    the float64 sums are exact; the bins are then joined as Python integers.
+    """
+    rows, cols = terms.shape
+    if rows >= _EXACT_ROWS:
+        raise ComputationError(f"cannot sum {rows} anchors exactly (limit {_EXACT_ROWS})")
+    if not np.all(np.isfinite(terms)):
+        raise ComputationError("a weighted pair term is not finite")
+    if terms.size == 0:
+        return [0] * cols, 0
+    frac, exp = np.frexp(terms)
+    # Scaled and keyed in place: fewer temporaries keep the heap small.
+    frac *= 2.0**53
+    mant = frac.astype(np.int64)
+    low = int(exp.min())
+    width = int(exp.max()) - low + 1
+    exp -= low
+    exp += np.arange(cols, dtype=exp.dtype) * width
+    key = exp.ravel()
+    size = cols * width
+    halves = (
+        np.bincount(key, weights=(mant & ((1 << 26) - 1)).ravel(), minlength=size),
+        np.bincount(key, weights=(mant >> 26).ravel(), minlength=size),
+    )
+    bins = np.concatenate([h.reshape(cols, width) for h in halves], axis=1)
+    shifts = np.concatenate((np.arange(width), np.arange(26, 26 + width))).astype(object)
+    ints = (bins.astype(np.int64).astype(object) << shifts).sum(axis=1)
+    return ints.tolist(), low - 53
+
+
+def _rounded(value: int, scale: int) -> float:
+    """``value * 2**scale`` rounded once to the nearest float."""
+    try:
+        return float(value << scale) if scale >= 0 else value / (1 << -scale)
+    except OverflowError:
+        raise ComputationError("a weighted pair sum is not finite") from None
+
+
 def _reduce(
     counts: np.ndarray,
     times: np.ndarray,
@@ -504,9 +556,11 @@ def _reduce(
 
     Anchors with T_i >= tau are left out.  An anchor whose weight is NaN
     (G = 0) drops its pairs in comparable cases; they are counted in
-    ``dropped_pairs`` instead of ``case_counts``.  Every weighted sum is one
-    correctly rounded ``math.fsum`` over anchors, so it does not depend on
-    how the counts were produced.
+    ``dropped_pairs`` instead of ``case_counts``.  Each weighted sum is the
+    exact sum of its float terms (count times anchor weight times case
+    weight, and times credit), rounded once (:func:`_exact_sums`), so it does
+    not depend on how or in what order the counts were produced.  A term or
+    a sum that is not finite raises :class:`ComputationError`.
     """
     cw = policy._comparable_by_case
     comparable = cw > 0
@@ -516,25 +570,28 @@ def _reduce(
     case_counts = counts[active].sum(axis=0) - dropped_by_case
 
     live = active & ~undefined
-    pair_comp = weights[live, None] * cw[comparable]
-    pair_cred = pair_comp * policy._credit_by_case[comparable]
     live_counts = counts[live][:, comparable]
-    comp_terms = live_counts * pair_comp
-    cred_terms = live_counts * pair_cred
+    with np.errstate(over="ignore", invalid="ignore"):  # _exact_sums rejects inf/NaN
+        pair_comp = weights[live, None] * cw[comparable]
+        pair_cred = pair_comp * policy._credit_by_case[comparable]
+        comp_terms = live_counts * pair_comp
+        cred_terms = live_counts * pair_cred
+    comp_ints, comp_scale = _exact_sums(comp_terms)
+    cred_ints, cred_scale = _exact_sums(cred_terms)
     comp = np.zeros(cw.size)
     cred = np.zeros(cw.size)
-    comp[comparable] = [math.fsum(col) for col in comp_terms.T.tolist()]
-    cred[comparable] = [math.fsum(col) for col in cred_terms.T.tolist()]
+    comp[comparable] = [_rounded(v, comp_scale) for v in comp_ints]
+    cred[comparable] = [_rounded(v, cred_scale) for v in cred_ints]
 
-    def by_label(values, cast):
-        return MappingProxyType({c.value: cast(v) for c, v in zip(CASE_ORDER, values)})
+    def by_label(values: np.ndarray) -> Mapping:
+        return MappingProxyType(dict(zip(_CASE_LABELS, values.tolist())))
 
     return PairTally(
-        case_counts=by_label(case_counts, int),
-        case_comparable=by_label(comp, float),
-        case_credit=by_label(cred, float),
-        numerator=math.fsum(cred_terms.ravel().tolist()),
-        denominator=math.fsum(comp_terms.ravel().tolist()),
+        case_counts=by_label(case_counts),
+        case_comparable=by_label(comp),
+        case_credit=by_label(cred),
+        numerator=_rounded(sum(cred_ints), cred_scale),
+        denominator=_rounded(sum(comp_ints), comp_scale),
         dropped_pairs=int(dropped_by_case.sum()),
         anchors_beyond_grid=anchors_beyond_grid,
         policy=policy,

@@ -42,7 +42,8 @@ class StepFunction:
             raise InputError("jump_times and values must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(jt)) and np.all(np.diff(jt) > 0)):
             raise InputError("jump times must be finite and strictly increasing")
-        if vals.size and (np.any(np.diff(vals) > 0) or vals.min() < 0 or vals.max() > 1):
+        # Written so that a NaN value fails every comparison and is rejected.
+        if not (np.all(np.diff(vals) <= 0) and np.all((vals >= 0) & (vals <= 1))):
             raise InputError("values must be nonincreasing within [0, 1]")
         object.__setattr__(self, "jump_times", _readonly(jt))
         object.__setattr__(self, "values", _readonly(vals))
@@ -111,8 +112,9 @@ def ipcw_weights(
 
     Returns 1/G(T_i)^2 for ``uno_squared`` or 1/(G(T_i-) G(T_i)) for
     ``pec_product``; ``uniform`` gives all ones and reads no ``g``.  Subjects
-    whose weight would divide by G = 0 get NaN: their pairs are dropped (and
-    counted) by the estimator instead of contributing unbounded weights.
+    whose weight is not finite (G = 0, or a G so small that the reciprocal
+    overflows) get NaN: their pairs are dropped (and counted) by the
+    estimator instead of contributing unbounded weights.
     """
     if scheme == WEIGHT_UNIFORM:
         return np.ones(ds.n)
@@ -123,4 +125,6 @@ def ipcw_weights(
         denom = g.evaluate_left(ds.times) * g_at
     else:
         raise InputError(f"unknown weight scheme {scheme!r}")
-    return np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), np.nan)
+    with np.errstate(divide="ignore", over="ignore"):
+        weights = 1.0 / denom
+    return np.where(np.isfinite(weights), weights, np.nan)

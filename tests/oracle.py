@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -14,7 +15,12 @@ from survconcord import (
     km_fit,
 )
 from survconcord.data import CASE_ORDER, as_risk_array
-from survconcord.engine import G_SOURCE_PROVIDED, ConcordancePolicy, _finalize
+from survconcord.engine import (
+    G_SOURCE_PROVIDED,
+    ConcordancePolicy,
+    PairTally,
+    _finalize,
+)
 from survconcord.km import WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED
 
 
@@ -86,6 +92,8 @@ def brute_force_oracle(
             else:
                 denom_w = g.evaluate_left(ti) * g_at
             wi = 1.0 / denom_w if denom_w > 0 else math.nan
+            if math.isinf(wi):  # 1 / G^2 overflows: undefined, as for G = 0
+                wi = math.nan
         for j in range(ds.n):
             if i == j:
                 continue
@@ -195,3 +203,53 @@ def dense_curve_counts(times, events, sm, tol: float) -> tuple[np.ndarray, int]:
     s = np.where(last[:, None] < 0, 1.0, np.asarray(sm.probs)[:, np.maximum(last, 0)].T)
     counts = _dense_counts(times, events, _rank_codes(s - np.diag(s)[:, None], tol))
     return counts, int(np.count_nonzero(times > grid[-1]))
+
+
+def fsum_reduce(
+    counts: np.ndarray,
+    times: np.ndarray,
+    policy: ConcordancePolicy,
+    weights: np.ndarray,
+    tau: float | None,
+    anchors_beyond_grid: int = 0,
+) -> PairTally:
+    """Reference for ``engine._reduce``: one ``math.fsum`` per weighted sum.
+
+    Anchors with T_i >= tau are left out.  An anchor whose weight is NaN
+    (G = 0) drops its pairs in comparable cases; they are counted in
+    ``dropped_pairs`` instead of ``case_counts``.  Every weighted sum is one
+    correctly rounded ``math.fsum`` over anchors, so it does not depend on
+    how the counts were produced.
+    """
+    cw = policy._comparable_by_case
+    comparable = cw > 0
+    active = np.ones(times.size, dtype=bool) if tau is None else times < tau
+    undefined = active & np.isnan(weights)
+    dropped_by_case = counts[undefined].sum(axis=0) * comparable
+    case_counts = counts[active].sum(axis=0) - dropped_by_case
+
+    live = active & ~undefined
+    pair_comp = weights[live, None] * cw[comparable]
+    pair_cred = pair_comp * policy._credit_by_case[comparable]
+    live_counts = counts[live][:, comparable]
+    comp_terms = live_counts * pair_comp
+    cred_terms = live_counts * pair_cred
+    comp = np.zeros(cw.size)
+    cred = np.zeros(cw.size)
+    comp[comparable] = [math.fsum(col) for col in comp_terms.T.tolist()]
+    cred[comparable] = [math.fsum(col) for col in cred_terms.T.tolist()]
+
+    def by_label(values, cast):
+        return MappingProxyType({c.value: cast(v) for c, v in zip(CASE_ORDER, values)})
+
+    return PairTally(
+        case_counts=by_label(case_counts, int),
+        case_comparable=by_label(comp, float),
+        case_credit=by_label(cred, float),
+        numerator=math.fsum(cred_terms.ravel().tolist()),
+        denominator=math.fsum(comp_terms.ravel().tolist()),
+        dropped_pairs=int(dropped_by_case.sum()),
+        anchors_beyond_grid=anchors_beyond_grid,
+        policy=policy,
+        tau=tau,
+    )

@@ -130,6 +130,14 @@ def test_dataset_structure_checks():
         ds.times[0] = 5.0  # arrays are frozen
 
 
+@pytest.mark.parametrize("indices", [[], [2], [1, 1, 0, 1], [-1, 0]])
+def test_subset_gathers_subject_ids(indices):
+    ds = SurvivalDataset(times=[1.0, 2.0, 3.0], events=[1, 0, 1], subject_ids=("a", "b", "c"))
+    sub = ds.subset(np.array(indices, dtype=int))
+    assert sub.subject_ids == tuple(ds.subject_ids[i] for i in indices)
+    assert sub.times.tolist() == [ds.times[i] for i in indices]
+
+
 def test_risk_vector_invariants():
     assert as_risk_array([1.0, 2.0], 2).tolist() == [1.0, 2.0]
     with pytest.raises(InputError):

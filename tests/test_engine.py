@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from survconcord import (
     BootstrapSpec,
@@ -41,6 +44,7 @@ from oracle import (
     brute_force_oracle,
     dense_curve_counts,
     dense_scalar_counts,
+    fsum_reduce,
     td_brute_force_oracle,
 )
 
@@ -164,6 +168,38 @@ def test_pairs_with_undefined_weight_are_dropped_and_counted():
     assert tally.dropped_pairs == 1
     assert est == 1.0
     assert brute_force_oracle(ds, risks, pol, g=g) == pytest.approx(est, abs=1e-12)
+
+
+def test_weights_that_overflow_are_dropped_without_warning():
+    # G(3) = 1e-160 gives G^2 = 1e-320, whose reciprocal overflows: the
+    # anchor's weight is undefined, as for G = 0, and its pair is dropped.
+    ds = SurvivalDataset(times=[1.0, 3.0, 4.0], events=[1, 1, 1])
+    risks = [3.0, 1.0, 2.0]
+    g = StepFunction(jump_times=[0.5, 2.5], values=[0.5, 1e-160])
+    pol = tie_weighted_policy(
+        0.0, 0.0, weight_scheme="uno_squared", g_source="provided"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, tally = concordance(ds, risks, pol, g=g)
+    assert tally.dropped_pairs == 1
+    assert est == 1.0
+    assert brute_force_oracle(ds, risks, pol, g=g) == est
+
+
+@pytest.mark.parametrize("count, weights", [
+    (1, [1.0, np.inf]),
+    (10, [1.0, 1e308]),  # the term overflows
+    (1, [1e308, 1e308]),  # each term is finite, their sum is not
+])
+def test_reducer_rejects_sums_that_are_not_finite(count, weights):
+    # These have no float sum; they raise instead of scoring NaN or inf.
+    counts = np.zeros((2, 18), dtype=np.int64)
+    counts[:, 0] = count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ComputationError, match="not finite"):
+            _reduce(counts, np.array([1.0, 2.0]), HARRELL, np.array(weights), None)
 
 
 def test_no_comparable_pairs_errors():
@@ -293,6 +329,52 @@ def test_blockwise_reduction_is_bit_identical():
                 assert t.case_counts == first.case_counts
                 assert t.case_comparable == first.case_comparable
                 assert t.case_credit == first.case_credit
+
+
+def test_reducer_refuses_more_rows_than_it_sums_exactly(monkeypatch):
+    monkeypatch.setattr("survconcord.engine._EXACT_ROWS", 2)
+    counts = np.ones((2, 18), dtype=np.int64)
+    with pytest.raises(ComputationError, match="exactly"):
+        _reduce(counts, np.array([1.0, 2.0]), HARRELL, np.ones(2), None)
+
+
+_REDUCE_POLICIES = [p.policy for p in get_profiles()] + [
+    # Weights and credits that are not dyadic, so each term carries its own rounding.
+    ConcordancePolicy({
+        PairCase.C1A: (0.3, 0.7), PairCase.C1B: (0.3, 0.0), PairCase.C1C: (0.3, 0.3),
+        PairCase.C2A: (0.7, 1.0), PairCase.C2C: (0.7, 0.7), PairCase.C5C: (0.3, 0.7),
+        PairCase.C6A: (0.7, 0.3), PairCase.C7B: (0.1, 0.7),
+    }),
+]
+
+
+@st.composite
+def _reduce_instance(draw):
+    n = draw(st.integers(0, 40))
+    counts = draw(arrays(np.int64, (n, 18), elements=st.integers(0, 10**6)))
+    times = draw(arrays(np.float64, n, elements=st.integers(0, 9).map(float)))
+    weight = st.one_of(st.just(1.0), st.floats(1.0, 1e12), st.just(np.nan))
+    weights = draw(arrays(np.float64, n, elements=weight))
+    # tau 0 keeps no anchor, 5 some and 10 all of them.
+    tau = draw(st.sampled_from([None, 0.0, 5.0, 10.0]))
+    return counts, times, weights, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reduce_instance(), st.sampled_from(_REDUCE_POLICIES))
+@example((np.zeros((0, 18), dtype=np.int64), np.zeros(0), np.zeros(0), None), HARRELL)
+def test_reduce_equals_fsum_reference_bit_for_bit(instance, policy):
+    counts, times, weights, tau = instance
+    got = _reduce(counts, times, policy, weights, tau)
+    want = fsum_reduce(counts, times, policy, weights, tau)
+    assert got.numerator.hex() == want.numerator.hex()
+    assert got.denominator.hex() == want.denominator.hex()
+    for values in ("case_comparable", "case_credit"):
+        got_v, want_v = getattr(got, values), getattr(want, values)
+        assert list(got_v) == list(want_v)
+        assert [v.hex() for v in got_v.values()] == [v.hex() for v in want_v.values()]
+    assert got.case_counts == want.case_counts
+    assert got.dropped_pairs == want.dropped_pairs
 
 
 def _curve_instance(rng, n):

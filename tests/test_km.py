@@ -121,6 +121,13 @@ def test_step_function_rejects_bad_jump_times(jump_times):
         StepFunction(jump_times, [0.5] * len(jump_times))
 
 
+@pytest.mark.parametrize("values", [[np.nan, 0.5], [0.8, np.nan], [0.8, 0.9], [1.5, 0.5]])
+def test_step_function_rejects_bad_values(values):
+    # A NaN value, first or last, would read as NaN from its jump on.
+    with pytest.raises(InputError, match="nonincreasing within"):
+        StepFunction([1.0, 2.0], values)
+
+
 @pytest.mark.parametrize("f", [
     StepFunction([1.0, 2.0], [0.8, 0.5]),
     StepFunction([], []),
