@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .data import ComputationError, InputError, SurvivalDataset, TimeGrid, json_value
+from .data import ComputationError, InputError, SurvivalDataset, TimeGrid, as_float
 from .engine import TRUNC_MAX_UNCENSORED, TRUNC_NONE, TRUNC_VALUE, Truncation
 from .km import km_fit
 from .profiles import (
@@ -193,7 +193,7 @@ _CENSORING_NUMBERS = {"shape": 1.0, "scale": 1.0, "beta_age": 0.0}
 
 def _load_params(path: str) -> tuple[dict, WeibullPHParams, dict]:
     """The params file as read, its event model and its censoring settings;
-    every number in the file must be a JSON number."""
+    every number in the file must be a number, not a string or a boolean."""
     raw = sio.read_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("event"), dict):
         raise InputError(f"{path}: missing 'event' parameter block")
@@ -202,19 +202,17 @@ def _load_params(path: str) -> tuple[dict, WeibullPHParams, dict]:
         raise InputError(f"{path}: 'censoring' must be an object")
     coefficients = event.get("coefficients", [])
     try:
-        shape = json_value(event["shape"], float, "event shape")
-        scale = json_value(event["scale"], float, "event scale")
         if not isinstance(coefficients, list):
             raise InputError(f"coefficients must be a JSON array, got {coefficients!r}")
-        beta = [json_value(b, float, "coefficient") for b in coefficients]
-        settings = {k: json_value(cens.get(k, default), float, f"censoring {k}")
+        params = WeibullPHParams(event["shape"], event["scale"], coefficients)
+        settings = {k: as_float(cens.get(k, default), f"censoring {k}")
                     for k, default in _CENSORING_NUMBERS.items()}
     except KeyError as exc:
         raise InputError(f"{path}: event block missing {exc}") from None
     except InputError as exc:
         raise InputError(f"{path}: invalid parameter ({exc})") from None
     settings["age_column"] = cens.get("age_column", 0)
-    return raw, WeibullPHParams(shape, scale, np.array(beta)), settings
+    return raw, params, settings
 
 
 def _censoring_mechanism(name: str, cens: dict, epsilon: float):

@@ -114,10 +114,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a read-only float64 copy; anything but a rectangular array
+    of numbers or booleans raises :class:`InputError` naming ``what``."""
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"{what} must be a rectangular numeric array") from None
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in ("b", "i", "u", "f"):
+        raise InputError(f"{what} must be a rectangular numeric array")
+    return _readonly(array.astype(float))
 
 
 def _reject_first(values: np.ndarray, ok: np.ndarray, what: str) -> None:
@@ -150,7 +155,7 @@ class SurvivalDataset:
         _reject_first(times, np.isfinite(times), "non-finite time")
         _reject_first(times, times >= 0, "negative time")
         _reject_first(events, (events == 0) | (events == 1), "non-binary event")
-        object.__setattr__(self, "times", _readonly(times.copy()))
+        object.__setattr__(self, "times", times)
         object.__setattr__(self, "events", _readonly(events.astype(np.int8)))
         ids = self.subject_ids
         try:
@@ -171,7 +176,7 @@ class SurvivalDataset:
                 raise InputError("covariates must be an (n, p) array aligned with times")
             if not np.all(np.isfinite(cov)):
                 raise InputError("covariates contain non-finite values")
-            object.__setattr__(self, "covariates", _readonly(cov.copy()))
+            object.__setattr__(self, "covariates", cov)
 
     @property
     def n(self) -> int:
@@ -185,34 +190,18 @@ class SurvivalDataset:
         return int(np.sum(self.events == 1))
 
     def subset(self, indices: np.ndarray) -> "SurvivalDataset":
-        """Positional subset (used by resampling); preserves covariates."""
-        indices = np.asarray(indices, dtype=int)
+        """Positional subset (used by resampling); preserves covariates.  A
+        boolean mask or float positions raise :class:`InputError`."""
+        indices = np.asarray(indices)
+        if indices.size and indices.dtype.kind not in ("i", "u"):
+            raise InputError(f"subset indices must be integers, got {indices.dtype}")
+        indices = indices.astype(int, copy=False)
         return SurvivalDataset(
             times=self.times[indices],
             events=self.events[indices],
             subject_ids=tuple(map(self.subject_ids.__getitem__, indices.tolist())),
             covariates=None if self.covariates is None else self.covariates[indices],
         )
-
-
-_JSON_KINDS = {float: "number", bool: "boolean", str: "string"}
-
-
-def json_value(value, kind: type, what: str):
-    """``value`` from a decoded JSON file, checked to be of ``kind``.
-
-    ``float`` takes a JSON number and returns it as a float, ``bool`` takes
-    true or false and ``str`` a string.  Nothing is coerced: ``true`` is not
-    the number 1 and ``"0.5"`` is not a number.  Anything else raises
-    :class:`InputError` naming ``what``.
-    """
-    if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise InputError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
-    return as_float(value, what) if kind is float else value
 
 
 def as_float(value, what: str) -> float:
@@ -240,8 +229,8 @@ def as_seed(seed) -> int:
 
 
 def as_risk_array(risks, n: int) -> np.ndarray:
-    """Coerce an array-like to a validated float array of length n."""
-    values = np.asarray(risks, dtype=float)
+    """Coerce an array-like to a validated read-only float array of length n."""
+    values = _float_array(risks, "risk vector")
     if values.ndim != 1 or values.size != n:
         raise InputError(f"risk vector must have length {n}, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
@@ -260,7 +249,7 @@ class TimeGrid:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=float).copy()
+        points = _float_array(self.points, "grid")
         if points.ndim != 1 or points.size == 0:
             raise InputError("grid must be a non-empty 1-d array")
         if not np.all(np.isfinite(points)):
@@ -269,7 +258,7 @@ class TimeGrid:
             raise InputError("grid must start at a nonnegative time")
         if not np.all(np.diff(points) > 0):
             raise InputError("grid must be strictly increasing")
-        object.__setattr__(self, "points", _readonly(points))
+        object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -277,6 +266,8 @@ class TimeGrid:
     @classmethod
     def regular(cls, stop: float, step: float = 1.0, start: float = 0.0) -> "TimeGrid":
         """Grid {start, start+step, ...} up to and including stop (when hit exactly)."""
+        stop, step, start = (as_float(value, f"grid {name}") for name, value in
+                             (("stop", stop), ("step", step), ("start", start)))
         if not all(map(math.isfinite, (stop, step, start))):
             raise InputError("grid start, stop and step must be finite")
         if step <= 0:
@@ -312,7 +303,7 @@ class SurvivalMatrix:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float).copy()
+        probs = _float_array(self.probs, "survival probabilities")
         if probs.ndim != 2 or probs.shape[1] != len(self.grid):
             raise InputError(
                 f"probs must be (n, {len(self.grid)}) to match the grid, "

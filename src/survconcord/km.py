@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import ComputationError, InputError, SurvivalDataset, _readonly
+from .data import ComputationError, InputError, SurvivalDataset, _float_array
 
 #: Allowed weighting schemes for pairwise estimators.
 WEIGHT_UNIFORM = "uniform"
@@ -36,8 +36,8 @@ class StepFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        jt = np.asarray(self.jump_times, dtype=float).copy()
-        vals = np.asarray(self.values, dtype=float).copy()
+        jt = _float_array(self.jump_times, "jump_times")
+        vals = _float_array(self.values, "values")
         if jt.ndim != 1 or vals.shape != jt.shape:
             raise InputError("jump_times and values must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(jt)) and np.all(np.diff(jt) > 0)):
@@ -45,8 +45,8 @@ class StepFunction:
         # Written so that a NaN value fails every comparison and is rejected.
         if not (np.all(np.diff(vals) <= 0) and np.all((vals >= 0) & (vals <= 1))):
             raise InputError("values must be nonincreasing within [0, 1]")
-        object.__setattr__(self, "jump_times", _readonly(jt))
-        object.__setattr__(self, "values", _readonly(vals))
+        object.__setattr__(self, "jump_times", jt)
+        object.__setattr__(self, "values", vals)
 
     def evaluate(self, t):
         """Right-continuous value at t (vectorized)."""
@@ -57,7 +57,7 @@ class StepFunction:
         return self._eval(t, side="left")
 
     def _eval(self, t, side):
-        t = np.asarray(t, dtype=float)
+        t = _float_array(t, "evaluation time")
         if np.isnan(t).any():
             raise InputError("step function evaluated at a NaN time")
         out = np.concatenate(([1.0], self.values))[
@@ -118,13 +118,15 @@ def ipcw_weights(
     """
     if scheme == WEIGHT_UNIFORM:
         return np.ones(ds.n)
+    if scheme not in WEIGHT_SCHEMES:
+        raise InputError(f"unknown weight scheme {scheme!r}")
+    if not isinstance(g, StepFunction):
+        raise InputError(f"{scheme} weights need a StepFunction g, got {type(g).__name__}")
     g_at = g.evaluate(ds.times)
     if scheme == WEIGHT_UNO_SQUARED:
         denom = g_at * g_at
-    elif scheme == WEIGHT_PEC_PRODUCT:
-        denom = g.evaluate_left(ds.times) * g_at
     else:
-        raise InputError(f"unknown weight scheme {scheme!r}")
+        denom = g.evaluate_left(ds.times) * g_at
     with np.errstate(divide="ignore", over="ignore"):
         weights = 1.0 / denom
     return np.where(np.isfinite(weights), weights, np.nan)

@@ -28,7 +28,6 @@ from .data import (
     as_float,
     as_risk_array,
     as_seed,
-    json_value,
 )
 from .engine import (
     FOLD_MAX_COMPLEMENT,
@@ -37,7 +36,6 @@ from .engine import (
     STRICT_PAIRS,
     TRUNC_MAX_UNCENSORED,
     TRUNC_NONE,
-    CaseRule,
     ConcordancePolicy,
     PairTally,
     Truncation,
@@ -76,6 +74,12 @@ class Profile:
     notes: str = ""
 
     def __post_init__(self) -> None:
+        for name, kind, word in (("name", str, "string"), ("notes", str, "string"),
+                                 ("requires_tau", bool, "boolean"),
+                                 ("policy", ConcordancePolicy, "ConcordancePolicy")):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise InputError(f"{name} must be a {word}, got {value!r}")
         if self.family not in (FAMILY_C, FAMILY_C_TAU, FAMILY_C_TD):
             raise InputError(f"unknown estimator family {self.family!r}")
 
@@ -287,26 +291,14 @@ def policy_from_dict(d: Mapping) -> ConcordancePolicy:
                              "g_source", "truncation", "final_fold"), "policy")
     raw_table = d.get("case_table", {})
     _reject_unknown_keys(raw_table, [case.value for case in PairCase], "case_table")
-    table = {}
-    for label, rule in raw_table.items():
-        if not (isinstance(rule, (list, tuple)) and len(rule) == 2):
-            raise InputError(f"case {label} must be [weight, credit], got {rule!r}")
-        table[PairCase(label)] = CaseRule(
-            json_value(rule[0], float, f"case {label} weight"),
-            json_value(rule[1], float, f"case {label} credit"),
-        )
     trunc = d.get("truncation", {"mode": TRUNC_NONE, "value": None})
     _reject_unknown_keys(trunc, ("mode", "value"), "truncation")
-    value = trunc.get("value")
     return ConcordancePolicy(
-        case_table=table,
-        tie_tolerance=json_value(d.get("tie_tolerance", 0.0), float, "tie_tolerance"),
+        case_table={PairCase(label): rule for label, rule in raw_table.items()},
+        tie_tolerance=d.get("tie_tolerance", 0.0),
         weight_scheme=d.get("weight_scheme", WEIGHT_UNIFORM),
         g_source=d.get("g_source", G_SOURCE_TEST_SET),
-        truncation=Truncation(
-            mode=trunc.get("mode", TRUNC_NONE),
-            value=None if value is None else json_value(value, float, "truncation value"),
-        ),
+        truncation=Truncation(mode=trunc.get("mode", TRUNC_NONE), value=trunc.get("value")),
         final_fold=d.get("final_fold", "identity"),
     )
 
@@ -328,11 +320,11 @@ def profile_from_dict(d: Mapping) -> Profile:
     if "name" not in d:
         raise InputError("missing 'name'")
     return Profile(
-        name=json_value(d["name"], str, "name"),
+        name=d["name"],
         family=d.get("family", FAMILY_C),
         policy=policy_from_dict(d.get("policy", {})),
-        requires_tau=json_value(d.get("requires_tau", False), bool, "requires_tau"),
-        notes=json_value(d.get("notes", ""), str, "notes"),
+        requires_tau=d.get("requires_tau", False),
+        notes=d.get("notes", ""),
     )
 
 

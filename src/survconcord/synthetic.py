@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InputError, SurvivalDataset, SurvivalMatrix, TimeGrid
+from .data import (
+    InputError,
+    SurvivalDataset,
+    SurvivalMatrix,
+    TimeGrid,
+    _float_array,
+    as_float,
+    as_seed,
+)
 from .engine import STRICT_PAIRS, ConcordancePolicy, concordance
 
 # neg_rmst stays importable from this module, although the oracle no longer
@@ -32,13 +40,13 @@ _STREAMS = {"events": 0, "censoring": 1}
 
 
 def _rng(seed: int, stream: str) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(_STREAMS[stream],))
+    ss = np.random.SeedSequence(as_seed(seed), spawn_key=(_STREAMS[stream],))
     return np.random.Generator(np.random.PCG64(ss))
 
 
 def subseed(seed: int, *path: int) -> int:
     """Derive a reproducible child seed, e.g. one per generated dataset."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(path))
+    ss = np.random.SeedSequence(as_seed(seed), spawn_key=tuple(path))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -51,18 +59,20 @@ class WeibullPHParams:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.shape > 0 and math.isfinite(self.shape)):
-            raise InputError("shape must be a positive finite number")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise InputError("scale must be a positive finite number")
-        beta = np.asarray(self.coefficients, dtype=float).reshape(-1).copy()
+        for name in ("shape", "scale"):
+            value = as_float(getattr(self, name), name)
+            if not (value > 0 and math.isfinite(value)):
+                raise InputError(f"{name} must be a positive finite number")
+            object.__setattr__(self, name, value)
+        # One by one: as an array, numpy would read True as 1 and "0.5" as 0.5.
+        flat = np.asarray(self.coefficients, dtype=object).reshape(-1)
+        beta = _float_array([as_float(b, "coefficient") for b in flat], "coefficients")
         if not np.all(np.isfinite(beta)):
             raise InputError("coefficients must be finite")
-        beta.setflags(write=False)
         object.__setattr__(self, "coefficients", beta)
 
     def linear_predictor(self, covariates: np.ndarray) -> np.ndarray:
-        x = np.asarray(covariates, dtype=float)
+        x = _float_array(covariates, "covariates")
         if x.ndim != 2 or x.shape[1] != self.coefficients.size:
             raise InputError(
                 f"covariates must be (n, {self.coefficients.size}), got {x.shape}"
@@ -92,6 +102,8 @@ class WeibullCensoring:
     age_column: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("shape", "scale", "epsilon", "beta_age"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         for value in (self.shape, self.scale):
             if not (value > 0 and math.isfinite(value)):
                 raise InputError("censoring shape and scale must be positive and finite")
@@ -115,7 +127,7 @@ class WeibullCensoring:
         if self.age_column is not None:
             if covariates is None:
                 raise InputError("age-informed censoring requires covariates")
-            x = np.asarray(covariates, dtype=float)
+            x = _float_array(covariates, "covariates")
             self.check_covariates(x.shape[1] if x.ndim == 2 else 0)
         # Drawn even when epsilon == 0, so the stream layout is identical
         # across epsilon values.
@@ -135,6 +147,7 @@ class UniformQuantileCensoring:
     epsilon: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "epsilon", as_float(self.epsilon, "epsilon"))
         if not 0.0 <= self.epsilon < 1.0:
             raise InputError("epsilon must lie in [0, 1) for uniform censoring")
 
@@ -172,7 +185,7 @@ def generate_censoring(
     rng_seed: int,
 ) -> np.ndarray:
     """Censoring times under the chosen mechanism; may contain +inf (no censoring)."""
-    event_times = np.asarray(event_times, dtype=float)
+    event_times = _float_array(event_times, "event times")
     return mechanism.draw(event_times, covariates, _rng(rng_seed, "censoring"))
 
 
@@ -182,8 +195,8 @@ def assemble(
     covariates: np.ndarray | None = None,
 ) -> SurvivalDataset:
     """Observed data: T = min(event, censoring), event observed iff it is strictly first."""
-    event_times = np.asarray(event_times, dtype=float)
-    censor_times = np.asarray(censor_times, dtype=float)
+    event_times = _float_array(event_times, "event times")
+    censor_times = _float_array(censor_times, "censoring times")
     if event_times.shape != censor_times.shape:
         raise InputError("event and censoring time arrays must have equal length")
     times = np.minimum(event_times, censor_times)
@@ -203,11 +216,11 @@ def oracle_cindex(
     (Higham), so lps within twice the largest such bound tie, and pairs equal
     in exact arithmetic leave the comparable set.
     """
-    lp = params.linear_predictor(covariates)
+    x = _float_array(covariates, "covariates")
+    lp = params.linear_predictor(x)
     pu = params.coefficients.size * 2.0**-53
-    sizes = np.abs(np.asarray(covariates, dtype=float) * params.coefficients).sum(axis=1)
+    sizes = np.abs(x * params.coefficients).sum(axis=1)
     tol = 2.0 * pu / (1.0 - pu) * float(sizes.max(initial=0.0))
-    times = np.asarray(uncensored_times, dtype=float)
-    ds = SurvivalDataset(times=times, events=np.ones(times.size, dtype=np.int8))
+    ds = SurvivalDataset(times=uncensored_times, events=np.ones(lp.size, dtype=np.int8))
     policy = ConcordancePolicy(case_table=STRICT_PAIRS, tie_tolerance=tol)
     return concordance(ds, lp, policy)[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import ComputationError, InputError, SurvivalMatrix, TimeGrid
+from .data import ComputationError, InputError, SurvivalMatrix, TimeGrid, as_float
 
 #: Default evaluation horizon and common grid used for cross-model comparison;
 #: both are overridable wherever they appear.
@@ -31,6 +31,8 @@ def interpolate(sm: SurvivalMatrix, dst: TimeGrid) -> SurvivalMatrix:
     first source value otherwise; points beyond the source grid carry the
     last value forward.
     """
+    if not isinstance(dst, TimeGrid):
+        raise InputError(f"interpolate onto a TimeGrid, got {type(dst).__name__}")
     src = sm.grid.points
     out = np.empty((sm.n, len(dst)))
     for i in range(sm.n):
@@ -46,6 +48,7 @@ def risk_at_time(sm: SurvivalMatrix, t: float) -> np.ndarray:
     A time before the first grid point would read every curve as 1 and tie
     every subject, so it is rejected like a non-finite time.
     """
+    t = as_float(t, "evaluation time")
     start = sm.grid.points[0]
     if not start <= t < np.inf:
         message = f"evaluation time must be finite and >= the grid start {start:g}"
@@ -80,6 +83,7 @@ def neg_rmst(sm: SurvivalMatrix, t_star: float) -> np.ndarray:
     subject -inf and tie them all, so it is rejected like one not past the
     first grid point.
     """
+    t_star = as_float(t_star, "t_star")
     grid = sm.grid.points
     if not grid[0] < t_star < np.inf:
         raise InputError("t_star must be finite and exceed the first grid point")

@@ -424,40 +424,39 @@ def _simulate_argv(*extra):
          "age_informed censoring needs an integer age_column"),
         (_cindex_argv("--profile-file", "p.json"),
          {"p.json": [{"name": "x", "requires_tau": "false"}]},
-         "p.json: profile #0: requires_tau must be a JSON boolean, got 'false'"),
+         "p.json: profile #0: requires_tau must be a boolean, got 'false'"),
         (_cindex_argv("--profile-file", "p.json"),
          {"p.json": [{"name": "x", "policy": {"tie_tolerance": True}}]},
-         "p.json: profile #0: tie_tolerance must be a JSON number, got True"),
+         "p.json: profile #0: tie tolerance must be a number, got True"),
         (_cindex_argv("--profile-file", "p.json"),
          {"p.json": [{"name": "x", "policy": {"tie_tolerance": "0.25"}}]},
-         "p.json: profile #0: tie_tolerance must be a JSON number, got '0.25'"),
+         "p.json: profile #0: tie tolerance must be a number, got '0.25'"),
         (_cindex_argv("--profile-file", "p.json"),
          {"p.json": [{"name": "x",
                       "policy": {"truncation": {"mode": "value", "value": True}}}]},
-         "p.json: profile #0: truncation value must be a JSON number, got True"),
+         "p.json: profile #0: truncation value must be a number, got True"),
         (_cindex_argv("--profile-file", "p.json"),
          {"p.json": [{"name": "x", "policy": {"case_table": {"1A": [True, True]}}}]},
-         "p.json: profile #0: case 1A weight must be a JSON number, got True"),
+         "p.json: profile #0: case 1A weight must be a number, got True"),
         (_cindex_argv("--profile-file", "p.json"), {"p.json": [{"name": ["a"]}]},
-         "p.json: profile #0: name must be a JSON string, got ['a']"),
+         "p.json: profile #0: name must be a string, got ['a']"),
         (_cindex_argv("--profile-file", "p.json"), {"p.json": [{"notes": "x"}]},
          "p.json: profile #0: missing 'name'"),
         (_cindex_argv("--profile-file", "p.json"),
          {"p.json": b'[{"name": "x", "policy": {"tie_tolerance": 1' + b"0" * 400 + b"}}]"},
-         "p.json: profile #0: tie_tolerance is beyond the float range"),
+         "p.json: profile #0: tie tolerance is beyond the float range"),
         (_simulate_argv(), {"params.json": {"event": {**_EVENT, "shape": True}}},
-         "params.json: invalid parameter (event shape must be a JSON number, got True)"),
+         "params.json: invalid parameter (shape must be a number, got True)"),
         (_simulate_argv(), {"params.json": {"event": {**_EVENT, "scale": "0.01"}}},
-         "params.json: invalid parameter (event scale must be a JSON number, got '0.01')"),
+         "params.json: invalid parameter (scale must be a number, got '0.01')"),
         (_simulate_argv(),
          {"params.json": {"event": {**_EVENT, "coefficients": [True, False]}}},
-         "params.json: invalid parameter (coefficient must be a JSON number, got True)"),
+         "params.json: invalid parameter (coefficient must be a number, got True)"),
         (_simulate_argv(), {"params.json": {"event": {**_EVENT, "coefficients": "12"}}},
          "params.json: invalid parameter (coefficients must be a JSON array, got '12')"),
         (_simulate_argv("--mechanism", "age_informed"),
          {"params.json": {"event": _EVENT, "censoring": {"beta_age": "0.5"}}},
-         "params.json: invalid parameter (censoring beta_age must be a JSON number, "
-         "got '0.5')"),
+         "params.json: invalid parameter (censoring beta_age must be a number, got '0.5')"),
         (_cindex_argv("--grid", "0:1e30:1"), {},
          "grid from 0.0 to 1e+30 by 1.0 has more points than an array can hold"),
         (_cindex_argv("--grid", "0:1:1e-300"), {},

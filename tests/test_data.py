@@ -4,15 +4,31 @@ import pytest
 from survconcord import (
     InputError,
     PairCase,
+    Profile,
     RankRelation,
+    StepFunction,
     SurvivalDataset,
     SurvivalMatrix,
     TimeGrid,
+    UniformQuantileCensoring,
+    WeibullCensoring,
+    WeibullPHParams,
+    assemble,
     classify_pair,
     concordance,
+    generate_censoring,
+    generate_event_times,
+    interpolate,
+    ipcw_weights,
+    neg_rmst,
+    oracle_cindex,
+    profile_from_dict,
+    risk_at_time,
+    subseed,
     tie_weighted_policy,
 )
 from survconcord.data import as_risk_array
+from survconcord.profiles import policy_from_dict
 
 GREATER, LESS, TIED = RankRelation.GREATER, RankRelation.LESS, RankRelation.TIED
 ALL_RELS = (GREATER, LESS, TIED)
@@ -169,3 +185,97 @@ def test_survival_matrix_clamps_tiny_wiggle_and_rejects_rises():
         SurvivalMatrix(grid=grid, probs=[[1.0, 0.5, 0.6]])
     with pytest.raises(InputError, match="outside"):
         SurvivalMatrix(grid=grid, probs=[[1.2, 0.5, 0.4]])
+
+
+_DS = SurvivalDataset(times=[1.0, 2.0, 3.0, 4.0], events=[1, 0, 1, 1])
+_GRID = TimeGrid([0.0, 1.0, 2.0])
+_SM = SurvivalMatrix(_GRID, [[1.0, 0.5, 0.2]] * 4)
+_POLICY = tie_weighted_policy(1.0, 0.5)
+_MODEL = WeibullPHParams(1.0, 1.0, [1.0])
+_RAGGED = [[1.0], [2.0, 3.0]]
+
+
+_BAD_INPUTS = {
+    # Types check the fields they store.
+    "profile-name": (lambda: Profile(5, "C", _POLICY), "name"),
+    "profile-notes": (lambda: Profile("x", "C", _POLICY, notes=3), "notes"),
+    "profile-requires-tau":
+        (lambda: Profile("x", "C", _POLICY, requires_tau="false"), "requires_tau"),
+    "profile-policy": (lambda: Profile("x", "C", {}), "policy"),
+    "profile-dict-name": (lambda: profile_from_dict({"name": ["a"]}), "name"),
+    "policy-tolerance":
+        (lambda: policy_from_dict({"tie_tolerance": True}), "tie tolerance"),
+    "policy-case-weight":
+        (lambda: policy_from_dict({"case_table": {"1A": [True, 1]}}), "case 1A weight"),
+    "policy-truncation-value":
+        (lambda: policy_from_dict({"truncation": {"mode": "value", "value": "5"}}),
+         "truncation value"),
+    "model-shape-string": (lambda: WeibullPHParams("2", 1.0, []), "shape"),
+    "model-shape-bool": (lambda: WeibullPHParams(True, 1.0, []), "shape"),
+    "model-scale-none": (lambda: WeibullPHParams(1.0, None, []), "scale"),
+    "model-coefficient-bool":
+        (lambda: WeibullPHParams(1.0, 1.0, [1, True]), "coefficient"),
+    "model-coefficient-string":
+        (lambda: WeibullPHParams(1.0, 1.0, ["0.5"]), "coefficient"),
+    "model-coefficients-ragged":
+        (lambda: WeibullPHParams(1.0, 1.0, _RAGGED), "coefficient"),
+    "censoring-shape": (lambda: WeibullCensoring("1", 1.0, 1.0), "shape"),
+    "censoring-scale": (lambda: WeibullCensoring(1.0, True, 1.0), "scale"),
+    "censoring-epsilon": (lambda: WeibullCensoring(1.0, 1.0, None), "epsilon"),
+    "censoring-beta-age":
+        (lambda: WeibullCensoring(1.0, 1.0, 1.0, beta_age="0.5"), "beta_age"),
+    "uniform-epsilon": (lambda: UniformQuantileCensoring("0.1"), "epsilon"),
+    # Every array enters through one intake.
+    "concordance-risks":
+        (lambda: concordance(_DS, ["a", "b", "c", "d"], _POLICY), "risk vector"),
+    "risks-ragged": (lambda: as_risk_array(_RAGGED, 2), "risk vector"),
+    "grid-string": (lambda: TimeGrid(["a"]), "grid"),
+    "grid-ragged": (lambda: TimeGrid(_RAGGED), "grid"),
+    "matrix-string": (lambda: SurvivalMatrix(_GRID, [["a"]]), "survival probabilities"),
+    "matrix-ragged": (lambda: SurvivalMatrix(_GRID, _RAGGED), "survival probabilities"),
+    "step-times": (lambda: StepFunction(["a"], [1.0]), "jump_times"),
+    "step-values": (lambda: StepFunction([1.0], [None]), "values"),
+    "step-ragged": (lambda: StepFunction(_RAGGED, [1.0, 0.5]), "jump_times"),
+    "dataset-ragged": (lambda: SurvivalDataset(times=_RAGGED, events=[1, 0]), "times"),
+    # Public functions reject bad input before numpy sees it.
+    "subset-mask":
+        (lambda: _DS.subset(np.array([True, False, True, False])), "subset indices"),
+    "subset-floats": (lambda: _DS.subset([0.0, 1.5]), "subset indices"),
+    "regular-stop": (lambda: TimeGrid.regular("10"), "grid stop"),
+    "regular-step": (lambda: TimeGrid.regular(10.0, step=None), "grid step"),
+    "assemble-events": (lambda: assemble(["a"], [1.0]), "event times"),
+    "assemble-censoring": (lambda: assemble([1.0], ["a"]), "censoring times"),
+    "censoring-event-times":
+        (lambda: generate_censoring(UniformQuantileCensoring(0.1), ["a"], None, 0),
+         "event times"),
+    "censoring-covariates":
+        (lambda: generate_censoring(WeibullCensoring(1.0, 1.0, 1.0, age_column=0), [1.0],
+                                    [["a"]], 0), "covariates"),
+    "linear-predictor": (lambda: _MODEL.linear_predictor([["a"]]), "covariates"),
+    "oracle-covariates": (lambda: oracle_cindex(_MODEL, [["a"]], [1.0]), "covariates"),
+    "oracle-times": (lambda: oracle_cindex(_MODEL, [[1.0]], ["a"]), "times"),
+    "risk-at-time": (lambda: risk_at_time(_SM, "0.5"), "evaluation time"),
+    "neg-rmst": (lambda: neg_rmst(_SM, "0.5"), "t_star"),
+    "step-evaluate":
+        (lambda: StepFunction([1.0], [0.5]).evaluate("a"), "evaluation time"),
+    "ipcw-without-g": (lambda: ipcw_weights(None, _DS, "uno_squared"), "StepFunction g"),
+    "interpolate-array": (lambda: interpolate(_SM, np.array([0.0, 0.5])), "TimeGrid"),
+    "subseed-negative": (lambda: subseed(-1, 0), "seed"),
+    "event-times-seed": (lambda: generate_event_times(_MODEL, [[1.0]], "3"), "seed"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_input_is_rejected_by_the_type_that_stores_it(case):
+    """Each bad value raises InputError naming its field, never numpy's own
+    ValueError or TypeError (InputError subclasses ValueError, so the check
+    is on InputError itself)."""
+    build, field = _BAD_INPUTS[case]
+    with pytest.raises(InputError) as exc:
+        build()
+    assert field in str(exc.value)
+
+
+def test_subset_takes_lists_and_negative_positions():
+    assert _DS.subset([]).n == 0
+    assert _DS.subset([3, -4]).times.tolist() == [4.0, 1.0]
