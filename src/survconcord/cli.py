@@ -22,22 +22,23 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import io as sio
-from .data import ComputationError, InputError, SurvivalDataset, TimeGrid, as_float
+from .data import (
+    ComputationError,
+    InputError,
+    SurvivalDataset,
+    TimeGrid,
+    _reject_unknown_keys,
+    as_float,
+)
 from .engine import TRUNC_MAX_UNCENSORED, TRUNC_NONE, TRUNC_VALUE, Truncation
 from .km import km_fit
-from .profiles import (
-    TRANSFORM_AT_TIME,
-    TRANSFORM_EXPECTED_MORTALITY,
-    TRANSFORM_NEG_RMST,
-    TransformSpec,
-    get_profiles,
-    run_multiverse,
-)
+from .profiles import _TRANSFORM_NUMBERS, TransformSpec, get_profiles, run_multiverse
 from .resampling import BootstrapSpec
 from .synthetic import (
     UniformQuantileCensoring,
@@ -71,26 +72,23 @@ def _int_at_least(minimum: int):
 
 def _parse_transform(text: str) -> TransformSpec:
     kind, _, arg = text.partition(":")
-    if kind == TRANSFORM_AT_TIME:
-        if not arg:
-            raise InputError("at-time transform needs a time, e.g. at-time:120")
-        time = sio._parse_float(arg, "--transform", "time")
-        return TransformSpec(kind=kind, time=time)
-    if kind == TRANSFORM_EXPECTED_MORTALITY:
-        if arg:
-            raise InputError(
-                f"expected-mortality transform takes no argument, got {arg!r}"
-            )
-        return TransformSpec(kind=kind)
-    if kind == TRANSFORM_NEG_RMST:
-        horizon = (
-            sio._parse_float(arg, "--transform", "horizon") if arg else DEFAULT_HORIZON
+    if kind not in _TRANSFORM_NUMBERS:
+        raise InputError(
+            f"unknown transform {text!r}; expected at-time:<t>, expected-mortality "
+            f"or neg-rmst[:<horizon>]"
         )
-        return TransformSpec(kind=kind, horizon=horizon)
-    raise InputError(
-        f"unknown transform {text!r}; expected at-time:<t>, expected-mortality "
-        f"or neg-rmst[:<horizon>]"
-    )
+    if not _TRANSFORM_NUMBERS[kind]:
+        if arg:
+            raise InputError(f"{kind} transform takes no argument, got {arg!r}")
+        return TransformSpec(kind=kind)
+    (name,) = _TRANSFORM_NUMBERS[kind]
+    if arg:
+        value = sio._parse_float(arg, "--transform", name)
+    elif name == "horizon":
+        value = DEFAULT_HORIZON
+    else:
+        raise InputError(f"{kind} transform needs a {name}, e.g. {kind}:120")
+    return TransformSpec(kind, **{name: value})
 
 
 def _parse_tau(text: str) -> Truncation:
@@ -123,13 +121,15 @@ def _parse_bootstrap(text: str) -> BootstrapSpec:
     parts = text.split(":")
     if len(parts) > 3:
         raise InputError("bootstrap spec is B[:size[:level]]")
-    try:
-        n = int(parts[0])
-        size = int(parts[1]) if len(parts) > 1 and parts[1] else None
-        level = float(parts[2]) if len(parts) > 2 else 0.95
+    try:  # only the parts given: BootstrapSpec defaults the rest
+        given = {"n_resamples": int(parts[0])}
+        if len(parts) > 1 and parts[1]:
+            given["sample_size"] = int(parts[1])
+        if len(parts) > 2:
+            given["level"] = float(parts[2])
     except ValueError:
         raise InputError(f"invalid --bootstrap {text!r}") from None
-    return BootstrapSpec(n_resamples=n, sample_size=size, level=level)
+    return BootstrapSpec(**given)
 
 
 def _select_profiles(names: str | None, profile_file: str | None):
@@ -187,46 +187,49 @@ def cmd_cindex(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-#: Censoring numbers a params file may give, with their defaults.
-_CENSORING_NUMBERS = {"shape": 1.0, "scale": 1.0, "beta_age": 0.0}
+#: The params file's censoring defaults; beta_age defaults in WeibullCensoring.
+_CENSORING_DEFAULTS = {"shape": 1.0, "scale": 1.0, "age_column": 0}
+#: Every WeibullCensoring field but epsilon, which --epsilon-list sets.
+_CENSORING_KEYS = [f.name for f in fields(WeibullCensoring) if f.name != "epsilon"]
 
 
 def _load_params(path: str) -> tuple[dict, WeibullPHParams, dict]:
     """The params file as read, its event model and its censoring settings;
-    every number in the file must be a number, not a string or a boolean."""
+    every number in the file must be a number, not a string or a boolean,
+    and every key one that the event model or the censoring takes."""
     raw = sio.read_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("event"), dict):
         raise InputError(f"{path}: missing 'event' parameter block")
     event, cens = raw["event"], raw.get("censoring", {})
     if not isinstance(cens, dict):
         raise InputError(f"{path}: 'censoring' must be an object")
+    try:
+        _reject_unknown_keys(raw, ("event", "censoring"), "parameter")
+        _reject_unknown_keys(event, WeibullPHParams, "event")
+        _reject_unknown_keys(cens, _CENSORING_KEYS, "censoring")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     coefficients = event.get("coefficients", [])
     try:
         if not isinstance(coefficients, list):
             raise InputError(f"coefficients must be a JSON array, got {coefficients!r}")
         params = WeibullPHParams(event["shape"], event["scale"], coefficients)
-        settings = {k: as_float(cens.get(k, default), f"censoring {k}")
-                    for k, default in _CENSORING_NUMBERS.items()}
+        settings = {k: v if k == "age_column" else as_float(v, f"censoring {k}")
+                    for k, v in {**_CENSORING_DEFAULTS, **cens}.items()}
     except KeyError as exc:
         raise InputError(f"{path}: event block missing {exc}") from None
     except InputError as exc:
         raise InputError(f"{path}: invalid parameter ({exc})") from None
-    settings["age_column"] = cens.get("age_column", 0)
     return raw, params, settings
 
 
 def _censoring_mechanism(name: str, cens: dict, epsilon: float):
-    if name in ("weibull_scaled", "age_informed"):
-        age_informed = name == "age_informed"
-        if age_informed and cens["age_column"] is None:
+    if name == "weibull_scaled":
+        return WeibullCensoring(cens["shape"], cens["scale"], epsilon)
+    if name == "age_informed":
+        if cens["age_column"] is None:
             raise InputError("age_informed censoring needs an integer age_column")
-        return WeibullCensoring(
-            shape=cens["shape"],
-            scale=cens["scale"],
-            epsilon=epsilon,
-            beta_age=cens["beta_age"] if age_informed else 0.0,
-            age_column=cens["age_column"] if age_informed else None,
-        )
+        return WeibullCensoring(epsilon=epsilon, **cens)
     if name == "uniform_quantile":
         return UniformQuantileCensoring(epsilon=epsilon)
     raise InputError(

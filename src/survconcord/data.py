@@ -15,7 +15,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -191,11 +192,14 @@ class SurvivalDataset:
 
     def subset(self, indices: np.ndarray) -> "SurvivalDataset":
         """Positional subset (used by resampling); preserves covariates.  A
-        boolean mask or float positions raise :class:`InputError`."""
+        boolean mask, float positions or a position out of range raise
+        :class:`InputError`."""
         indices = np.asarray(indices)
         if indices.size and indices.dtype.kind not in ("i", "u"):
             raise InputError(f"subset indices must be integers, got {indices.dtype}")
         indices = indices.astype(int, copy=False)
+        if indices.size and not -self.n <= indices.min() <= indices.max() < self.n:
+            raise InputError(f"subset indices must lie in [-{self.n}, {self.n})")
         return SurvivalDataset(
             times=self.times[indices],
             events=self.events[indices],
@@ -216,6 +220,29 @@ def as_float(value, what: str) -> float:
         return float(value)
     except OverflowError:  # an integer beyond the float range
         raise InputError(f"{what} is beyond the float range") from None
+
+
+def _field_dict(obj) -> dict:
+    """A dataclass's fields by name; unlike dataclasses.asdict, no deep copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _reject_unknown_keys(d, known: type | Iterable[str], what: str) -> None:
+    """Refuse a block that is not an object, and keys that are not a name in
+    ``known`` (a dataclass's field names, or the names given), e.g. typos."""
+    if not isinstance(d, Mapping):
+        raise InputError(f"{what} must be an object, got {type(d).__name__}")
+    if is_dataclass(known):
+        known = [f.name for f in fields(known)]
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise InputError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
+def _check_kind(value, kind: type, what: str) -> None:
+    """Raise :class:`InputError` naming ``what`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise InputError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def as_seed(seed) -> int:

@@ -54,6 +54,7 @@ from .data import (
     RankRelation,
     SurvivalDataset,
     SurvivalMatrix,
+    _check_kind,
     as_float,
     as_risk_array,
     classify_pair,
@@ -684,6 +685,8 @@ def concordance(
     fitted on ``ds`` itself (``g_source="test_set"``), or an error is raised
     for policies that require an external fit.
     """
+    _check_kind(ds, SurvivalDataset, "ds")
+    _check_kind(policy, ConcordancePolicy, "policy")
     return _Scorer(ds, risks=as_risk_array(risks, ds.n), g=g).score(policy)
 
 
@@ -703,6 +706,9 @@ def concordance_td(
     plain and the tie-adjusted published variants.  Anchor times beyond the
     grid evaluate at the last grid point and are flagged in the tally.
     """
+    _check_kind(ds, SurvivalDataset, "ds")
+    _check_kind(sm, SurvivalMatrix, "sm")
+    _check_kind(policy, ConcordancePolicy, "policy")
     scorer = _Scorer(ds, curves=(sm.grid.points, sm.probs), g=g)
     return scorer.score(policy, by_curves=True)
 
@@ -737,6 +743,7 @@ def decompose(tally: PairTally) -> DecompositionReport:
     6A) and ``omega_p`` (the credit of case 1C) it reads; recombining the
     blocks reproduces the original estimate.
     """
+    _check_kind(tally, PairTally, "tally")
     policy = tally.policy
     if policy.weight_scheme != WEIGHT_UNIFORM:
         raise InputError("decomposition is defined for uniform weights only")

@@ -14,7 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import ComputationError, InputError, SurvivalDataset, _float_array
+from .data import (
+    ComputationError,
+    InputError,
+    SurvivalDataset,
+    _check_kind,
+    _float_array,
+)
 
 #: Allowed weighting schemes for pairwise estimators.
 WEIGHT_UNIFORM = "uniform"
@@ -75,6 +81,7 @@ def km_fit(ds: SurvivalDataset, target: str = "event") -> StepFunction:
     risk set counts every subject with T >= t, so the fit on flipped
     indicators is exactly the flipped-target fit.
     """
+    _check_kind(ds, SurvivalDataset, "ds")
     if ds.n == 0:
         raise ComputationError("no records")
     if target == "event":
@@ -116,6 +123,7 @@ def ipcw_weights(
     overflows) get NaN: their pairs are dropped (and counted) by the
     estimator instead of contributing unbounded weights.
     """
+    _check_kind(ds, SurvivalDataset, "ds")
     if scheme == WEIGHT_UNIFORM:
         return np.ones(ds.n)
     if scheme not in WEIGHT_SCHEMES:

@@ -25,6 +25,9 @@ from .data import (
     PairCase,
     SurvivalDataset,
     SurvivalMatrix,
+    _check_kind,
+    _field_dict,
+    _reject_unknown_keys,
     as_float,
     as_risk_array,
     as_seed,
@@ -263,69 +266,40 @@ def _reject_repeated_names(names: Iterable[str]) -> None:
 
 def policy_to_dict(policy: ConcordancePolicy) -> dict:
     return {
+        **_field_dict(policy),
         "case_table": {
             case.value: [rule.comparable_weight, rule.credit]
             for case, rule in policy.case_table.items()
             if rule.comparable_weight > 0
         },
-        "tie_tolerance": policy.tie_tolerance,
-        "weight_scheme": policy.weight_scheme,
-        "g_source": policy.g_source,
-        "truncation": {"mode": policy.truncation.mode, "value": policy.truncation.value},
-        "final_fold": policy.final_fold,
+        "truncation": _field_dict(policy.truncation),
     }
-
-
-def _reject_unknown_keys(d: Mapping, known: Sequence[str], what: str) -> None:
-    """Refuse a block that is not an object, and keys that the ``*_to_dict``
-    functions never write (e.g. typos)."""
-    if not isinstance(d, Mapping):
-        raise InputError(f"{what} must be an object, got {type(d).__name__}")
-    unknown = sorted(set(d) - set(known))
-    if unknown:
-        raise InputError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
 
 
 def policy_from_dict(d: Mapping) -> ConcordancePolicy:
-    _reject_unknown_keys(d, ("case_table", "tie_tolerance", "weight_scheme",
-                             "g_source", "truncation", "final_fold"), "policy")
-    raw_table = d.get("case_table", {})
-    _reject_unknown_keys(raw_table, [case.value for case in PairCase], "case_table")
-    trunc = d.get("truncation", {"mode": TRUNC_NONE, "value": None})
-    _reject_unknown_keys(trunc, ("mode", "value"), "truncation")
-    return ConcordancePolicy(
-        case_table={PairCase(label): rule for label, rule in raw_table.items()},
-        tie_tolerance=d.get("tie_tolerance", 0.0),
-        weight_scheme=d.get("weight_scheme", WEIGHT_UNIFORM),
-        g_source=d.get("g_source", G_SOURCE_TEST_SET),
-        truncation=Truncation(mode=trunc.get("mode", TRUNC_NONE), value=trunc.get("value")),
-        final_fold=d.get("final_fold", "identity"),
-    )
+    """Read :func:`policy_to_dict`'s form; a key left out takes its default."""
+    _reject_unknown_keys(d, ConcordancePolicy, "policy")
+    knobs = {"case_table": {}, **d}
+    table = knobs["case_table"]
+    _reject_unknown_keys(table, [case.value for case in PairCase], "case_table")
+    knobs["case_table"] = {PairCase(label): rule for label, rule in table.items()}
+    if "truncation" in knobs:
+        _reject_unknown_keys(knobs["truncation"], Truncation, "truncation")
+        knobs["truncation"] = Truncation(**knobs["truncation"])
+    return ConcordancePolicy(**knobs)
 
 
 def profile_to_dict(profile: Profile) -> dict:
-    return {
-        "name": profile.name,
-        "family": profile.family,
-        "requires_tau": profile.requires_tau,
-        "notes": profile.notes,
-        "policy": policy_to_dict(profile.policy),
-    }
+    return {**_field_dict(profile), "policy": policy_to_dict(profile.policy)}
 
 
 def profile_from_dict(d: Mapping) -> Profile:
-    _reject_unknown_keys(
-        d, ("name", "family", "requires_tau", "notes", "policy"), "profile"
-    )
+    """Read :func:`profile_to_dict`'s form; a key left out takes its default."""
+    _reject_unknown_keys(d, Profile, "profile")
     if "name" not in d:
         raise InputError("missing 'name'")
-    return Profile(
-        name=d["name"],
-        family=d.get("family", FAMILY_C),
-        policy=policy_from_dict(d.get("policy", {})),
-        requires_tau=d.get("requires_tau", False),
-        notes=d.get("notes", ""),
-    )
+    policy = policy_from_dict(d.get("policy", {}))
+    return Profile(**{"family": FAMILY_C, **d, "policy": policy})
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +354,7 @@ class TransformSpec:
         return neg_rmst(sm, self.horizon)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "time": self.time, "horizon": self.horizon}
+        return _field_dict(self)
 
 
 @dataclass(frozen=True)
@@ -399,14 +373,12 @@ class ProfileResult:
     anchors_beyond_grid: int = 0
     per_case: dict = field(default_factory=dict)
     tau_used: float | None = None
-    weight_scheme: str = WEIGHT_UNIFORM
+    weight_scheme: str | None = None
     g_used: str | None = None
     error: str | None = None
 
     def to_dict(self) -> dict:
-        # Shallow on purpose: dataclasses.asdict deep-copies every per-case
-        # number, which costs more than writing the report.
-        return {**vars(self), "per_case": dict(self.per_case)}
+        return {**_field_dict(self), "per_case": dict(self.per_case)}
 
 
 @dataclass(frozen=True)
@@ -468,6 +440,13 @@ def run_multiverse(
     ``"bootstrap: all bootstrap resamples failed"``.
     """
     seed = as_seed(seed)
+    _check_kind(ds, SurvivalDataset, "ds")
+    for value, kind, what in (
+        (matrix, SurvivalMatrix, "matrix"), (transform, TransformSpec, "transform"),
+        (tau, Truncation, "tau"), (bootstrap, BootstrapSpec, "bootstrap"),
+    ):
+        if value is not None:
+            _check_kind(value, kind, what)
     if profiles is None:
         profiles = _builtins()
     _reject_repeated_names(p.name for p in profiles)
@@ -507,7 +486,7 @@ def run_multiverse(
         "dataset": {"n": ds.n, "n_events": ds.n_events},
         "grid": None if matrix is None else matrix.grid.points.tolist(),
         "transform": None if transform is None else transform.to_dict(),
-        "tau": None if tau is None else {"mode": tau.mode, "value": tau.value},
+        "tau": None if tau is None else _field_dict(tau),
         "bootstrap": None if bootstrap is None else bootstrap.to_dict(),
         "seed": seed,
         "profiles": [profile_to_dict(p) for p in profiles],
@@ -579,8 +558,9 @@ def _cell(
     """The cell from the full-data outcome and the resample estimates: an
     error cell without a full-data estimate; a failed interval keeps the
     tally and carries the error."""
+    scheme = profile.policy.weight_scheme
     if isinstance(outcome, str):
-        return ProfileResult(profile.name, profile.family, error=outcome)
+        return ProfileResult(profile.name, profile.family, weight_scheme=scheme, error=outcome)
     estimate, tally = outcome
     fields = dict(
         estimate=estimate,
@@ -590,7 +570,7 @@ def _cell(
         anchors_beyond_grid=tally.anchors_beyond_grid,
         per_case=tally.per_case,
         tau_used=tally.tau,
-        weight_scheme=tally.policy.weight_scheme,
+        weight_scheme=scheme,
         g_used=plan.g_used,
     )
     if spec is not None:

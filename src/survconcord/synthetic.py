@@ -185,6 +185,9 @@ def generate_censoring(
     rng_seed: int,
 ) -> np.ndarray:
     """Censoring times under the chosen mechanism; may contain +inf (no censoring)."""
+    if not isinstance(mechanism, (WeibullCensoring, UniformQuantileCensoring)):
+        raise InputError(f"mechanism must be a WeibullCensoring or "
+                         f"UniformQuantileCensoring, got {type(mechanism).__name__}")
     event_times = _float_array(event_times, "event times")
     return mechanism.draw(event_times, covariates, _rng(rng_seed, "censoring"))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from survconcord.cli import main
+from survconcord.data import ComputationError
 
 
 def _write_subjects(path: Path, rows, header="id,time,event,risk"):
@@ -465,6 +466,37 @@ def _simulate_argv(*extra):
          {}, "grid from 0.0 to 1e+30 by 1.0 has more points than an array can hold"),
         (_cindex_argv("--transform", "expected-mortality:banana"), {},
          "expected-mortality transform takes no argument, got 'banana'"),
+        (_cindex_argv("--tau", "soon"), {},
+         "invalid --tau 'soon'; expected none, max-uncensored or a number"),
+        (_cindex_argv("--grid", "1:2:3:4"), {},
+         "grid must be start:stop[:step] or a comma list"),
+        (_cindex_argv("--transform", "at-time"), {},
+         "at-time transform needs a time, e.g. at-time:120"),
+        (_cindex_argv("--transform", "median"), {},
+         "unknown transform 'median'; expected at-time:<t>, expected-mortality "
+         "or neg-rmst[:<horizon>]"),
+        (_cindex_argv("--bootstrap", "1:2:3:4"), {}, "bootstrap spec is B[:size[:level]]"),
+        (_cindex_argv("--bootstrap", "x"), {}, "invalid --bootstrap 'x'"),
+        (_simulate_argv(), {"params.json": {"censoring": {}}},
+         "params.json: missing 'event' parameter block"),
+        (_simulate_argv(), {"params.json": {"event": {"scale": 0.02, "coefficients": [0.5]}}},
+         "params.json: event block missing 'shape'"),
+        (_simulate_argv("--covariates", "pool.csv"), {"pool.csv": b"a,b\n" + b"1,2\n" * 6},
+         "covariate pool has 2 columns but the model has 1 coefficients"),
+        (_simulate_argv("--covariates", "pool.csv"), {"pool.csv": b"a\n1\n2\n3\n"},
+         "covariate pool has 3 rows, need at least 5"),
+        (_simulate_argv(),
+         {"params.json": {"event": {**_EVENT, "coeficients": [0.7, -0.4]},
+                          "censoring": {"shape": 1.0, "beta_agee": 3}, "censorship": {}}},
+         "params.json: unknown parameter key(s): 'censorship'"),
+        (_simulate_argv(),
+         {"params.json": {"event": {"shape": 1.0, "scale": 0.02, "coeficients": [0.7]}}},
+         "params.json: unknown event key(s): 'coeficients'"),
+        (_simulate_argv("--mechanism", "age_informed"),
+         {"params.json": {"event": _EVENT, "censoring": {"beta_agee": 3}}},
+         "params.json: unknown censoring key(s): 'beta_agee'"),
+        (_simulate_argv(), {"params.json": {"event": _EVENT, "censoring": {"epsilon": 1.0}}},
+         "params.json: unknown censoring key(s): 'epsilon'"),
     ],
     ids=["at-time", "at-time-inf", "neg-rmst", "grid-range", "grid-list", "epsilon",
          "epsilon-range", "mechanism", "event-shape", "coefficients", "censoring-shape", "censoring-list",
@@ -478,7 +510,11 @@ def _simulate_argv(*extra):
          "event-shape-bool",
          "event-scale-string", "coefficients-bool", "coefficients-string",
          "beta-age-string", "grid-too-many-points", "grid-tiny-step",
-         "grid-without-matrix", "expected-mortality-argument"],
+         "grid-without-matrix", "expected-mortality-argument", "tau-word",
+         "grid-four-parts", "at-time-without-time", "transform-unknown",
+         "bootstrap-four-parts", "bootstrap-word", "params-without-event",
+         "event-without-shape", "pool-columns", "pool-rows", "params-unknown-block",
+         "event-unknown-key", "censoring-unknown-key", "censoring-epsilon-key"],
 )
 def test_bad_input_values_exit_2_before_writing(
     argv, files, message, subjects_file, tmp_path, monkeypatch, capsys
@@ -499,3 +535,44 @@ def test_bad_input_values_exit_2_before_writing(
     assert f"error: {message}" in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "option, value, key, written",
+    [
+        ("--tau", "none", "tau", {"mode": "none", "value": None}),
+        ("--tau", "max-uncensored", "tau", {"mode": "max_uncensored", "value": None}),
+        ("--grid", "0,2.5,5,10", "grid", [0.0, 2.5, 5.0, 10.0]),
+        ("--transform", "expected-mortality", "transform",
+         {"kind": "expected-mortality", "time": None, "horizon": None}),
+    ],
+    ids=["tau-none", "tau-max-uncensored", "grid-list", "expected-mortality"],
+)
+def test_cindex_option_specs_reach_the_report(option, value, key, written, tmp_path):
+    subjects = tmp_path / "s.csv"
+    _write_subjects(subjects, ["a,2,1", "b,5,1", "c,9,1"], header="id,time,event")
+    grid = np.arange(0.0, 12.0)
+    matrix = tmp_path / "m.csv"
+    lines = ["id," + ",".join(repr(float(t)) for t in grid)]
+    for sid, h in zip("abc", [0.5, 0.25, 0.1]):
+        lines.append(sid + "," + ",".join(repr(float(np.exp(-h * t))) for t in grid))
+    matrix.write_text("\n".join(lines) + "\n")
+    options = {"--transform": "neg-rmst:11", option: value}
+    code = main([
+        "cindex", "--subjects", str(subjects), "--matrix", str(matrix),
+        *[part for pair in options.items() for part in pair],
+        "--profiles", "hmisc,pec", "--out", str(tmp_path / "r"),
+    ])
+    assert code == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["provenance"][key] == written
+    assert [(r["estimate"], r["error"]) for r in report["results"]] == [(1.0, None)] * 2
+
+
+def test_computation_error_exits_3(subjects_file, monkeypatch, capsys):
+    def fail(ds, target):
+        raise ComputationError("no records")
+
+    monkeypatch.setattr("survconcord.cli.km_fit", fail)
+    assert main(["km", "--subjects", str(subjects_file)]) == 3
+    assert "error: no records" in capsys.readouterr().err

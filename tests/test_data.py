@@ -16,14 +16,18 @@ from survconcord import (
     assemble,
     classify_pair,
     concordance,
+    concordance_td,
+    decompose,
     generate_censoring,
     generate_event_times,
     interpolate,
     ipcw_weights,
+    km_fit,
     neg_rmst,
     oracle_cindex,
     profile_from_dict,
     risk_at_time,
+    run_multiverse,
     subseed,
     tie_weighted_policy,
 )
@@ -193,6 +197,7 @@ _SM = SurvivalMatrix(_GRID, [[1.0, 0.5, 0.2]] * 4)
 _POLICY = tie_weighted_policy(1.0, 0.5)
 _MODEL = WeibullPHParams(1.0, 1.0, [1.0])
 _RAGGED = [[1.0], [2.0, 3.0]]
+_RISKS = [0.4, 0.3, 0.2, 0.1]
 
 
 _BAD_INPUTS = {
@@ -262,6 +267,27 @@ _BAD_INPUTS = {
     "interpolate-array": (lambda: interpolate(_SM, np.array([0.0, 0.5])), "TimeGrid"),
     "subseed-negative": (lambda: subseed(-1, 0), "seed"),
     "event-times-seed": (lambda: generate_event_times(_MODEL, [[1.0]], "3"), "seed"),
+    # Public entry points name the parameter that is not the type they take.
+    "concordance-dataset": (lambda: concordance([1, 2], [1.0, 2.0], _POLICY), "ds must be"),
+    "concordance-policy":
+        (lambda: concordance(_DS, _RISKS, "hmisc"), "policy must be a ConcordancePolicy"),
+    "km-dataset": (lambda: km_fit([1, 2]), "ds must be a SurvivalDataset"),
+    "ipcw-dataset":
+        (lambda: ipcw_weights(km_fit(_DS, "censoring"), [1, 2], "uno_squared"), "ds must be"),
+    "td-matrix":
+        (lambda: concordance_td(_DS, np.ones((4, 3)), _POLICY), "sm must be a SurvivalMatrix"),
+    "multiverse-matrix":
+        (lambda: run_multiverse(_DS, matrix=np.ones((4, 3))), "matrix must be a SurvivalMatrix"),
+    "multiverse-tau": (lambda: run_multiverse(_DS, risks=_RISKS, tau=5.0), "tau must be"),
+    "multiverse-bootstrap":
+        (lambda: run_multiverse(_DS, risks=_RISKS, bootstrap=10), "bootstrap must be"),
+    "multiverse-transform":
+        (lambda: run_multiverse(_DS, matrix=_SM, transform="neg-rmst"), "transform must be"),
+    "censoring-mechanism":
+        (lambda: generate_censoring("weibull", [1.0], None, 0), "mechanism must be"),
+    "decompose-tally": (lambda: decompose("x"), "tally must be a PairTally"),
+    "subset-beyond": (lambda: _DS.subset([10]), "subset indices must lie in [-4, 4)"),
+    "subset-before": (lambda: _DS.subset([0, -5]), "subset indices must lie in [-4, 4)"),
 }
 
 

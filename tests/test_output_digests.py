@@ -56,9 +56,9 @@ _DIGESTS = {
     },
     'cindex-matrix': {
         'matrix.csv':
-            '49ce9c848685d9e7355fb4f0cc33ee05b11ea66a526bbd8f8a6a1aeca35661ae',
+            'c4f41c4b97d73e77b7b2d1c8cfc3746ccd81a8d79555f8693be8d4c7db6e5cc9',
         'matrix.json':
-            'c5670beecf2e5baf68dc9b9c918330bcbb057e7267717bae6b68408e584a0700',
+            '50646f789820aff935dc5537274aa562d47788d33f32f386e0be9737d9e62fb0',
     },
     'simulate': {
         'sim/eps_0/dataset_000.csv':

@@ -1,7 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survconcord import (
     ComputationError,
@@ -25,8 +28,25 @@ from survconcord import (
 )
 from survconcord import engine
 from survconcord.data import PairCase
-from survconcord.engine import TRUNC_NONE
-from survconcord.profiles import BootstrapSpec, TransformSpec, policy_to_dict
+from survconcord.engine import (
+    ALWAYS_EXCLUDED,
+    FOLD_IDENTITY,
+    FOLD_MAX_COMPLEMENT,
+    G_SOURCE_PROVIDED,
+    G_SOURCE_TEST_SET,
+    TRUNC_MAX_UNCENSORED,
+    TRUNC_NONE,
+    TRUNC_VALUE,
+    ConcordancePolicy,
+)
+from survconcord.io import canonical_json
+from survconcord.km import WEIGHT_SCHEMES
+from survconcord.profiles import (
+    BootstrapSpec,
+    TransformSpec,
+    policy_from_dict,
+    policy_to_dict,
+)
 
 from golden_tables import (
     GOLDEN_CASE_TABLES,
@@ -175,6 +195,16 @@ def test_multiverse_error_cells_do_not_block_others(four_subjects):
     assert report.result("pycox_ant").error == "requires a survival matrix"
     assert report.result("survc1").error == "requires an explicit truncation time"
     assert report.result("hmisc").estimate is not None
+
+
+def test_error_cells_carry_their_profiles_weight_scheme(four_subjects):
+    ds, risks = four_subjects
+    report = run_multiverse(ds, risks=risks)
+    schemes = {p.name: p.policy.weight_scheme for p in get_profiles()}
+    assert {r.name for r in report.results if r.error} == {
+        "survc1", "pycox_ant", "pycox_adj_ant"}
+    assert {r.name: r.weight_scheme for r in report.results} == schemes
+    assert report.result("survc1").weight_scheme == "uno_squared"
 
 
 def test_multiverse_four_subject_tied_time_profiles(four_subjects):
@@ -328,6 +358,43 @@ def test_profile_round_trip_through_dict():
         assert clone.policy.tie_tolerance == profile.policy.tie_tolerance
         assert clone.policy.truncation == profile.policy.truncation
         assert clone.policy.final_fold == profile.policy.final_fold
+
+
+_WEIGHTS = st.sampled_from([0.0, 0.3, 0.7, 1.0]) | st.floats(0.0, 1e6)
+_CREDITS = st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _policies(draw):
+    """Policies that set every knob; an excluded case keeps credit 0, because
+    the writer drops excluded rows."""
+    table = {}
+    for case in PairCase:
+        weight = 0.0 if case in ALWAYS_EXCLUDED else draw(_WEIGHTS)
+        table[case] = (weight, draw(_CREDITS) if weight > 0 else 0.0)
+    truncation = draw(st.sampled_from([Truncation(TRUNC_NONE),
+                                       Truncation(TRUNC_MAX_UNCENSORED)])
+                      | st.floats(1e-300, 1e300).map(lambda v: Truncation(TRUNC_VALUE, v)))
+    return ConcordancePolicy(
+        case_table=table,
+        tie_tolerance=draw(st.sampled_from([0.0, 1e-8, 0.05]) | st.floats(0.0, 1e3)),
+        weight_scheme=draw(st.sampled_from(WEIGHT_SCHEMES)),
+        g_source=draw(st.sampled_from([G_SOURCE_TEST_SET, G_SOURCE_PROVIDED])),
+        truncation=truncation,
+        final_fold=draw(st.sampled_from([FOLD_IDENTITY, FOLD_MAX_COMPLEMENT])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_policies())
+def test_policy_schema_round_trips_through_json(policy):
+    text = canonical_json(policy_to_dict(policy))
+    assert policy_from_dict(json.loads(text)) == policy
+
+
+def test_schema_keys_left_out_take_the_types_defaults():
+    assert policy_from_dict({}) == ConcordancePolicy({})
+    assert profile_from_dict({"name": "x"}) == Profile("x", "C", ConcordancePolicy({}))
 
 
 def test_td_bootstrap_equals_rebuilding_each_matrix():
