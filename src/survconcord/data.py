@@ -330,6 +330,7 @@ class SurvivalMatrix:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_kind(self.grid, TimeGrid, "grid")
         probs = _float_array(self.probs, "survival probabilities")
         if probs.ndim != 2 or probs.shape[1] != len(self.grid):
             raise InputError(

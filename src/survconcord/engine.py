@@ -19,19 +19,23 @@ variant, from survival probabilities evaluated at the anchor subject's time;
 both rank sources feed the same map and reducer, so the policy alone
 decides how pairs count.  The counts depend only on the data, the rank
 source and the tie tolerance, so policies scored on one dataset share one
-counting pass per rank source and tolerance (:class:`_Scorer`).
+counting pass per rank source and tolerance (:class:`_Draw`).
 
-Each rank source has one producer, and both take ``(times, events, ranks,
-tol)`` and count geometry only: an ``(n, 18)`` array of each anchor's
-partners, itself included, per cell (time sign, partner status, rank
-relation).  Scalar risks are counted by sorting, in O(n log² n)
-(:func:`_scalar_cells`); survival curves blockwise, in O(n²)
+A draw takes each subject some number of times: once for the data itself,
+as often as a bootstrap resample draws it otherwise.  Each rank source has
+one producer, and both count geometry only: an ``(n, 18)`` array of each
+subject's partners, itself included and each taken as often as drawn, per
+cell (time sign, partner status, rank relation).  Scalar risks are sorted
+once per tie tolerance, in O(n log² n) (:func:`_scalar_build`), and each
+draw reads its counts off prefix sums of its multiplicities, in O(n log n)
+(:func:`_scalar_read`); survival curves are counted blockwise, in O(n²)
 (:func:`_curve_cells`).  One map, :func:`_cases`, built from
 ``classify_pair``, turns cells into case counts and drops the self-pair;
-the result equals classifying every pair.  Every weighted sum is the exact
-sum of its float terms, found in integers and rounded once
-(:func:`_exact_sums`), so estimates do not depend on the producer or the
-anchor order and are deterministic for a given input.
+the result equals classifying every pair of the drawn rows.  Every
+weighted sum is the exact sum of its float terms, each row taken as often
+as drawn, found in integers and rounded once (:func:`_exact_sums`), so
+estimates do not depend on the producer or the anchor order and are
+deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -63,9 +67,14 @@ from .km import (
     WEIGHT_SCHEMES,
     WEIGHT_UNIFORM,
     StepFunction,
+    _km_from_groups,
+    _time_groups,
     ipcw_weights,
-    km_fit,
 )
+
+# The public fit stays importable from this module, although it no longer
+# calls it: bench/tracing.py wraps it here.
+from .km import km_fit  # noqa: F401
 
 TRUNC_NONE = "none"
 TRUNC_VALUE = "value"
@@ -91,7 +100,7 @@ STRICT_PAIRS: Mapping[PairCase, tuple[float, float]] = MappingProxyType({
     PairCase.C2B: (1.0, 0.0),
 })
 
-_REL_CODES = (RankRelation.GREATER, RankRelation.LESS, RankRelation.TIED)
+_REL_CODES = (RankRelation.GREATER, RankRelation.TIED, RankRelation.LESS)
 
 # (delta_i, cell) -> case index, for the partner cell (sign(T_i - T_j) + 1) * 6
 # + delta_j * 3 + rel; classify_pair, evaluated once, is the single source.
@@ -128,11 +137,14 @@ class Truncation:
 
     def resolve(self, ds: SurvivalDataset) -> float | None:
         """Concrete tau for this dataset, or None when no truncation applies."""
+        return self._resolve(ds.times[ds.events == 1])
+
+    def _resolve(self, uncensored: np.ndarray) -> float | None:
+        """Concrete tau for data with these uncensored times."""
         if self.mode == TRUNC_NONE:
             return None
         if self.mode == TRUNC_VALUE:
             return float(self.value)  # type: ignore[arg-type]
-        uncensored = ds.times[ds.events == 1]
         if uncensored.size == 0:
             raise ComputationError(
                 "cannot resolve truncation: dataset has no uncensored times"
@@ -321,9 +333,10 @@ _BLOCK_CELL_BUDGET = 1 << 22  # pairs per anchor block, so temporaries stay mode
 
 def _curve_cells(
     times: np.ndarray, events: np.ndarray, points: np.ndarray, probs: np.ndarray,
-    tol: float,
+    tol: float, mult: np.ndarray,
 ) -> np.ndarray:
-    """Partner cells per anchor for survival curves, in O(n²).
+    """Partner cells per anchor for survival curves, with partner j taken
+    ``mult[j]`` times, in O(n²).
 
     Both curves are read at the anchor's time, in the column of the grid
     ``points`` at or before it (1 before the first point, the last column
@@ -331,28 +344,37 @@ def _curve_cells(
     anchor ranks greater when ``S_j(T_i) - S_i(T_i) > tol`` and less when it
     is below ``-tol``.  Every pair, self included, is counted in blocks of 8
     to 512 anchors sized to a fixed budget of pairs; cell codes are int8 to
-    keep the block small.
+    keep the block small.  Anchors with ``mult[i] = 0`` are skipped and keep
+    a zero row.  A partner taken no times lands in a spare cell, and one
+    taken k >= 2 times is counted again for each of 2..k.
     """
     n = times.size
     n_cells = _CELL_CASE.shape[1]
     block = int(np.clip(_BLOCK_CELL_BUDGET // max(n, 1), 8, 512))
     status = (3 * events).astype(np.int8)
     column = np.searchsorted(points, times, side="right") - 1
-    cells = np.empty((n, n_cells), dtype=np.int64)
-    for a0 in range(0, n, block):
-        a1 = min(a0 + block, n)
-        rows = np.arange(a1 - a0)
-        # s[r, j] = S(T_anchor | x_j) for the anchor a0 + r.
-        s = np.ascontiguousarray(probs[:, np.maximum(column[a0:a1], 0)].T)
-        s[column[a0:a1] < 0] = 1.0
-        s -= s[rows, a0 + rows][:, None]
-        cell = np.where(s > tol, 0, np.where(s < -tol, 1, 2)).astype(np.int8)
+    absent = np.flatnonzero(mult == 0)
+    again = [np.flatnonzero(mult >= k) for k in range(2, int(mult.max(initial=0)) + 1)]
+    anchors = np.flatnonzero(mult)
+    cells = np.zeros((n, n_cells), dtype=np.int64)
+    for a0 in range(0, anchors.size, block):
+        batch = anchors[a0:a0 + block]
+        rows = np.arange(batch.size)
+        # s[r, j] = S(T_anchor | x_j) for the anchor batch[r].
+        s = np.ascontiguousarray(probs[:, np.maximum(column[batch], 0)].T)
+        s[column[batch] < 0] = 1.0
+        s -= s[rows, batch][:, None]
+        cell = np.where(s > tol, 0, np.where(s < -tol, 2, 1)).astype(np.int8)
         del s  # free the values before the time-sign temporaries
         cell += status
-        cell += (np.sign(times[a0:a1, None] - times[None, :]).astype(np.int8) + 1) * 6
-        key = rows[:, None] * n_cells + cell
-        counts = np.bincount(key.ravel(), minlength=(a1 - a0) * n_cells)
-        cells[a0:a1] = counts.reshape(a1 - a0, n_cells)
+        cell += (np.sign(times[batch, None] - times[None, :]).astype(np.int8) + 1) * 6
+        cell[:, absent] = n_cells
+        key = rows[:, None] * (n_cells + 1) + cell
+        size = batch.size * (n_cells + 1)
+        counts = np.bincount(key.ravel(), minlength=size)
+        for partners in again:
+            counts += np.bincount(key[:, partners].ravel(), minlength=size)
+        cells[batch] = counts.reshape(batch.size, n_cells + 1)[:, :n_cells]
     return cells
 
 
@@ -369,7 +391,7 @@ def _cases(cells: np.ndarray, events: np.ndarray) -> np.ndarray:
     cases = np.zeros((ev.size, len(CASE_ORDER)), dtype=np.int64)
     key = rows[:, None] * len(CASE_ORDER) + lookup
     np.add.at(cases.reshape(-1), key.reshape(-1), cells.reshape(-1))
-    cases[rows, lookup[rows, 6 + 3 * ev + 2]] -= 1  # (tied, delta_i, tied)
+    cases[rows, lookup[rows, 6 + 3 * ev + 1]] -= 1  # (tied, delta_i, tied)
     return cases
 
 
@@ -393,54 +415,50 @@ def _settle(
     return bound
 
 
-def _prefix_counts(
-    keys: np.ndarray, width: int, ends: np.ndarray, thresholds: np.ndarray
-) -> np.ndarray:
-    """``out[q]`` = number of positions k < ends[q] with keys[k] < thresholds[q].
+class _ScalarIndex(NamedTuple):
+    """What counting scalar risks takes from the data alone (:func:`_scalar_build`).
 
-    The prefix [0, e) is one aligned block of 2**level positions per set bit
-    of e.  Per level the keys are sorted once within their blocks (sort key
-    ``block * width + key``, keys in [0, width)) and every query using that
-    level is answered by one ``searchsorted``: everything before a full
-    block, minus the block's start.  Needles are searched in sorted order.
+    Every count :func:`_scalar_read` needs is a multiplicity total over a
+    range of one fixed order of the subjects; ``orders[t]`` lists them in
+    order t.  With P the prefix sums of the multiplicities in each order,
+    flattened with n + 1 positions per order, column k of ``bounds`` holds
+    seven flat positions in one sorted range: its start, the ends of the
+    keys below lo, hi, R, R + lo and R + hi, and its end.  Between
+    successive bounds lie the partners of one event status and rank
+    relation.  Columns [0, n) are the anchors' ranges over all subjects,
+    columns [n, 2n) their tied-time blocks, and columns ``2n + offsets[i]``
+    up to ``2n + offsets[i + 1]`` sum to anchor i's prefix up to the end of
+    its block.
     """
-    n = keys.size
-    positions = np.arange(n)
-    out = np.zeros(ends.size, dtype=np.int64)
-    level = 0
-    while (1 << level) <= n:
-        use = np.flatnonzero((ends >> level) & 1)
-        block = (ends[use] >> level) - 1
-        needles = block * width + thresholds[use]
-        order = np.argsort(needles)
-        found = np.empty_like(needles)
-        level_keys = np.sort((positions >> level) * width + keys)
-        found[order] = np.searchsorted(level_keys, needles[order])
-        out[use] += found - (block << level)
-        level += 1
-    return out
+
+    orders: np.ndarray
+    bounds: np.ndarray
+    offsets: np.ndarray
 
 
-def _scalar_cells(
+def _scalar_build(
     times: np.ndarray, events: np.ndarray, risks: np.ndarray, tol: float
-) -> np.ndarray:
-    """Partner cells per anchor for scalar risks, in O(n log² n).
+) -> _ScalarIndex:
+    """Sort scalar risks once, in O(n log² n), for :func:`_scalar_read`.
 
-    Gives the same counts as classifying every pair, self included, with
-    rank relation ``m_i - m_j > tol`` (greater) and ``m_i - m_j < -tol``
-    (less), without forming the n x n pairs.  Each risk gets a dense rank
-    among the distinct values; since ``m_i - v`` falls as v rises, anchor i
-    ranks above the partner ranks [0, lo), below [hi, R) and tied in
-    between.  Both bounds start from ``searchsorted`` and are then settled
-    with the predicates themselves (``v < m_i - tol`` is not the same float
-    test).
+    Each risk gets a dense rank among the distinct values; since ``m_i - v``
+    falls as v rises, anchor i ranks above the partner ranks [0, lo), below
+    [hi, R) and tied in between, with rank relation ``m_i - m_j > tol``
+    (greater) and ``m_i - m_j < -tol`` (less).  Both bounds start from
+    ``searchsorted`` and are then settled with the predicates themselves
+    (``v < m_i - tol`` is not the same float test).
 
-    Partners are keyed ``delta_j * R + rank`` in time order.  Counting keys
-    below each bound, and so per event status and rank relation, takes three
-    position ranges per anchor: all subjects, the prefix up to the end of its
-    tied-time block (dyadic levels, :func:`_prefix_counts`) and the block
-    itself (one sort keyed by block).  Later partners are all minus the
-    prefix, earlier ones the prefix minus the block.
+    Partners are keyed ``delta_j * R + rank`` in time order, so the keys
+    below lo, hi, R, R + lo, R + hi and 2R count them per event status and
+    rank relation.  Each anchor counts them in three ranges of time
+    positions: all subjects (one order by key), its tied-time block (one
+    order by block, then key) and the prefix up to the end of that block.
+    The prefix [0, e) is one aligned block of 2**level positions per set bit
+    of e; each level orders its blocks by key, merging the sorted blocks of
+    the level below, and its anchors by block, then risk, merging likewise.
+    Anchors in that order search their thresholds, which rise with the
+    risk, in sorted order; below R and 2R take no search, since within a
+    range the censored come first.
     """
     n = times.size
     values, rank = np.unique(risks, return_inverse=True)
@@ -461,66 +479,134 @@ def _scalar_cells(
     order = np.argsort(times, kind="stable")
     _, block, size = np.unique(times, return_inverse=True, return_counts=True)
     end = np.cumsum(size)[block]
-    start = end - size[block]
     width = 2 * n_ranks
     keys = (events.astype(np.intp) * n_ranks + rank)[order]
-    censored = np.concatenate(([0], np.cumsum(keys < n_ranks)))
-    # Key thresholds: censored below lo, below hi; all censored and events
-    # below lo, below hi.
-    thresholds = np.concatenate([lo, hi, n_ranks + lo, n_ranks + hi])
+    censored_before = np.concatenate(([0], np.cumsum(keys < n_ranks)))
+    thresholds = np.stack([lo, hi, n_ranks + lo, n_ranks + hi])
 
-    total = np.searchsorted(np.sort(keys), thresholds).reshape(4, n)
-    upto = _prefix_counts(keys, width, np.tile(end, 4), thresholds).reshape(4, n)
-    block_keys = np.sort(block[order] * width + keys)
-    needles = np.tile(block * width, 4) + thresholds
-    tied = (np.searchsorted(block_keys, needles) - np.tile(start, 4)).reshape(4, n)
-    # Partners per event status (censored, event) in each range.
-    total_size = np.array([[censored[n]], [n - censored[n]]])
-    upto_size = np.stack([censored[end], end - censored[end]])
-    tied_size = upto_size - np.stack([censored[start], start - censored[start]])
+    # Ranges in anchor order: all subjects, the block, then one per level
+    # whose bit is set in the block's end.  Positions are stored as int32
+    # where they fit, which halves the structure.
+    levels = range(n.bit_length())
+    n_taps = sum(((end >> level) & 1 for level in levels), np.zeros(n, dtype=np.intp))
+    offsets = np.concatenate(([0], np.cumsum(n_taps)))
+    position = np.int32 if (2 + len(levels)) * (n + 1) < 2**31 else np.intp
+    orders = np.empty((2 + len(levels), n), dtype=position)
+    bounds = np.empty((7, 2 * n + offsets[-1]), dtype=position)
 
-    cells = np.empty((n, 3, 2, 3), dtype=np.int64)
-    # Time sign index 0: partner later, 1: tied, 2: partner earlier.
-    ranges = (
-        (total - upto, total_size - upto_size),
-        (tied, tied_size),
-        (upto - tied, upto_size - tied_size),
-    )
-    for sign, (below, size) in enumerate(ranges):
-        below_lo = np.stack([below[0], below[2] - size[0]])
-        below_hi = np.stack([below[1], below[3] - size[0]])
-        by_rel = np.stack([below_lo, size - below_hi, below_hi - below_lo])
-        cells[:, sign] = by_rel.transpose(2, 1, 0)  # to (anchor, delta_j, rel)
-    return cells.reshape(n, 18)  # explicit: numpy cannot infer a width when n == 0
+    def add(row, columns, positions, sorted_keys, anchors, base, start, stop):
+        """Order ``row`` and the bounds in it, for ``anchors`` whose range,
+        keyed ``base + key`` and sorted, is [start, stop) of ``positions``."""
+        orders[row] = order[positions]
+        at = row * (n + 1)
+        found = np.empty((7, anchors.size), dtype=np.intp)
+        found[[1, 2, 4, 5]] = np.searchsorted(sorted_keys, base + thresholds[:, anchors])
+        found[0] = start
+        found[3] = start + censored_before[stop] - censored_before[start]
+        found[6] = stop
+        bounds[:, columns] = at + found
+
+    anchors = np.argsort(rank, kind="stable")
+    by_key = np.argsort(keys, kind="stable")
+    add(0, anchors, by_key, keys[by_key], anchors, 0, 0, n)
+    block_keys = block[order] * width + keys
+    by_block = np.argsort(block_keys, kind="stable")
+    anchors = anchors[np.argsort(block[anchors], kind="stable")]
+    add(1, n + anchors, by_block, block_keys[by_block], anchors, block[anchors] * width,
+        end[anchors] - size[block[anchors]], end[anchors])
+
+    slot = 2 * n + offsets[:-1]
+    positions = np.arange(n)
+    for level in levels:
+        level_keys = (positions >> level) * width + keys[positions]
+        if level:
+            by = np.argsort(level_keys, kind="stable")
+            positions, level_keys = positions[by], level_keys[by]
+            anchor_keys = (end[anchors] >> level) * n_ranks + rank[anchors]
+            anchors = anchors[np.argsort(anchor_keys, kind="stable")]
+        use = anchors[((end[anchors] >> level) & 1).astype(bool)]
+        last = (end[use] >> level) - 1  # the last whole block before the end
+        add(2 + level, slot[use], positions, level_keys, use, last * width,
+            last << level, (last + 1) << level)
+        slot[use] += 1
+    return _ScalarIndex(orders, bounds, offsets)
+
+
+#: Anchors whose prefix ranges are read at a time, so that the counts stay modest.
+_READ_ANCHORS = 1 << 14
+
+
+def _scalar_read(index: _ScalarIndex, mult: np.ndarray) -> np.ndarray:
+    """Partner cells per anchor for scalar risks, with partner j taken ``mult[j]`` times.
+
+    Gives the same counts as classifying every pair of the data with
+    subject i taken ``mult[i]`` times, an anchor's own copies included, for
+    one copy of each subject: its self cell holds ``mult[i]``.  Each count
+    is read off prefix sums, in O(n log n): later partners are all minus the
+    prefix up to the block's end, earlier ones that prefix minus the block.
+    """
+    n = mult.size
+    prefix = np.zeros((index.orders.shape[0], n + 1), dtype=np.int64)
+    np.cumsum(mult[index.orders], axis=1, out=prefix[:, 1:])
+    prefix = prefix.ravel()
+
+    def between(columns: slice) -> np.ndarray:
+        """Partners between successive bounds of these ranges."""
+        counts = prefix[index.bounds[:, columns]]
+        for k in range(6, 0, -1):  # in place, from the last bound down
+            counts[k] -= counts[k - 1]
+        return counts[1:]
+
+    total, tied = between(slice(0, n)), between(slice(n, 2 * n))
+    upto = np.empty_like(total)
+    offsets = index.offsets
+    for a0 in range(0, n, _READ_ANCHORS):
+        a1 = min(a0 + _READ_ANCHORS, n)
+        taps = between(slice(2 * n + offsets[a0], 2 * n + offsets[a1]))
+        upto[:, a0:a1] = np.add.reduceat(taps, offsets[a0:a1] - offsets[a0], axis=1)
+    # Time sign (partner later, tied, earlier), then delta_j and rank relation.
+    cells = np.stack([total - upto, tied, upto - tied])
+    return cells.transpose(2, 0, 1).reshape(n, 18)
 
 
 #: Case labels in case order, the keys of every tally mapping.
 _CASE_LABELS = tuple(c.value for c in CASE_ORDER)
 
-#: Rows below which a float64 sum of mantissa halves (each under 2**27) is exact.
+#: Rows, counted with their multiplicities, below which a float64 sum of
+#: mantissa halves (each under 2**27) is exact.
 _EXACT_ROWS = 1 << 26
 
 
-def _exact_sums(terms: np.ndarray) -> tuple[list[int], int]:
-    """Exact column sums of ``terms``: column k sums to ``ints[k] * 2**scale``.
+def _exact_sums(terms: np.ndarray, mult: np.ndarray | None = None) -> tuple[list[int], int]:
+    """Exact column sums of ``terms``, row i taken ``mult[i]`` times (default
+    once): column k sums to ``ints[k] * 2**scale``.
 
     Every finite float is M * 2**(E - 53) for an integer |M| < 2**53
     (``np.frexp``).  M splits into a high half below 2**27 and a low half
-    below 2**26, and one ``np.bincount`` per half sums them per (column, E).
-    With fewer than 2**26 rows each such sum is an integer below 2**53, so
-    the float64 sums are exact; the bins are then joined as Python integers.
+    below 2**26, and one ``np.bincount`` per half, weighted by the
+    multiplicities, sums them per (column, E).  With fewer than 2**26 rows
+    in all each such sum is an integer below 2**53, so the float64 sums are
+    exact; the bins are then joined as Python integers.
     """
     rows, cols = terms.shape
-    if rows >= _EXACT_ROWS:
-        raise ComputationError(f"cannot sum {rows} anchors exactly (limit {_EXACT_ROWS})")
+    mult = np.ones(rows, dtype=np.int64) if mult is None else mult
+    n_rows = int(mult.sum())
+    if n_rows >= _EXACT_ROWS:
+        raise ComputationError(f"cannot sum {n_rows} anchors exactly (limit {_EXACT_ROWS})")
     if not np.all(np.isfinite(terms)):
         raise ComputationError("a weighted pair term is not finite")
     if terms.size == 0:
         return [0] * cols, 0
     frac, exp = np.frexp(terms)
-    # Scaled and keyed in place: fewer temporaries keep the heap small.
+    # Scaled, split and keyed in place: fewer temporaries keep the heap small.
+    # Every step is exact in float64.
     frac *= 2.0**53
-    mant = frac.astype(np.int64)
+    high = frac * 2.0**-26
+    np.floor(high, out=high)
+    frac -= high * 2.0**26
+    copies = mult.astype(float)[:, None]
+    frac *= copies
+    high *= copies
     low = int(exp.min())
     width = int(exp.max()) - low + 1
     exp -= low
@@ -528,8 +614,8 @@ def _exact_sums(terms: np.ndarray) -> tuple[list[int], int]:
     key = exp.ravel()
     size = cols * width
     halves = (
-        np.bincount(key, weights=(mant & ((1 << 26) - 1)).ravel(), minlength=size),
-        np.bincount(key, weights=(mant >> 26).ravel(), minlength=size),
+        np.bincount(key, weights=frac.ravel(), minlength=size),
+        np.bincount(key, weights=high.ravel(), minlength=size),
     )
     bins = np.concatenate([h.reshape(cols, width) for h in halves], axis=1)
     shifts = np.concatenate((np.arange(width), np.arange(26, 26 + width))).astype(object)
@@ -552,9 +638,11 @@ def _reduce(
     weights: np.ndarray,
     tau: float | None,
     anchors_beyond_grid: int = 0,
+    mult: np.ndarray | None = None,
 ) -> PairTally:
     """Apply a policy to per-anchor case counts: the one reducer.
 
+    Row i stands for ``mult[i]`` anchors with its counts (default one).
     Anchors with T_i >= tau are left out.  An anchor whose weight is NaN
     (G = 0) drops its pairs in comparable cases; they are counted in
     ``dropped_pairs`` instead of ``case_counts``.  Each weighted sum is the
@@ -563,12 +651,13 @@ def _reduce(
     not depend on how or in what order the counts were produced.  A term or
     a sum that is not finite raises :class:`ComputationError`.
     """
+    mult = np.ones(times.size, dtype=np.int64) if mult is None else mult
     cw = policy._comparable_by_case
     comparable = cw > 0
     active = np.ones(times.size, dtype=bool) if tau is None else times < tau
     undefined = active & np.isnan(weights)
-    dropped_by_case = counts[undefined].sum(axis=0) * comparable
-    case_counts = counts[active].sum(axis=0) - dropped_by_case
+    dropped_by_case = (mult * undefined) @ counts * comparable
+    case_counts = (mult * active) @ counts - dropped_by_case
 
     live = active & ~undefined
     live_counts = counts[live][:, comparable]
@@ -577,8 +666,8 @@ def _reduce(
         pair_cred = pair_comp * policy._credit_by_case[comparable]
         comp_terms = live_counts * pair_comp
         cred_terms = live_counts * pair_cred
-    comp_ints, comp_scale = _exact_sums(comp_terms)
-    cred_ints, cred_scale = _exact_sums(cred_terms)
+    comp_ints, comp_scale = _exact_sums(comp_terms, mult[live])
+    cred_ints, cred_scale = _exact_sums(cred_terms, mult[live])
     comp = np.zeros(cw.size)
     cred = np.zeros(cw.size)
     comp[comparable] = [_rounded(v, comp_scale) for v in comp_ints]
@@ -610,13 +699,17 @@ def _finalize(numerator: float, denominator: float, final_fold: str) -> float:
 
 
 class _Scorer:
-    """One dataset and its rank inputs, scored under any number of policies.
+    """One dataset and its rank inputs, scored on draws of its subjects.
 
-    Counts are kept per (rank source, tie tolerance) and the censoring fit is
-    made at most once, on first use, so policies that differ only in what
-    :func:`_reduce` applies share one counting pass.  ``risks`` (a validated
-    array) feeds scalar ranking, ``curves`` (grid points, probs) ranking by
-    survival curves.
+    A draw takes subject i ``mult[i]`` times: once each for the data itself,
+    a bootstrap resample's multiplicities otherwise.  What counting needs
+    from the data alone is built once, on first use, and shared by every
+    draw: the sorted structure per scalar tie tolerance
+    (:func:`_scalar_build`) and the grouping of tied times for censoring
+    fits.  ``risks`` (a validated array) feeds scalar ranking, ``curves``
+    (grid points, probs) ranking by survival curves.  Unless ``resampled``
+    says more than one draw will be read, a sorted structure is dropped once
+    read, so that each is held only while it is needed.
     """
 
     def __init__(
@@ -625,6 +718,7 @@ class _Scorer:
         risks: np.ndarray | None = None,
         curves: tuple[np.ndarray, np.ndarray] | None = None,
         g: StepFunction | None = None,
+        resampled: bool = False,
     ) -> None:
         if curves is not None and curves[1].shape[0] != ds.n:
             raise InputError("survival matrix is not aligned with the dataset")
@@ -632,6 +726,42 @@ class _Scorer:
         self.risks = risks
         self.curves = curves
         self.g = g
+        self.resampled = resampled
+        self._indexes: dict[float, _ScalarIndex] = {}
+
+    def draw(self, mult: np.ndarray | None = None) -> "_Draw":
+        """The draw taking subject i ``mult[i]`` times; by default the data itself."""
+        return _Draw(self, np.ones(self.ds.n, dtype=np.int64) if mult is None else mult)
+
+    def scalar_index(self, tol: float) -> _ScalarIndex:
+        if tol in self._indexes:
+            return self._indexes[tol]
+        index = _scalar_build(self.ds.times, self.ds.events, self.risks, tol)
+        if self.resampled:
+            self._indexes[tol] = index
+        return index
+
+    @cached_property
+    def time_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        return _time_groups(self.ds.times)
+
+
+class _Draw:
+    """One draw of a scorer's subjects, scored under any number of policies.
+
+    Its rows are the subjects drawn at least once, each standing for its
+    copies.  Counts are kept per (rank source, tie tolerance) and the
+    censoring fit is made at most once, on first use, so policies that
+    differ only in what :func:`_reduce` applies share one counting pass.
+    """
+
+    def __init__(self, scorer: _Scorer, mult: np.ndarray) -> None:
+        self.scorer = scorer
+        self.mult = mult
+        self.rows = np.flatnonzero(mult)
+        self.copies = mult[self.rows]
+        self.times = scorer.ds.times[self.rows]
+        self.events = scorer.ds.events[self.rows]
         self._counts: dict[tuple[bool, float], tuple[np.ndarray, int]] = {}
         self._censoring: StepFunction | None = None
 
@@ -640,35 +770,44 @@ class _Scorer:
     ) -> tuple[float, PairTally]:
         """Estimate and tally under ``policy``, ranking by curves if ``by_curves``."""
         weights = self._weights(policy)
-        tau = policy.truncation.resolve(self.ds)
+        tau = policy.truncation._resolve(self.uncensored)
         counts, beyond = self._counts_for(by_curves, policy.tie_tolerance)
-        tally = _reduce(counts, self.ds.times, policy, weights, tau, beyond)
+        tally = _reduce(counts, self.times, policy, weights, tau, beyond, self.copies)
         return _finalize(tally.numerator, tally.denominator, policy.final_fold), tally
 
+    @cached_property
+    def uncensored(self) -> np.ndarray:
+        return self.times[self.events == 1]
+
     def _weights(self, policy: ConcordancePolicy) -> np.ndarray:
-        g = self.g
+        """Each row's IPCW weight: G, fitted on the draw, read at the row's time."""
+        scorer = self.scorer
+        g = scorer.g
         if g is None and policy.weight_scheme != WEIGHT_UNIFORM:
             if policy.g_source == G_SOURCE_PROVIDED:
                 raise InputError(
                     "policy requires an externally fitted censoring distribution"
                 )
             if self._censoring is None:
-                self._censoring = km_fit(self.ds, target="censoring")
+                self._censoring = _km_from_groups(
+                    scorer.time_groups, scorer.ds.events == 0, self.mult
+                )
             g = self._censoring
-        return ipcw_weights(g, self.ds, policy.weight_scheme)
+        return ipcw_weights(g, scorer.ds, policy.weight_scheme)[self.rows]
 
     def _counts_for(self, by_curves: bool, tol: float) -> tuple[np.ndarray, int]:
-        """Case counts and the number of anchors beyond the curves' grid."""
+        """Case counts per row and the number of anchors beyond the curves' grid."""
         key = (by_curves, tol)
         if key not in self._counts:
-            times, events = self.ds.times, self.ds.events
+            scorer = self.scorer
+            times, events = scorer.ds.times, scorer.ds.events
             if by_curves:
-                points, probs = self.curves
-                cells = _curve_cells(times, events, points, probs, tol)
-                beyond = int(np.count_nonzero(times > points[-1]))
+                points, probs = scorer.curves
+                cells = _curve_cells(times, events, points, probs, tol, self.mult)
+                beyond = int(self.mult[times > points[-1]].sum())
             else:
-                cells, beyond = _scalar_cells(times, events, self.risks, tol), 0
-            self._counts[key] = (_cases(cells, events), beyond)
+                cells, beyond = _scalar_read(scorer.scalar_index(tol), self.mult), 0
+            self._counts[key] = (_cases(cells[self.rows], self.events), beyond)
         return self._counts[key]
 
 
@@ -687,7 +826,7 @@ def concordance(
     """
     _check_kind(ds, SurvivalDataset, "ds")
     _check_kind(policy, ConcordancePolicy, "policy")
-    return _Scorer(ds, risks=as_risk_array(risks, ds.n), g=g).score(policy)
+    return _Scorer(ds, risks=as_risk_array(risks, ds.n), g=g).draw().score(policy)
 
 
 def concordance_td(
@@ -710,7 +849,7 @@ def concordance_td(
     _check_kind(sm, SurvivalMatrix, "sm")
     _check_kind(policy, ConcordancePolicy, "policy")
     scorer = _Scorer(ds, curves=(sm.grid.points, sm.probs), g=g)
-    return scorer.score(policy, by_curves=True)
+    return scorer.draw().score(policy, by_curves=True)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ just before the observed time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,37 +80,80 @@ def km_fit(ds: SurvivalDataset, target: str = "event") -> StepFunction:
     ``target="censoring"`` flips the event indicator so censorings act as the
     events, yielding the censoring survivor function G.  At tied times the
     risk set counts every subject with T >= t, so the fit on flipped
-    indicators is exactly the flipped-target fit.
+    indicators is exactly the flipped-target fit.  This is the fit with
+    every subject taken once; a bootstrap resample reuses the grouping of
+    tied times (:func:`_time_groups`) and fits from its multiplicities
+    (:func:`_km_from_groups`).
     """
     _check_kind(ds, SurvivalDataset, "ds")
-    if ds.n == 0:
-        raise ComputationError("no records")
-    if target == "event":
-        d = ds.events == 1
-    elif target == "censoring":
-        d = ds.events == 0
-    else:
+    if target not in ("event", "censoring"):
         raise InputError(f"unknown target {target!r}")
+    hits = ds.events == (1 if target == "event" else 0)
+    return _km_from_groups(_time_groups(ds.times), hits, np.ones(ds.n, dtype=np.int64))
 
+
+def _time_groups(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct times in increasing order and each subject's place among them."""
     # return_index makes numpy sort stably, so each distinct time keeps its
     # first spelling (-0.0 or 0.0) in input order.
-    uniq, _, inverse, size = np.unique(
-        ds.times, return_index=True, return_inverse=True, return_counts=True
-    )
-    # At-risk count just before each distinct time; events of the chosen kind at it.
-    at_risk = ds.n - np.cumsum(size) + size
-    d_at = np.bincount(inverse[d], minlength=uniq.size)
+    uniq, _, inverse = np.unique(times, return_index=True, return_inverse=True)
+    return uniq, inverse
 
+
+def _km_from_groups(
+    groups: tuple[np.ndarray, np.ndarray], hits: np.ndarray, mult: np.ndarray
+) -> StepFunction:
+    """The product-limit fit with subject i taken ``mult[i]`` times.
+
+    ``groups`` is :func:`_time_groups` of the subjects' times and ``hits``
+    marks the subjects whose observed time is an event of the fitted kind.
+    The at-risk and event counts are the integers a dataset holding those
+    copies would give, so the fit equals the fit on it, except that a time
+    spelt both -0.0 and 0.0 keeps the spelling it has among all the
+    subjects.
+    """
+    uniq, inverse = groups
+    size = np.bincount(inverse, weights=mult, minlength=uniq.size).astype(np.int64)
+    d_at = np.bincount(
+        inverse[hits], weights=mult[hits], minlength=uniq.size
+    ).astype(np.int64)
+    if size.sum() == 0:
+        raise ComputationError("no records")
+    # At-risk count just before each distinct time; events of the chosen kind at it.
+    at_risk = size[::-1].cumsum()[::-1]
     keep = d_at > 0
-    # Exact rational accumulation: the estimate is a product of integer
-    # ratios, so carrying it as a Fraction and rounding once per jump keeps
-    # e.g. the no-censoring case identical to the empirical survivor function.
-    surv = np.empty(int(keep.sum()))
-    running = Fraction(1)
-    for k, (d_k, n_k) in enumerate(zip(d_at[keep], at_risk[keep])):
-        running *= Fraction(int(n_k) - int(d_k), int(n_k))
-        surv[k] = float(running)
-    return StepFunction(uniq[keep], surv)
+    values = _product_values((at_risk - d_at)[keep].tolist(), at_risk[keep].tolist())
+    return StepFunction(uniq[keep], np.array(values, dtype=float))
+
+
+#: Fixed-point bits of the bounds that carry a Kaplan-Meier product.
+_PRODUCT_BITS = 256
+
+
+def _product_values(numerators: list[int], denominators: list[int]) -> list[float]:
+    """Each running product of ``numerators[k] / denominators[k]``, rounded once.
+
+    The product V is a ratio of integers, so it is carried as two integers
+    L <= V * 2**P <= U, rounded down and up at every factor.  Where L / 2**P
+    and U / 2**P round to the same float, so does V (Ziv's rounding test);
+    the no-censoring case stays identical to the empirical survivor
+    function.  From the first factor where they differ, V is carried
+    exactly as a Fraction.
+    """
+    scale = 1 << _PRODUCT_BITS
+    low = high = scale
+    values: list[float] = []
+    for k, (num, den) in enumerate(zip(numerators, denominators)):
+        low, high = low * num // den, -(-high * num // den)
+        value = low / scale
+        if value != high / scale:
+            running = Fraction(math.prod(numerators[:k]), math.prod(denominators[:k]))
+            for num, den in zip(numerators[k:], denominators[k:]):
+                running *= Fraction(num, den)
+                values.append(float(running))
+            break
+        values.append(value)
+    return values
 
 
 def ipcw_weights(

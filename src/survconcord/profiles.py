@@ -42,6 +42,7 @@ from .engine import (
     ConcordancePolicy,
     PairTally,
     Truncation,
+    _Draw,
     _Scorer,
     antolini_policy,
     tie_weighted_policy,
@@ -347,6 +348,7 @@ class TransformSpec:
                 )
 
     def apply(self, sm: SurvivalMatrix) -> np.ndarray:
+        _check_kind(sm, SurvivalMatrix, "sm")
         if self.kind == TRANSFORM_AT_TIME:
             return risk_at_time(sm, self.time)
         if self.kind == TRANSFORM_EXPECTED_MORTALITY:
@@ -432,9 +434,14 @@ def run_multiverse(
     from those shared counts.  Bootstrap intervals (percentile) draw the
     resamples from one per-seed stream and score every profile on each
     resample in turn, with the same sharing, so every profile sees the same
-    resamples by construction.  Transforms are applied once to the full
-    matrix before resampling, while data-dependent truncation and test-set
-    censoring fits are re-resolved on every resample.  A profile whose
+    resamples by construction.  A resample is the number of times it draws
+    each subject: the sorted structure of the scalar risks and the grouping
+    of tied times are built once, on the full data, and each resample reads
+    its counts and fits its censoring distribution from its
+    multiplicities, giving the estimate the resampled data would, bit for
+    bit.  Transforms are applied once to the full matrix before
+    resampling, while data-dependent truncation and test-set censoring fits
+    are re-resolved on every resample.  A profile whose
     resamples all fail keeps its estimate and full-data tally, with
     ``failed_resamples`` equal to the number of resamples and the error
     ``"bootstrap: all bootstrap resamples failed"``.
@@ -449,6 +456,8 @@ def run_multiverse(
             _check_kind(value, kind, what)
     if profiles is None:
         profiles = _builtins()
+    for profile in profiles:
+        _check_kind(profile, Profile, "profiles")
     _reject_repeated_names(p.name for p in profiles)
     scalar, no_scalar = None, "requires a risk vector or a transform over a matrix"
     if risks is not None:
@@ -464,20 +473,15 @@ def run_multiverse(
     plans = [_plan(p, no_scalar, matrix, tau, g) for p in profiles]
     live = {k: plan for k, plan in enumerate(plans) if isinstance(plan, _Plan)}
     curves = None if matrix is None else (matrix.grid.points, matrix.probs)
-    full = _outcomes(_Scorer(ds, risks=scalar, curves=curves, g=g), live)
+    scorer = _Scorer(ds, risks=scalar, curves=curves, g=g, resampled=bootstrap is not None)
+    full = _outcomes(scorer.draw(), live)
     scored = {k: live[k] for k, outcome in full.items() if not isinstance(outcome, str)}
     # Each scored plan's estimate per resample, None where the resample failed.
     resampled: dict[int, list[float | None]] = {k: [] for k in scored}
     if bootstrap is not None and scored:
-        resample_curves = any(plan.profile.requires_matrix for plan in scored.values())
         for idx in bootstrap.resamples(ds.n, seed):
-            scorer = _Scorer(
-                ds.subset(idx),
-                risks=None if scalar is None else scalar[idx],
-                curves=(curves[0], curves[1][idx]) if resample_curves else None,
-                g=g,
-            )
-            for k, outcome in _outcomes(scorer, scored).items():
+            draw = scorer.draw(np.bincount(idx, minlength=ds.n))
+            for k, outcome in _outcomes(draw, scored).items():
                 resampled[k].append(None if isinstance(outcome, str) else outcome[0])
     cells = tuple(_cell(profile, plan, full.get(k, plan), resampled.get(k), bootstrap)
                   for k, (profile, plan) in enumerate(zip(profiles, plans)))
@@ -537,12 +541,12 @@ def _plan(
 _Outcome = tuple[float, PairTally] | str
 
 
-def _outcomes(scorer: _Scorer, plans: Mapping[int, _Plan]) -> dict[int, _Outcome]:
-    """Each plan's estimate and tally on ``scorer``, or its error message."""
+def _outcomes(draw: _Draw, plans: Mapping[int, _Plan]) -> dict[int, _Outcome]:
+    """Each plan's estimate and tally on ``draw``, or its error message."""
     outcomes: dict[int, _Outcome] = {}
     for k, plan in plans.items():
         try:
-            outcomes[k] = scorer.score(plan.policy, plan.profile.requires_matrix)
+            outcomes[k] = draw.score(plan.policy, plan.profile.requires_matrix)
         except ComputationError as exc:
             outcomes[k] = str(exc)
     return outcomes

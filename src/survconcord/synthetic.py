@@ -26,6 +26,7 @@ from .data import (
     SurvivalDataset,
     SurvivalMatrix,
     TimeGrid,
+    _check_kind,
     _float_array,
     as_float,
     as_seed,
@@ -172,6 +173,7 @@ def generate_event_times(
     params: WeibullPHParams, covariates: np.ndarray, rng_seed: int
 ) -> np.ndarray:
     """Uncensored event times by inverse-transform sampling of the Weibull PH model."""
+    _check_kind(params, WeibullPHParams, "params")
     rng = _rng(rng_seed, "events")
     lp = params.linear_predictor(covariates)
     u = 1.0 - rng.random(lp.size)  # in (0, 1]; avoids log(0)
@@ -219,6 +221,7 @@ def oracle_cindex(
     (Higham), so lps within twice the largest such bound tie, and pairs equal
     in exact arithmetic leave the comparable set.
     """
+    _check_kind(params, WeibullPHParams, "params")
     x = _float_array(covariates, "covariates")
     lp = params.linear_predictor(x)
     pu = params.coefficients.size * 2.0**-53

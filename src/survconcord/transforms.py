@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import ComputationError, InputError, SurvivalMatrix, TimeGrid, as_float
+from .data import (
+    ComputationError,
+    InputError,
+    SurvivalMatrix,
+    TimeGrid,
+    _check_kind,
+    as_float,
+)
 
 #: Default evaluation horizon and common grid used for cross-model comparison;
 #: both are overridable wherever they appear.
@@ -31,6 +38,7 @@ def interpolate(sm: SurvivalMatrix, dst: TimeGrid) -> SurvivalMatrix:
     first source value otherwise; points beyond the source grid carry the
     last value forward.
     """
+    _check_kind(sm, SurvivalMatrix, "sm")
     if not isinstance(dst, TimeGrid):
         raise InputError(f"interpolate onto a TimeGrid, got {type(dst).__name__}")
     src = sm.grid.points
@@ -48,6 +56,7 @@ def risk_at_time(sm: SurvivalMatrix, t: float) -> np.ndarray:
     A time before the first grid point would read every curve as 1 and tie
     every subject, so it is rejected like a non-finite time.
     """
+    _check_kind(sm, SurvivalMatrix, "sm")
     t = as_float(t, "evaluation time")
     start = sm.grid.points[0]
     if not start <= t < np.inf:
@@ -63,6 +72,7 @@ def expected_mortality(sm: SurvivalMatrix) -> np.ndarray:
     the smallest positive entry of the whole matrix so that rankings across
     subjects stay consistent.
     """
+    _check_kind(sm, SurvivalMatrix, "sm")
     probs = sm.probs
     positive = probs[probs > 0]
     if positive.size == 0:
@@ -83,6 +93,7 @@ def neg_rmst(sm: SurvivalMatrix, t_star: float) -> np.ndarray:
     subject -inf and tie them all, so it is rejected like one not past the
     first grid point.
     """
+    _check_kind(sm, SurvivalMatrix, "sm")
     t_star = as_float(t_star, "t_star")
     grid = sm.grid.points
     if not grid[0] < t_star < np.inf:

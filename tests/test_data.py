@@ -10,6 +10,7 @@ from survconcord import (
     SurvivalDataset,
     SurvivalMatrix,
     TimeGrid,
+    TransformSpec,
     UniformQuantileCensoring,
     WeibullCensoring,
     WeibullPHParams,
@@ -18,6 +19,7 @@ from survconcord import (
     concordance,
     concordance_td,
     decompose,
+    expected_mortality,
     generate_censoring,
     generate_event_times,
     interpolate,
@@ -288,6 +290,25 @@ _BAD_INPUTS = {
     "decompose-tally": (lambda: decompose("x"), "tally must be a PairTally"),
     "subset-beyond": (lambda: _DS.subset([10]), "subset indices must lie in [-4, 4)"),
     "subset-before": (lambda: _DS.subset([0, -5]), "subset indices must lie in [-4, 4)"),
+    "matrix-grid-list":
+        (lambda: SurvivalMatrix([0.0, 1.0], [[1.0, 0.5]]), "grid must be a TimeGrid"),
+    "multiverse-profile-names":
+        (lambda: run_multiverse(_DS, risks=_RISKS, profiles=["hmisc"]), "profiles must be"),
+    "interpolate-matrix":
+        (lambda: interpolate(np.ones((4, 3)), _GRID), "sm must be a SurvivalMatrix"),
+    "risk-at-time-matrix":
+        (lambda: risk_at_time(np.ones((4, 3)), 0.5), "sm must be a SurvivalMatrix"),
+    "expected-mortality-matrix":
+        (lambda: expected_mortality(np.ones((4, 3))), "sm must be a SurvivalMatrix"),
+    "neg-rmst-matrix":
+        (lambda: neg_rmst(np.ones((4, 3)), 1.0), "sm must be a SurvivalMatrix"),
+    "transform-apply-matrix":
+        (lambda: TransformSpec("neg-rmst", horizon=1.0).apply(np.ones((4, 3))),
+         "sm must be a SurvivalMatrix"),
+    "event-times-params":
+        (lambda: generate_event_times({"shape": 1.0}, [[1.0]], 0), "params must be"),
+    "oracle-params":
+        (lambda: oracle_cindex({"shape": 1.0}, [[1.0]], [1.0]), "params must be"),
 }
 
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -33,8 +34,11 @@ from survconcord.engine import (
     STRICT_PAIRS,
     _cases,
     _curve_cells,
+    _exact_sums,
     _reduce,
-    _scalar_cells,
+    _rounded,
+    _scalar_build,
+    _scalar_read,
     _Scorer,
 )
 from survconcord.km import ipcw_weights, km_fit
@@ -51,6 +55,15 @@ from oracle import (
 HARRELL = tie_weighted_policy(0.0, 0.0)
 ANTOLINI = antolini_policy(adjusted=False)
 ADJ_ANTOLINI = antolini_policy(adjusted=True)
+
+
+def _scalar_cells(times, events, risks, tol):
+    """The scalar producer's cells for the data itself: every subject once."""
+    return _scalar_read(_scalar_build(times, events, risks, tol), np.ones(times.size, int))
+
+
+def _curve_cells_once(times, events, points, probs, tol):
+    return _curve_cells(times, events, points, probs, tol, np.ones(times.size, int))
 
 
 def test_four_subject_fixture(four_subjects):
@@ -299,7 +312,7 @@ def test_blockwise_reduction_is_bit_identical():
     g = km_fit(ds, target="censoring")
     # Each producer's cells, mapped to cases, give the dense reference's counts.
     curve_counts = [
-        _cases(_curve_cells(ds.times, ds.events, *_curves(sm), 0.0), ds.events),
+        _cases(_curve_cells_once(ds.times, ds.events, *_curves(sm), 0.0), ds.events),
         dense_curve_counts(ds.times, ds.events, sm, 0.0)[0],
     ]
     assert np.array_equal(*curve_counts)
@@ -336,6 +349,37 @@ def test_reducer_refuses_more_rows_than_it_sums_exactly(monkeypatch):
     counts = np.ones((2, 18), dtype=np.int64)
     with pytest.raises(ComputationError, match="exactly"):
         _reduce(counts, np.array([1.0, 2.0]), HARRELL, np.ones(2), None)
+
+
+def test_reducer_counts_multiplicities_against_the_row_bound():
+    # One row taken 2**26 times reaches the bound without 2**26 rows.
+    ints, scale = _exact_sums(np.ones((1, 3)), np.array([(1 << 26) - 1]))
+    assert [_rounded(v, scale) for v in ints] == [(1 << 26) - 1.0] * 3
+    with pytest.raises(ComputationError, match="exactly"):
+        _exact_sums(np.ones((1, 3)), np.array([1 << 26]))
+    with pytest.raises(ComputationError, match="exactly"):
+        _reduce(np.ones((1, 18), dtype=np.int64), np.array([1.0]), HARRELL, np.ones(1),
+                None, mult=np.array([1 << 26]))
+
+
+@st.composite
+def _weighted_terms(draw):
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    terms = draw(arrays(np.float64, (rows, cols),
+                        elements=st.floats(-1e290, 1e290, allow_subnormal=True)))
+    return terms, draw(arrays(np.int64, rows, elements=st.integers(0, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_terms())
+@example((np.array([[0.1], [1e-300], [-0.1]]), np.array([3, 0, 2])))
+def test_exact_sums_with_multiplicities_equal_the_repeated_rows(instance):
+    terms, mult = instance
+    repeated = np.repeat(terms, mult, axis=0)
+    sums = []
+    for ints, scale in (_exact_sums(terms, mult), _exact_sums(repeated)):
+        sums.append([_rounded(v, scale).hex() for v in ints])
+    assert sums[0] == sums[1] == [math.fsum(col).hex() for col in repeated.T.tolist()]
 
 
 _REDUCE_POLICIES = [p.policy for p in get_profiles()] + [
@@ -410,11 +454,12 @@ def _curve_count_instance(draw):
 def _assert_curve_counts_equal_dense_reference(times, events, sm):
     ds = SurvivalDataset(times=times, events=events)
     for tol in (0.0, 0.1, 0.25):
-        cells = _curve_cells(times, events, *_curves(sm), tol)
+        cells = _curve_cells_once(times, events, *_curves(sm), tol)
         expected, beyond = dense_curve_counts(times, events, sm, tol)
         assert cells.dtype == np.int64
         assert np.array_equal(_cases(cells, events), expected)
-        counts, scored_beyond = _Scorer(ds, curves=_curves(sm))._counts_for(True, tol)
+        draw = _Scorer(ds, curves=_curves(sm)).draw()
+        counts, scored_beyond = draw._counts_for(True, tol)
         assert np.array_equal(counts, expected)
         assert scored_beyond == beyond
 
@@ -443,7 +488,7 @@ def _assert_every_partner_once(cells, events):
     # Cells count every partner, the anchor itself included, and the anchor
     # lands in its own (tied, delta_i, tied) cell (sign + 1) * 6 + delta_j * 3 + rel.
     assert np.all(cells.sum(axis=1) == n)
-    assert np.all(cells[np.arange(n), 6 + 3 * events + 2] >= 1)
+    assert np.all(cells[np.arange(n), 6 + 3 * events + 1] >= 1)
     # Mapped to cases, the self-pair is gone.
     cases = _cases(cells, events)
     assert cases.min() >= 0
@@ -456,7 +501,7 @@ def test_case_counts_cover_every_partner_once():
         ds, risks = random_instance(rng, n_max=80, tie_rich=True)
         sm = _tied_curves(rng, ds)
         for tol in (0.0, 0.1):
-            cells = _curve_cells(ds.times, ds.events, *_curves(sm), tol)
+            cells = _curve_cells_once(ds.times, ds.events, *_curves(sm), tol)
             _assert_every_partner_once(cells, ds.events)
             cells = _scalar_cells(ds.times, ds.events, risks, tol)
             _assert_every_partner_once(cells, ds.events)
@@ -801,3 +846,47 @@ def test_overflowing_risk_differences_score_without_warnings():
     for tol in (0.0, 0.1):
         est, tally = concordance(ds, [_BIG, -_BIG], HARRELL.replace(tie_tolerance=tol))
         assert est == 1.0 and tally.numerator == tally.denominator == 1.0
+
+
+def _copies(mult):
+    """Positions of the repeated rows, and of each drawn subject's first copy there."""
+    idx = np.repeat(np.arange(mult.size), mult)
+    return idx, np.searchsorted(idx, np.flatnonzero(mult))
+
+
+_MULTIPLICITIES = st.lists(st.integers(0, 4), min_size=30, max_size=30)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(_scalar_count_instance(), _MULTIPLICITIES)
+@example((np.full(6, 3.0), np.array([1, 1, 0, 0, 1, 0]), np.full(6, 0.7)), [2, 0, 3] * 10)
+@example((np.arange(5.0), np.ones(5, int), np.array([0.4, 1.28, 1.18, 1.18, 5e-9])),
+         [0, 4, 1, 0, 2] * 6)
+def test_scalar_counts_read_from_multiplicities_equal_the_repeated_data(instance, mult):
+    """Counts read from the multiplicities of a draw equal the counts of the
+    drawn rows themselves, for every subject drawn, at the first of its copies."""
+    times, events, risks = instance
+    mult = np.array(mult[:times.size])
+    idx, first = _copies(mult)
+    drawn = mult > 0
+    for tol in (0.0, 1e-8, 0.1):
+        cells = _scalar_read(_scalar_build(times, events, risks, tol), mult)
+        with np.errstate(over="ignore"):  # the dense reference subtracts +-_BIG
+            dense = dense_scalar_counts(times[idx], events[idx], risks[idx], tol)
+        assert np.array_equal(_cases(cells[drawn], events[drawn]), dense[first])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_curve_count_instance(), _MULTIPLICITIES)
+def test_curve_counts_read_from_multiplicities_equal_the_repeated_data(instance, mult):
+    times, events, sm = instance
+    mult = np.array(mult[:times.size])
+    idx, first = _copies(mult)
+    drawn = mult > 0
+    repeated = SurvivalMatrix(grid=sm.grid, probs=sm.probs[idx])
+    for tol in (0.0, 0.1, 0.25):
+        cells = _curve_cells(times, events, *_curves(sm), tol, mult)
+        assert not cells[~drawn].any()
+        dense, _ = dense_curve_counts(times[idx], events[idx], repeated, tol)
+        assert np.array_equal(_cases(cells[drawn], events[drawn]), dense[first])

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +14,7 @@ from survconcord import (
     ipcw_weights,
     km_fit,
 )
+from survconcord import km
 
 from oracle import km_reference
 
@@ -104,6 +108,68 @@ def test_km_fit_equals_naive_reference_bit_for_bit(records):
         # -0.0 == 0.0, so the sign of a jump at zero is compared on its own.
         assert np.signbit(fit.jump_times).tolist() == np.signbit(jumps).tolist()
         assert fit.values.tolist() == values
+
+
+_TIE_RICH = st.lists(
+    st.tuples(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, 3.0]), st.integers(0, 1)),
+    min_size=1, max_size=30,
+)
+_UNTIED = st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30, unique=True).flatmap(
+    lambda times: st.tuples(st.just(times), st.lists(
+        st.integers(0, 1), min_size=len(times), max_size=len(times)))
+).map(lambda pair: list(zip(*pair)))
+_ALL_EVENTS = st.lists(st.floats(0.0, 5.0).map(lambda t: round(t, 1)), min_size=1,
+                       max_size=30).map(lambda times: [(t, 1) for t in times])
+
+
+@st.composite
+def _weighted_records(draw):
+    """Records with tied, untied or only event times, and a multiplicity each."""
+    records = draw(st.one_of(_TIE_RICH, _UNTIED, _ALL_EVENTS))
+    mult = draw(st.lists(st.integers(0, 4), min_size=len(records), max_size=len(records)))
+    return records, mult
+
+
+def _assert_weighted_fits_equal_reference(records, mult):
+    """Each fit from multiplicities equals the naive fit on the repeated rows."""
+    times, events = (np.array(column) for column in zip(*records))
+    mult = np.array(mult)
+    groups = km._time_groups(times)
+    for target, hits in (("event", events == 1), ("censoring", events == 0)):
+        if not mult.any():
+            with pytest.raises(ComputationError, match="no records"):
+                km._km_from_groups(groups, hits, mult)
+            continue
+        fit = km._km_from_groups(groups, hits, mult)
+        repeated = SurvivalDataset(times=np.repeat(times, mult),
+                                   events=np.repeat(events, mult))
+        jumps, values = km_reference(repeated, target)
+        assert fit.jump_times.tolist() == jumps
+        assert fit.values.tolist() == values
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_records())
+@example(([(-0.0, 1), (0.0, 0), (0.0, 1), (1.0, 0)], [0, 2, 1, 3]))
+def test_km_fit_from_multiplicities_equals_naive_reference(instance):
+    _assert_weighted_fits_equal_reference(*instance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weighted_records())
+def test_km_fit_falls_back_to_fractions_bit_for_bit(instance):
+    # Two-bit bounds round apart at once, so the exact product takes over.
+    with mock.patch.object(km, "_PRODUCT_BITS", 2):
+        _assert_weighted_fits_equal_reference(*instance)
+
+
+def test_km_product_bounds_that_round_apart_continue_exactly():
+    with mock.patch.object(km, "_PRODUCT_BITS", 2), \
+            mock.patch.object(km, "Fraction", wraps=Fraction) as exact:
+        values = km._product_values([2, 1, 4], [3, 3, 7])
+    assert exact.called
+    assert values == [2 / 3, float(Fraction(2, 9)), float(Fraction(8, 63))]
+    assert km._product_values([2, 1, 4], [3, 3, 7]) == values
 
 
 def test_step_evaluation_left_and_right():

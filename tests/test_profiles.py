@@ -542,38 +542,36 @@ def test_multiverse_counts_once_per_rank_source_and_tolerance(monkeypatch):
     ds, risks, sm = _tie_rich(50, seed=8)
     g = km_fit(ds, "censoring")
     calls = {}
-    real_fit = engine.km_fit
 
-    def counting(producer, key):
+    def counting(fn, key):
         def count(*args, **kwargs):
             calls[key] += 1
-            return producer(*args, **kwargs)
+            return fn(*args, **kwargs)
 
         return count
 
-    def fitting(data, target="event"):
-        calls["fits"] += target == "censoring"
-        return real_fit(data, target)
-
-    # Scalar risks and curves each have their own producer; count both, and
-    # the map from cells to cases, which must run once per counting pass.
-    for name in ("_curve_cells", "_scalar_cells"):
-        monkeypatch.setattr(engine, name, counting(getattr(engine, name), "counts"))
-    monkeypatch.setattr(engine, "_cases", counting(engine._cases, "maps"))
-    monkeypatch.setattr(engine, "km_fit", fitting)
+    # The scalar structure is built once per tolerance and read once per
+    # draw; curves are counted once per draw; the map from cells to cases runs
+    # once per counting pass, and the censoring fit once per draw.
+    for name, key in (("_scalar_build", "builds"), ("_scalar_read", "reads"),
+                      ("_curve_cells", "reads"), ("_cases", "maps"),
+                      ("_km_from_groups", "fits")):
+        monkeypatch.setattr(engine, name, counting(getattr(engine, name), key))
 
     def run(**kwargs):
-        calls.update(counts=0, maps=0, fits=0)
+        calls.update(builds=0, reads=0, maps=0, fits=0)
         report = run_multiverse(ds, risks=risks, matrix=sm, seed=2, **kwargs)
         scored = [r for r in report.results if r.error is None]
         assert len(scored) == 13 and report.result("survc1").error  # no tau
-        return calls["counts"], calls["maps"], calls["fits"]
+        return calls["builds"], calls["reads"], calls["maps"], calls["fits"]
 
     # Scalar at tolerance 0 and 1e-8, curves at tolerance 0; one censoring fit.
-    assert run() == (3, 3, 1)
-    assert run(bootstrap=BootstrapSpec(4)) == (3 * 5, 3 * 5, 5)
-    assert run(g=g) == (3, 3, 0)
-    assert run(g=g, bootstrap=BootstrapSpec(4, sample_size=30)) == (3 * 5, 3 * 5, 0)
+    assert run() == (2, 3, 3, 1)
+    # A resample reads from the same two builds, whatever the number of resamples.
+    assert run(bootstrap=BootstrapSpec(4)) == (2, 3 * 5, 3 * 5, 5)
+    assert run(bootstrap=BootstrapSpec(9)) == (2, 3 * 10, 3 * 10, 10)
+    assert run(g=g) == (2, 3, 3, 0)
+    assert run(g=g, bootstrap=BootstrapSpec(4, sample_size=30)) == (2, 3 * 5, 3 * 5, 0)
 
 
 def _single_profile_cell(ds, risks, sm, profile, *, tau=None, g=None,
@@ -660,3 +658,46 @@ def test_multiverse_cells_equal_single_profile_api(scenario):
             assert r.weight_scheme == policy.weight_scheme, r.name
             want = None if policy.weight_scheme == "uniform" else g_used[policy.g_source]
             assert r.g_used == want, r.name
+
+
+@st.composite
+def _bootstrap_instance(draw):
+    """Tie-rich data and a bootstrap that draws some subjects many times."""
+    n = draw(st.integers(2, 24))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    last_time = draw(st.integers(2, max(2, n // 2 + 1)))  # few distinct times
+    times = np.array(column(st.integers(1, last_time)), float)
+    events = np.array(column(st.integers(0, 1)))
+    # Risks on a 0.1 lattice, some nudged to tie only at tolerance 1e-8.
+    nudges = np.array(column(st.sampled_from([0.0, 5e-9])))
+    risks = np.array(column(st.integers(-3, 3))) / 10 + nudges
+    grid = TimeGrid(np.arange(0.0, times.max()))
+    steps = draw(st.lists(st.lists(st.integers(0, 10), min_size=len(grid),
+                                   max_size=len(grid)), min_size=n, max_size=n))
+    sm = SurvivalMatrix(grid=grid, probs=np.sort(np.array(steps) / 10, axis=1)[:, ::-1])
+    ds = SurvivalDataset(times=times, events=events)
+    sizes = st.sampled_from([None, 1, max(1, n // 3), 2 * n])
+    spec = BootstrapSpec(draw(st.integers(1, 4)), sample_size=draw(sizes))
+    options = dict(bootstrap=spec, seed=draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        options["tau"] = Truncation("value", float(draw(st.sampled_from(times))))
+    if draw(st.booleans()):
+        options["g"] = km_fit(SurvivalDataset(times=times, events=1 - events), "censoring")
+    return ds, risks, sm, options
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bootstrap_instance())
+def test_bootstrap_from_multiplicities_equals_resampled_subsets(instance):
+    """Every cell, interval bounds included, is the one built from
+    ``ds.subset`` on each resample, bit for bit: all builtins cover tolerances
+    0 and 1e-8, IPCW, largest-uncensored tau and curve ranking."""
+    ds, risks, sm, options = instance
+    report = run_multiverse(ds, risks=risks, matrix=sm, **options)
+    for profile in get_profiles():
+        want = _single_profile_cell(ds, risks, sm, profile, **options)
+        got = report.result(profile.name).to_dict()
+        assert repr({key: got[key] for key in want}) == repr(want), profile.name
