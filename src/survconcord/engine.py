@@ -344,17 +344,17 @@ def _curve_cells(
     anchor ranks greater when ``S_j(T_i) - S_i(T_i) > tol`` and less when it
     is below ``-tol``.  Every pair, self included, is counted in blocks of 8
     to 512 anchors sized to a fixed budget of pairs; cell codes are int8 to
-    keep the block small.  Anchors with ``mult[i] = 0`` are skipped and keep
-    a zero row.  A partner taken no times lands in a spare cell, and one
-    taken k >= 2 times is counted again for each of 2..k.
+    keep the block small.  Each block takes one ``np.bincount`` with every
+    partner weighted by its multiplicity, so a partner taken no times adds
+    nothing and one taken k times adds k; the float64 bins are exact below
+    2**53.  Anchors with ``mult[i] = 0`` are skipped and keep a zero row.
     """
     n = times.size
     n_cells = _CELL_CASE.shape[1]
     block = int(np.clip(_BLOCK_CELL_BUDGET // max(n, 1), 8, 512))
     status = (3 * events).astype(np.int8)
     column = np.searchsorted(points, times, side="right") - 1
-    absent = np.flatnonzero(mult == 0)
-    again = [np.flatnonzero(mult >= k) for k in range(2, int(mult.max(initial=0)) + 1)]
+    weight = mult.astype(float)
     anchors = np.flatnonzero(mult)
     cells = np.zeros((n, n_cells), dtype=np.int64)
     for a0 in range(0, anchors.size, block):
@@ -368,13 +368,10 @@ def _curve_cells(
         del s  # free the values before the time-sign temporaries
         cell += status
         cell += (np.sign(times[batch, None] - times[None, :]).astype(np.int8) + 1) * 6
-        cell[:, absent] = n_cells
-        key = rows[:, None] * (n_cells + 1) + cell
-        size = batch.size * (n_cells + 1)
-        counts = np.bincount(key.ravel(), minlength=size)
-        for partners in again:
-            counts += np.bincount(key[:, partners].ravel(), minlength=size)
-        cells[batch] = counts.reshape(batch.size, n_cells + 1)[:, :n_cells]
+        key = rows[:, None] * n_cells + cell
+        counts = np.bincount(key.ravel(), weights=np.broadcast_to(weight, key.shape).ravel(),
+                             minlength=batch.size * n_cells)
+        cells[batch] = counts.reshape(batch.size, n_cells)
     return cells
 
 
@@ -577,9 +574,9 @@ _CASE_LABELS = tuple(c.value for c in CASE_ORDER)
 _EXACT_ROWS = 1 << 26
 
 
-def _exact_sums(terms: np.ndarray, mult: np.ndarray | None = None) -> tuple[list[int], int]:
-    """Exact column sums of ``terms``, row i taken ``mult[i]`` times (default
-    once): column k sums to ``ints[k] * 2**scale``.
+def _exact_sums(terms: np.ndarray, mult: np.ndarray) -> tuple[list[int], int]:
+    """Exact column sums of ``terms``, row i taken ``mult[i]`` times: column k
+    sums to ``ints[k] * 2**scale``.
 
     Every finite float is M * 2**(E - 53) for an integer |M| < 2**53
     (``np.frexp``).  M splits into a high half below 2**27 and a low half
@@ -588,8 +585,7 @@ def _exact_sums(terms: np.ndarray, mult: np.ndarray | None = None) -> tuple[list
     in all each such sum is an integer below 2**53, so the float64 sums are
     exact; the bins are then joined as Python integers.
     """
-    rows, cols = terms.shape
-    mult = np.ones(rows, dtype=np.int64) if mult is None else mult
+    cols = terms.shape[1]
     n_rows = int(mult.sum())
     if n_rows >= _EXACT_ROWS:
         raise ComputationError(f"cannot sum {n_rows} anchors exactly (limit {_EXACT_ROWS})")
@@ -612,12 +608,10 @@ def _exact_sums(terms: np.ndarray, mult: np.ndarray | None = None) -> tuple[list
     exp -= low
     exp += np.arange(cols, dtype=exp.dtype) * width
     key = exp.ravel()
-    size = cols * width
-    halves = (
-        np.bincount(key, weights=frac.ravel(), minlength=size),
-        np.bincount(key, weights=high.ravel(), minlength=size),
-    )
-    bins = np.concatenate([h.reshape(cols, width) for h in halves], axis=1)
+    bins = np.concatenate([
+        np.bincount(key, weights=half.ravel(), minlength=cols * width).reshape(cols, width)
+        for half in (frac, high)
+    ], axis=1)
     shifts = np.concatenate((np.arange(width), np.arange(26, 26 + width))).astype(object)
     ints = (bins.astype(np.int64).astype(object) << shifts).sum(axis=1)
     return ints.tolist(), low - 53
@@ -637,21 +631,21 @@ def _reduce(
     policy: ConcordancePolicy,
     weights: np.ndarray,
     tau: float | None,
-    anchors_beyond_grid: int = 0,
-    mult: np.ndarray | None = None,
+    anchors_beyond_grid: int,
+    mult: np.ndarray,
 ) -> PairTally:
     """Apply a policy to per-anchor case counts: the one reducer.
 
-    Row i stands for ``mult[i]`` anchors with its counts (default one).
+    Row i stands for ``mult[i]`` anchors with its counts.
     Anchors with T_i >= tau are left out.  An anchor whose weight is NaN
     (G = 0) drops its pairs in comparable cases; they are counted in
     ``dropped_pairs`` instead of ``case_counts``.  Each weighted sum is the
     exact sum of its float terms (count times anchor weight times case
     weight, and times credit), rounded once (:func:`_exact_sums`), so it does
-    not depend on how or in what order the counts were produced.  A term or
-    a sum that is not finite raises :class:`ComputationError`.
+    not depend on how or in what order the counts were produced; comparable
+    and credit terms are summed in one call, at one scale.  A term or a sum
+    that is not finite raises :class:`ComputationError`.
     """
-    mult = np.ones(times.size, dtype=np.int64) if mult is None else mult
     cw = policy._comparable_by_case
     comparable = cw > 0
     active = np.ones(times.size, dtype=bool) if tau is None else times < tau
@@ -663,25 +657,22 @@ def _reduce(
     live_counts = counts[live][:, comparable]
     with np.errstate(over="ignore", invalid="ignore"):  # _exact_sums rejects inf/NaN
         pair_comp = weights[live, None] * cw[comparable]
-        pair_cred = pair_comp * policy._credit_by_case[comparable]
-        comp_terms = live_counts * pair_comp
-        cred_terms = live_counts * pair_cred
-    comp_ints, comp_scale = _exact_sums(comp_terms, mult[live])
-    cred_ints, cred_scale = _exact_sums(cred_terms, mult[live])
-    comp = np.zeros(cw.size)
-    cred = np.zeros(cw.size)
-    comp[comparable] = [_rounded(v, comp_scale) for v in comp_ints]
-    cred[comparable] = [_rounded(v, cred_scale) for v in cred_ints]
+        pair = np.hstack((pair_comp, pair_comp * policy._credit_by_case[comparable]))
+        terms = np.tile(live_counts, 2) * pair  # comparable terms, then credit terms
+    ints, scale = _exact_sums(terms, mult[live])
+    k = live_counts.shape[1]
+    sums = np.zeros((2, cw.size))
+    sums[:, comparable] = np.reshape([_rounded(v, scale) for v in ints], (2, k))
 
     def by_label(values: np.ndarray) -> Mapping:
         return MappingProxyType(dict(zip(_CASE_LABELS, values.tolist())))
 
     return PairTally(
         case_counts=by_label(case_counts),
-        case_comparable=by_label(comp),
-        case_credit=by_label(cred),
-        numerator=_rounded(sum(cred_ints), cred_scale),
-        denominator=_rounded(sum(comp_ints), comp_scale),
+        case_comparable=by_label(sums[0]),
+        case_credit=by_label(sums[1]),
+        numerator=_rounded(sum(ints[k:]), scale),
+        denominator=_rounded(sum(ints[:k]), scale),
         dropped_pairs=int(dropped_by_case.sum()),
         anchors_beyond_grid=anchors_beyond_grid,
         policy=policy,
@@ -763,7 +754,6 @@ class _Draw:
         self.times = scorer.ds.times[self.rows]
         self.events = scorer.ds.events[self.rows]
         self._counts: dict[tuple[bool, float], tuple[np.ndarray, int]] = {}
-        self._censoring: StepFunction | None = None
 
     def score(
         self, policy: ConcordancePolicy, by_curves: bool = False
@@ -779,6 +769,11 @@ class _Draw:
     def uncensored(self) -> np.ndarray:
         return self.times[self.events == 1]
 
+    @cached_property
+    def censoring(self) -> StepFunction:
+        scorer = self.scorer
+        return _km_from_groups(scorer.time_groups, scorer.ds.events == 0, self.mult)
+
     def _weights(self, policy: ConcordancePolicy) -> np.ndarray:
         """Each row's IPCW weight: G, fitted on the draw, read at the row's time."""
         scorer = self.scorer
@@ -788,11 +783,7 @@ class _Draw:
                 raise InputError(
                     "policy requires an externally fitted censoring distribution"
                 )
-            if self._censoring is None:
-                self._censoring = _km_from_groups(
-                    scorer.time_groups, scorer.ds.events == 0, self.mult
-                )
-            g = self._censoring
+            g = self.censoring
         return ipcw_weights(g, scorer.ds, policy.weight_scheme)[self.rows]
 
     def _counts_for(self, by_curves: bool, tol: float) -> tuple[np.ndarray, int]:

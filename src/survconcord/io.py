@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .data import InputError, SurvivalDataset, SurvivalMatrix, TimeGrid
+from .data import _reject_unknown_keys
 from .km import StepFunction
 from .profiles import MultiverseReport, Profile, profile_from_dict
 
@@ -48,11 +49,11 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> InputError:
 def _csv_rows(path: Path) -> Iterator:
     """Stream a CSV file: the header, then ``(path:line, fields)`` per row.
 
-    Blank lines are skipped.  An empty file, text that is not UTF-8, or a
-    row whose field count differs from the header's, raises
-    :class:`InputError`.
+    A leading UTF-8 byte-order mark is dropped and blank lines are skipped.
+    An empty file, text that is not UTF-8, or a row whose field count
+    differs from the header's, raises :class:`InputError`.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -87,9 +88,10 @@ def write_csv(out: str | Path | TextIO, header: list, rows: Iterable) -> None:
 
 
 def read_json(path: str | Path):
-    """Decode a JSON file; malformed or non-UTF-8 text raises :class:`InputError`."""
+    """Decode a JSON file, a leading UTF-8 byte-order mark dropped; malformed
+    or non-UTF-8 text raises :class:`InputError`."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
     except json.JSONDecodeError as exc:
@@ -267,8 +269,14 @@ def write_report_csv(path: str | Path, report: MultiverseReport) -> None:
 def load_profiles_file(path: str | Path) -> list[Profile]:
     """Read profile definitions from JSON (a list, or {"profiles": [...]})."""
     path = Path(path)
-    raw = read_json(path)
-    entries = raw.get("profiles") if isinstance(raw, dict) else raw
+    entries = read_json(path)
+    if isinstance(entries, dict):
+        try:  # a report's provenance block is a profile file, so its keys are known
+            _reject_unknown_keys(entries, ["profiles", "dataset", "grid", "transform",
+                                           "tau", "bootstrap", "seed"], "profile file")
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
+        entries = entries.get("profiles")
     if not isinstance(entries, list):
         raise InputError(f"{path}: expected a list of profile objects")
     out = []

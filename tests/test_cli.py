@@ -417,6 +417,9 @@ def _simulate_argv(*extra):
          "p.json: profile #0: tie tolerance must be finite and nonnegative"),
         (_cindex_argv("--profile-file", "p.json"), {"p.json": [{"name": "x", "policy": []}]},
          "p.json: profile #0: policy must be an object, got list"),
+        (_cindex_argv("--profile-file", "p.json"),
+         {"p.json": {"profiles": [], "profils": []}},
+         "p.json: unknown profile file key(s): 'profils'"),
         (_simulate_argv("--mechanism", "age_informed"),
          {"params.json": {"event": _EVENT, "censoring": {"age_column": 1.5}}},
          "age_column must be an integer or None, got 1.5"),
@@ -503,7 +506,8 @@ def _simulate_argv(*extra):
          "subjects-utf8", "matrix-utf8", "profiles-utf8", "pool-utf8", "params-utf8",
          "at-time-negative", "neg-rmst-zero", "tau-negative", "age-column",
          "censoring-nan-shape", "epsilon-repeated", "profiles-repeated",
-         "profile-nan-tolerance", "profile-policy-list", "age-column-float",
+         "profile-nan-tolerance", "profile-policy-list", "profile-file-unknown-key",
+         "age-column-float",
          "age-column-null", "profile-requires-tau-string", "profile-tolerance-bool",
          "profile-tolerance-string", "profile-tau-bool", "profile-case-rule-bool",
          "profile-name-list", "profile-name-missing", "profile-tolerance-huge-int",

@@ -212,7 +212,8 @@ def test_reducer_rejects_sums_that_are_not_finite(count, weights):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ComputationError, match="not finite"):
-            _reduce(counts, np.array([1.0, 2.0]), HARRELL, np.array(weights), None)
+            _reduce(counts, np.array([1.0, 2.0]), HARRELL, np.array(weights), None, 0,
+                    np.ones(2, int))
 
 
 def test_no_comparable_pairs_errors():
@@ -332,7 +333,8 @@ def test_blockwise_reduction_is_bit_identical():
             (scalar_counts, concordance(shuffled, risks[perm], pol, g=g)),
             (curve_counts, concordance_td(shuffled, shuffled_sm, pol, g=g)),
         ):
-            tallies = [_reduce(c, ds.times, pol, weights, None) for c in counts]
+            tallies = [_reduce(c, ds.times, pol, weights, None, 0, np.ones(ds.n, int))
+                       for c in counts]
             # Reordering the anchors changes no bit of a correctly rounded sum.
             tallies.append(permuted[1])
             first = tallies[0]
@@ -348,7 +350,7 @@ def test_reducer_refuses_more_rows_than_it_sums_exactly(monkeypatch):
     monkeypatch.setattr("survconcord.engine._EXACT_ROWS", 2)
     counts = np.ones((2, 18), dtype=np.int64)
     with pytest.raises(ComputationError, match="exactly"):
-        _reduce(counts, np.array([1.0, 2.0]), HARRELL, np.ones(2), None)
+        _reduce(counts, np.array([1.0, 2.0]), HARRELL, np.ones(2), None, 0, np.ones(2, int))
 
 
 def test_reducer_counts_multiplicities_against_the_row_bound():
@@ -359,7 +361,7 @@ def test_reducer_counts_multiplicities_against_the_row_bound():
         _exact_sums(np.ones((1, 3)), np.array([1 << 26]))
     with pytest.raises(ComputationError, match="exactly"):
         _reduce(np.ones((1, 18), dtype=np.int64), np.array([1.0]), HARRELL, np.ones(1),
-                None, mult=np.array([1 << 26]))
+                None, 0, np.array([1 << 26]))
 
 
 @st.composite
@@ -377,7 +379,8 @@ def test_exact_sums_with_multiplicities_equal_the_repeated_rows(instance):
     terms, mult = instance
     repeated = np.repeat(terms, mult, axis=0)
     sums = []
-    for ints, scale in (_exact_sums(terms, mult), _exact_sums(repeated)):
+    for ints, scale in (_exact_sums(terms, mult),
+                        _exact_sums(repeated, np.ones(len(repeated), int))):
         sums.append([_rounded(v, scale).hex() for v in ints])
     assert sums[0] == sums[1] == [math.fsum(col).hex() for col in repeated.T.tolist()]
 
@@ -409,7 +412,7 @@ def _reduce_instance(draw):
 @example((np.zeros((0, 18), dtype=np.int64), np.zeros(0), np.zeros(0), None), HARRELL)
 def test_reduce_equals_fsum_reference_bit_for_bit(instance, policy):
     counts, times, weights, tau = instance
-    got = _reduce(counts, times, policy, weights, tau)
+    got = _reduce(counts, times, policy, weights, tau, 0, np.ones(times.size, int))
     want = fsum_reduce(counts, times, policy, weights, tau)
     assert got.numerator.hex() == want.numerator.hex()
     assert got.denominator.hex() == want.denominator.hex()
@@ -863,6 +866,9 @@ _MULTIPLICITIES = st.lists(st.integers(0, 4), min_size=30, max_size=30)
 @example((np.full(6, 3.0), np.array([1, 1, 0, 0, 1, 0]), np.full(6, 0.7)), [2, 0, 3] * 10)
 @example((np.arange(5.0), np.ones(5, int), np.array([0.4, 1.28, 1.18, 1.18, 5e-9])),
          [0, 4, 1, 0, 2] * 6)
+# One subject drawn far more often than the strategy's multiplicities reach.
+@example((np.full(6, 3.0), np.array([1, 1, 0, 0, 1, 0]),
+          np.array([0.7, 0.7, 0.6, 0.8, 0.7, 0.7])), [2, 25, 0, 1, 0, 2])
 def test_scalar_counts_read_from_multiplicities_equal_the_repeated_data(instance, mult):
     """Counts read from the multiplicities of a draw equal the counts of the
     drawn rows themselves, for every subject drawn, at the first of its copies."""
@@ -877,8 +883,19 @@ def test_scalar_counts_read_from_multiplicities_equal_the_repeated_data(instance
         assert np.array_equal(_cases(cells[drawn], events[drawn]), dense[first])
 
 
+_HEAVY_CURVES = (
+    np.array([1.0, 1.0, 2.0, 4.0, 4.0, 9.0]),
+    np.array([1, 0, 1, 1, 0, 1]),
+    SurvivalMatrix(grid=TimeGrid([0.0, 3.0, 8.0]), probs=np.array([
+        [1.0, 0.7, 0.7], [0.9, 0.7, 0.5], [0.9, 0.7, 0.5],
+        [1.0, 0.6, 0.3], [0.8, 0.8, 0.1], [0.7, 0.7, 0.7],
+    ])),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_curve_count_instance(), _MULTIPLICITIES)
+@example(_HEAVY_CURVES, [2, 25, 0, 1, 0, 2])
 def test_curve_counts_read_from_multiplicities_equal_the_repeated_data(instance, mult):
     times, events, sm = instance
     mult = np.array(mult[:times.size])
@@ -890,3 +907,27 @@ def test_curve_counts_read_from_multiplicities_equal_the_repeated_data(instance,
         assert not cells[~drawn].any()
         dense, _ = dense_curve_counts(times[idx], events[idx], repeated, tol)
         assert np.array_equal(_cases(cells[drawn], events[drawn]), dense[first])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(_scalar_count_instance(), _curve_count_instance(), _MULTIPLICITIES)
+@example((np.full(6, 3.0), np.array([1, 1, 0, 0, 1, 0]), np.full(6, 0.7)),
+         _HEAVY_CURVES, [2, 25, 0, 1, 0, 2] * 5)
+def test_counts_scale_exactly_with_the_multiplicities(scalar, curves, mult):
+    """A draw taken k times over has k times the cells, however large k is:
+    no dense reference is needed to check multiplicities up to 2**20."""
+    times, events, risks = scalar
+    m = np.array(mult[:times.size])
+    for tol in (0.0, 0.1):
+        index = _scalar_build(times, events, risks, tol)
+        once = _scalar_read(index, m)
+        for k in (3, 1000, 1 << 20):
+            assert np.array_equal(_scalar_read(index, k * m), k * once)
+    times, events, sm = curves
+    m = np.array(mult[:times.size])
+    for tol in (0.0, 0.1):
+        once = _curve_cells(times, events, *_curves(sm), tol, m)
+        for k in (3, 1000, 1 << 20):
+            scaled = _curve_cells(times, events, *_curves(sm), tol, k * m)
+            assert np.array_equal(scaled, k * once)

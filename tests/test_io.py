@@ -21,6 +21,7 @@ from survconcord.io import (
     canonical_json,
     load_profiles_file,
     read_covariate_pool,
+    read_json,
     read_matrix_csv,
     read_subjects_csv,
     write_matrix_csv,
@@ -235,6 +236,34 @@ def test_profiles_file_rejects_unknown_keys(tmp_path):
         expected = re.escape(f"profile #1: {message}")
         with pytest.raises(InputError, match=expected):
             load_profiles_file(path)
+    # A misspelt key of the file object itself.
+    path.write_text(canonical_json({"profiles": payload, "profils": []}))
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}: unknown profile file key(s): 'profils'")):
+        load_profiles_file(path)
+
+
+_BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("name, text, read", [
+    ("subjects.csv", "id,time,event,risk\na,1.0,1,0.5\nb,2.0,0,0.25\n",
+     lambda path: read_subjects_csv(path, risk_col="risk")),
+    ("matrix.csv", "id,1.0,2.0\na,0.9,0.5\nb,0.8,0.8\n",
+     lambda path: read_matrix_csv(path, ["a", "b"])),
+    ("params.json", '{"event": {"shape": 1.0, "scale": 0.02}}', read_json),
+    ("profiles.json", canonical_json({"profiles": [profile_to_dict(get_profiles()[0])]}),
+     load_profiles_file),
+], ids=["subjects", "matrix", "params", "profiles"])
+def test_inputs_with_a_byte_order_mark_read_as_without(tmp_path, name, text, read):
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(_BOM + text.encode())
+    assert repr(read(marked)) == repr(read(plain))
+    # A mark does not make other bytes UTF-8.
+    marked.write_bytes(_BOM + b"\xff" + text.encode())
+    with pytest.raises(InputError, match="not UTF-8 text"):
+        read(marked)
 
 
 @pytest.mark.parametrize("table, message", [
