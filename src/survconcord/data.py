@@ -191,9 +191,8 @@ class SurvivalDataset:
         return int(np.sum(self.events == 1))
 
     def subset(self, indices: np.ndarray) -> "SurvivalDataset":
-        """Positional subset (used by resampling); preserves covariates.  A
-        boolean mask, float positions or a position out of range raise
-        :class:`InputError`."""
+        """Positional subset; preserves covariates.  A boolean mask, float
+        positions or a position out of range raise :class:`InputError`."""
         indices = np.asarray(indices)
         if indices.size and indices.dtype.kind not in ("i", "u"):
             raise InputError(f"subset indices must be integers, got {indices.dtype}")

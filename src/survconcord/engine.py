@@ -343,16 +343,17 @@ def _curve_cells(
     beyond the grid), and the smaller survival value is the riskier: the
     anchor ranks greater when ``S_j(T_i) - S_i(T_i) > tol`` and less when it
     is below ``-tol``.  Every pair, self included, is counted in blocks of 8
-    to 512 anchors sized to a fixed budget of pairs; cell codes are int8 to
-    keep the block small.  Each block takes one ``np.bincount`` with every
-    partner weighted by its multiplicity, so a partner taken no times adds
-    nothing and one taken k times adds k; the float64 bins are exact below
-    2**53.  Anchors with ``mult[i] = 0`` are skipped and keep a zero row.
+    to 512 anchors sized to a fixed budget of pairs; cell codes are built in
+    int8 from boolean views to keep the block small.  Each block takes one
+    ``np.bincount`` with every partner weighted by its multiplicity, so a
+    partner taken no times adds nothing and one taken k times adds k; the
+    float64 bins are exact below 2**53.  Anchors with ``mult[i] = 0`` are
+    skipped and keep a zero row.
     """
     n = times.size
     n_cells = _CELL_CASE.shape[1]
     block = int(np.clip(_BLOCK_CELL_BUDGET // max(n, 1), 8, 512))
-    status = (3 * events).astype(np.int8)
+    status = (3 * events + 7).astype(np.int8)  # 3 * delta_j; 7 lifts both signs to 0..2
     column = np.searchsorted(points, times, side="right") - 1
     weight = mult.astype(float)
     anchors = np.flatnonzero(mult)
@@ -364,13 +365,16 @@ def _curve_cells(
         s = np.ascontiguousarray(probs[:, np.maximum(column[batch], 0)].T)
         s[column[batch] < 0] = 1.0
         s -= s[rows, batch][:, None]
-        cell = np.where(s > tol, 0, np.where(s < -tol, 2, 1)).astype(np.int8)
+        # Rank relation (less - greater) and time sign, each -1, 0 or 1.
+        cell = (s < -tol).view(np.int8) - (s > tol).view(np.int8)
         del s  # free the values before the time-sign temporaries
+        t = times[batch, None]
+        cell += 6 * ((t > times).view(np.int8) - (t < times).view(np.int8))
         cell += status
-        cell += (np.sign(times[batch, None] - times[None, :]).astype(np.int8) + 1) * 6
         key = rows[:, None] * n_cells + cell
         counts = np.bincount(key.ravel(), weights=np.broadcast_to(weight, key.shape).ravel(),
                              minlength=batch.size * n_cells)
+        del key
         cells[batch] = counts.reshape(batch.size, n_cells)
     return cells
 
@@ -636,15 +640,16 @@ def _reduce(
 ) -> PairTally:
     """Apply a policy to per-anchor case counts: the one reducer.
 
-    Row i stands for ``mult[i]`` anchors with its counts.
-    Anchors with T_i >= tau are left out.  An anchor whose weight is NaN
-    (G = 0) drops its pairs in comparable cases; they are counted in
-    ``dropped_pairs`` instead of ``case_counts``.  Each weighted sum is the
-    exact sum of its float terms (count times anchor weight times case
-    weight, and times credit), rounded once (:func:`_exact_sums`), so it does
-    not depend on how or in what order the counts were produced; comparable
-    and credit terms are summed in one call, at one scale.  A term or a sum
-    that is not finite raises :class:`ComputationError`.
+    Row i stands for ``mult[i]`` anchors with its counts; a row drawn no
+    times adds nothing, not even a term.  Anchors with T_i >= tau are left
+    out.  An anchor whose weight is NaN (G = 0) drops its pairs in
+    comparable cases; they are counted in ``dropped_pairs`` instead of
+    ``case_counts``.  Each weighted sum is the exact sum of its float terms
+    (count times anchor weight times case weight, and times credit), rounded
+    once (:func:`_exact_sums`), so it does not depend on how or in what
+    order the counts were produced; comparable and credit terms are summed
+    in one call, at one scale.  A term or a sum that is not finite raises
+    :class:`ComputationError`.
     """
     cw = policy._comparable_by_case
     comparable = cw > 0
@@ -653,7 +658,7 @@ def _reduce(
     dropped_by_case = (mult * undefined) @ counts * comparable
     case_counts = (mult * active) @ counts - dropped_by_case
 
-    live = active & ~undefined
+    live = active & ~undefined & (mult > 0)
     live_counts = counts[live][:, comparable]
     with np.errstate(over="ignore", invalid="ignore"):  # _exact_sums rejects inf/NaN
         pair_comp = weights[live, None] * cw[comparable]
@@ -740,54 +745,56 @@ class _Scorer:
 class _Draw:
     """One draw of a scorer's subjects, scored under any number of policies.
 
-    Its rows are the subjects drawn at least once, each standing for its
-    copies.  Counts are kept per (rank source, tie tolerance) and the
-    censoring fit is made at most once, on first use, so policies that
-    differ only in what :func:`_reduce` applies share one counting pass.
+    A draw is its multiplicities alone: every per-subject array stays in
+    subject order, and a subject drawn no times adds nothing.  Each policy
+    is scored as written, but for the truncation a caller puts in its place
+    and a censoring distribution fitted on the draw whenever the scorer was
+    given none.  Counts are kept per (rank source, tie tolerance), the
+    censoring fit is made at most once and IPCW weights once per weight
+    scheme, all on first use, so policies that differ only in what
+    :func:`_reduce` applies share them.
     """
 
     def __init__(self, scorer: _Scorer, mult: np.ndarray) -> None:
         self.scorer = scorer
         self.mult = mult
-        self.rows = np.flatnonzero(mult)
-        self.copies = mult[self.rows]
-        self.times = scorer.ds.times[self.rows]
-        self.events = scorer.ds.events[self.rows]
         self._counts: dict[tuple[bool, float], tuple[np.ndarray, int]] = {}
+        self._weights: dict[str, np.ndarray] = {}
 
     def score(
-        self, policy: ConcordancePolicy, by_curves: bool = False
+        self, policy: ConcordancePolicy, by_curves: bool = False,
+        truncation: Truncation | None = None,
     ) -> tuple[float, PairTally]:
-        """Estimate and tally under ``policy``, ranking by curves if ``by_curves``."""
-        weights = self._weights(policy)
-        tau = policy.truncation._resolve(self.uncensored)
+        """Estimate and tally under ``policy``, ranking by curves if ``by_curves``
+        and truncating by ``truncation`` in place of the policy's own if given."""
+        weights = self.weights(policy.weight_scheme)
+        tau = (truncation or policy.truncation)._resolve(self.uncensored)
         counts, beyond = self._counts_for(by_curves, policy.tie_tolerance)
-        tally = _reduce(counts, self.times, policy, weights, tau, beyond, self.copies)
+        tally = _reduce(counts, self.scorer.ds.times, policy, weights, tau, beyond, self.mult)
         return _finalize(tally.numerator, tally.denominator, policy.final_fold), tally
 
     @cached_property
     def uncensored(self) -> np.ndarray:
-        return self.times[self.events == 1]
+        ds = self.scorer.ds
+        return ds.times[(ds.events == 1) & (self.mult > 0)]
 
     @cached_property
     def censoring(self) -> StepFunction:
         scorer = self.scorer
         return _km_from_groups(scorer.time_groups, scorer.ds.events == 0, self.mult)
 
-    def _weights(self, policy: ConcordancePolicy) -> np.ndarray:
-        """Each row's IPCW weight: G, fitted on the draw, read at the row's time."""
-        scorer = self.scorer
-        g = scorer.g
-        if g is None and policy.weight_scheme != WEIGHT_UNIFORM:
-            if policy.g_source == G_SOURCE_PROVIDED:
-                raise InputError(
-                    "policy requires an externally fitted censoring distribution"
-                )
-            g = self.censoring
-        return ipcw_weights(g, scorer.ds, policy.weight_scheme)[self.rows]
+    def weights(self, scheme: str) -> np.ndarray:
+        """Each subject's IPCW weight: the scorer's G, or else G fitted on the
+        draw, read at the subject's time."""
+        if scheme not in self._weights:
+            g = self.scorer.g
+            if g is None and scheme != WEIGHT_UNIFORM:
+                g = self.censoring
+            self._weights[scheme] = ipcw_weights(g, self.scorer.ds, scheme)
+        return self._weights[scheme]
 
     def _counts_for(self, by_curves: bool, tol: float) -> tuple[np.ndarray, int]:
-        """Case counts per row and the number of anchors beyond the curves' grid."""
+        """Case counts per subject and the number of anchors beyond the curves' grid."""
         key = (by_curves, tol)
         if key not in self._counts:
             scorer = self.scorer
@@ -798,8 +805,20 @@ class _Draw:
                 beyond = int(self.mult[times > points[-1]].sum())
             else:
                 cells, beyond = _scalar_read(scorer.scalar_index(tol), self.mult), 0
-            self._counts[key] = (_cases(cells[self.rows], self.events), beyond)
+            self._counts[key] = (_cases(cells, events), beyond)
         return self._counts[key]
+
+
+def _score_once(
+    scorer: _Scorer, policy: ConcordancePolicy, by_curves: bool = False
+) -> tuple[float, PairTally]:
+    """Score the data itself, refusing, before any counting, a weighting
+    policy whose censoring distribution must be fitted elsewhere when the
+    scorer was given none."""
+    if (scorer.g is None and policy.weight_scheme != WEIGHT_UNIFORM
+            and policy.g_source == G_SOURCE_PROVIDED):
+        raise InputError("policy requires an externally fitted censoring distribution")
+    return scorer.draw().score(policy, by_curves)
 
 
 def concordance(
@@ -817,7 +836,7 @@ def concordance(
     """
     _check_kind(ds, SurvivalDataset, "ds")
     _check_kind(policy, ConcordancePolicy, "policy")
-    return _Scorer(ds, risks=as_risk_array(risks, ds.n), g=g).draw().score(policy)
+    return _score_once(_Scorer(ds, risks=as_risk_array(risks, ds.n), g=g), policy)
 
 
 def concordance_td(
@@ -839,8 +858,7 @@ def concordance_td(
     _check_kind(ds, SurvivalDataset, "ds")
     _check_kind(sm, SurvivalMatrix, "sm")
     _check_kind(policy, ConcordancePolicy, "policy")
-    scorer = _Scorer(ds, curves=(sm.grid.points, sm.probs), g=g)
-    return scorer.draw().score(policy, by_curves=True)
+    return _score_once(_Scorer(ds, curves=(sm.grid.points, sm.probs), g=g), policy, True)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .data import (
 from .engine import (
     FOLD_MAX_COMPLEMENT,
     G_SOURCE_PROVIDED,
-    G_SOURCE_TEST_SET,
     STRICT_PAIRS,
     TRUNC_MAX_UNCENSORED,
     TRUNC_NONE,
@@ -423,15 +422,18 @@ def run_multiverse(
     a name.  An incompatible input
     yields an error cell for that profile while the others still compute.
 
-    Profiles whose censoring distribution is normally fitted on a separate
-    training set fall back to fitting on the evaluated data when ``g`` is
-    omitted (the same-data workaround); the report records which source was
-    used.
+    Each profile's policy is scored as written, and the run's two overrides
+    are applied per draw: ``tau`` takes the place of the policy's
+    truncation, and without ``g`` the censoring distribution is fitted on
+    the draw itself.  For profiles whose G is normally fitted on a separate
+    training set that is the same-data workaround; the report records which
+    source was used.
 
     Profiles differ only in how pair counts are reduced, so the data are
-    counted once per rank source (risks or curves) and tie tolerance, and the
-    censoring distribution is fitted at most once; every profile is reduced
-    from those shared counts.  Bootstrap intervals (percentile) draw the
+    counted once per rank source (risks or curves) and tie tolerance, the
+    censoring distribution is fitted at most once and IPCW weights are made
+    once per weight scheme; every profile is reduced from those shared
+    counts.  Bootstrap intervals (percentile) draw the
     resamples from one per-seed stream and score every profile on each
     resample in turn, with the same sharing, so every profile sees the same
     resamples by construction.  A resample is the number of times it draws
@@ -470,21 +472,21 @@ def run_multiverse(
         except (InputError, ComputationError) as exc:
             no_scalar = f"transform failed: {exc}"
 
-    plans = [_plan(p, no_scalar, matrix, tau, g) for p in profiles]
-    live = {k: plan for k, plan in enumerate(plans) if isinstance(plan, _Plan)}
+    unscorable = [_unscorable(p, no_scalar, matrix, tau) for p in profiles]
+    live = {k: p for k, p in enumerate(profiles) if unscorable[k] is None}
     curves = None if matrix is None else (matrix.grid.points, matrix.probs)
     scorer = _Scorer(ds, risks=scalar, curves=curves, g=g, resampled=bootstrap is not None)
-    full = _outcomes(scorer.draw(), live)
+    full = _outcomes(scorer.draw(), live, tau)
     scored = {k: live[k] for k, outcome in full.items() if not isinstance(outcome, str)}
-    # Each scored plan's estimate per resample, None where the resample failed.
+    # Each scored profile's estimate per resample, None where the resample failed.
     resampled: dict[int, list[float | None]] = {k: [] for k in scored}
     if bootstrap is not None and scored:
         for idx in bootstrap.resamples(ds.n, seed):
             draw = scorer.draw(np.bincount(idx, minlength=ds.n))
-            for k, outcome in _outcomes(draw, scored).items():
+            for k, outcome in _outcomes(draw, scored, tau).items():
                 resampled[k].append(None if isinstance(outcome, str) else outcome[0])
-    cells = tuple(_cell(profile, plan, full.get(k, plan), resampled.get(k), bootstrap)
-                  for k, (profile, plan) in enumerate(zip(profiles, plans)))
+    cells = tuple(_cell(p, full.get(k, unscorable[k]), resampled.get(k), bootstrap, g)
+                  for k, p in enumerate(profiles))
 
     provenance = {
         "dataset": {"n": ds.n, "n_events": ds.n_events},
@@ -498,55 +500,35 @@ def run_multiverse(
     return MultiverseReport(provenance=provenance, results=cells)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """A profile ready to score: the policy actually applied and its rank source."""
-
-    profile: Profile
-    policy: ConcordancePolicy
-    g_used: str | None
-
-
-def _plan(
+def _unscorable(
     profile: Profile,
     no_scalar: str | None,
     matrix: SurvivalMatrix | None,
     tau: Truncation | None,
-    g: StepFunction | None,
-) -> _Plan | str:
-    """The profile's plan, or why these inputs cannot score it."""
+) -> str | None:
+    """Why these inputs cannot score the profile, or None if they can."""
     if profile.requires_matrix:
         if matrix is None:
             return "requires a survival matrix"
     elif no_scalar is not None:
         return no_scalar
-
-    policy = profile.policy if tau is None else profile.policy.replace(truncation=tau)
-    if profile.requires_tau and policy.truncation.mode == TRUNC_NONE and tau is None:
+    if profile.requires_tau and profile.policy.truncation.mode == TRUNC_NONE and tau is None:
         return "requires an explicit truncation time"
-    g_used = None
-    if policy.weight_scheme != WEIGHT_UNIFORM:
-        if g is not None:
-            g_used = "provided"
-        elif policy.g_source == G_SOURCE_PROVIDED:
-            # Same-data workaround: fit on the evaluated set and say so.
-            policy = policy.replace(g_source=G_SOURCE_TEST_SET)
-            g_used = "test_set_workaround"
-        else:
-            g_used = "test_set"
-    return _Plan(profile, policy, g_used)
+    return None
 
 
-#: A plan's estimate and tally on one dataset, or why it has none.
+#: A profile's estimate and tally on one dataset, or why it has none.
 _Outcome = tuple[float, PairTally] | str
 
 
-def _outcomes(draw: _Draw, plans: Mapping[int, _Plan]) -> dict[int, _Outcome]:
-    """Each plan's estimate and tally on ``draw``, or its error message."""
+def _outcomes(
+    draw: _Draw, profiles: Mapping[int, Profile], tau: Truncation | None
+) -> dict[int, _Outcome]:
+    """Each profile's estimate and tally on ``draw``, or its error message."""
     outcomes: dict[int, _Outcome] = {}
-    for k, plan in plans.items():
+    for k, profile in profiles.items():
         try:
-            outcomes[k] = draw.score(plan.policy, plan.profile.requires_matrix)
+            outcomes[k] = draw.score(profile.policy, profile.requires_matrix, tau)
         except ComputationError as exc:
             outcomes[k] = str(exc)
     return outcomes
@@ -554,14 +536,16 @@ def _outcomes(draw: _Draw, plans: Mapping[int, _Plan]) -> dict[int, _Outcome]:
 
 def _cell(
     profile: Profile,
-    plan: _Plan | str,
     outcome: _Outcome,
     resampled: list[float | None] | None,
     spec: BootstrapSpec | None,
+    g: StepFunction | None,
 ) -> ProfileResult:
     """The cell from the full-data outcome and the resample estimates: an
     error cell without a full-data estimate; a failed interval keeps the
-    tally and carries the error."""
+    tally and carries the error.  ``g_used`` names where G came from: the
+    caller, or a fit on the evaluated data, which for a profile whose G
+    comes from a training set is the same-data workaround."""
     scheme = profile.policy.weight_scheme
     if isinstance(outcome, str):
         return ProfileResult(profile.name, profile.family, weight_scheme=scheme, error=outcome)
@@ -575,7 +559,9 @@ def _cell(
         per_case=tally.per_case,
         tau_used=tally.tau,
         weight_scheme=scheme,
-        g_used=plan.g_used,
+        g_used=None if scheme == WEIGHT_UNIFORM else "provided" if g is not None
+        else "test_set_workaround" if profile.policy.g_source == G_SOURCE_PROVIDED
+        else "test_set",
     )
     if spec is not None:
         values = [v for v in resampled if v is not None]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from survconcord import (
     run_multiverse,
     tie_weighted_policy,
 )
+from survconcord import engine
 from survconcord.engine import (
     STRICT_PAIRS,
     _cases,
@@ -269,6 +271,25 @@ def test_tie_weighted_policy_rejects_bad_omegas(omega_o, omega_p):
         tie_weighted_policy(omega_o, omega_p)
 
 
+def test_provided_censoring_is_refused_before_counting(monkeypatch):
+    """Both entry points refuse a policy whose G must come from elsewhere
+    when none is given, and the curve producer is never reached."""
+    ds = SurvivalDataset(times=[1.0, 2.0], events=[1, 1])
+    sm = SurvivalMatrix(TimeGrid(np.array([1.0, 2.0])), np.array([[0.9, 0.5], [0.8, 0.4]]))
+    provided_only = antolini_policy().replace(
+        weight_scheme="uno_squared", g_source="provided"
+    )
+
+    def counting(*args):
+        raise AssertionError("counted before refusing")
+
+    monkeypatch.setattr(engine, "_curve_cells", counting)
+    with pytest.raises(InputError, match="policy requires an externally fitted censoring"):
+        concordance_td(ds, sm, provided_only)
+    with pytest.raises(InputError, match="policy requires an externally fitted censoring"):
+        concordance(ds, [1.0, 0.0], provided_only)
+
+
 def test_engine_matches_brute_force_on_randoms():
     rng = np.random.default_rng(42)
     schemes = ["uniform", "uno_squared", "pec_product"]
@@ -482,6 +503,27 @@ def test_curve_counts_equal_dense_reference(n):
 @given(_curve_count_instance())
 def test_curve_counts_equal_dense_reference_on_drawn_instances(instance):
     _assert_curve_counts_equal_dense_reference(*instance)
+
+
+def test_curve_cells_peak_memory_per_pair():
+    """The curve producer's traced peak stays under 24 bytes per pair of its
+    largest block: cell codes are int8, and one block's key is freed before
+    the next block's values are made."""
+    rng = np.random.default_rng(3)
+    n = 1000
+    times = rng.integers(1, 200, n).astype(float)
+    events = (rng.random(n) < 0.6).astype(int)
+    points = np.linspace(0.0, 150.0, 356)
+    probs = np.sort(rng.random((n, points.size)), axis=1)[:, ::-1].copy()
+    _curve_cells_once(times, events, points, probs, 0.0)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        _curve_cells_once(times, events, points, probs, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = int(np.clip(engine._BLOCK_CELL_BUDGET // n, 8, 512))
+    assert peak < 24 * block * n
 
 
 def _assert_every_partner_once(cells, events):

@@ -39,6 +39,10 @@ _COMMANDS = {
     "cindex-matrix": ["cindex", "--subjects", "in/s.csv", "--matrix", "in/m.csv",
                       "--grid", "0:40:2", "--transform", "neg-rmst:30",
                       "--out", "out/matrix"],
+    "cindex-matrix-bootstrap": ["cindex", "--subjects", "in/s.csv", "--matrix", "in/m.csv",
+                                "--grid", "0:40:2", "--transform", "neg-rmst:30",
+                                "--tau", "15", "--bootstrap", "4", "--seed", "7",
+                                "--out", "out/mboot"],
     "simulate": ["simulate", "--params", "in/params.json", "--n", "40",
                  "--datasets", "2", "--seed", "5", "--out-dir", "out/sim"],
     "km-event": ["km", "--subjects", "in/s.csv", "--target", "event",
@@ -59,6 +63,12 @@ _DIGESTS = {
             'c4f41c4b97d73e77b7b2d1c8cfc3746ccd81a8d79555f8693be8d4c7db6e5cc9',
         'matrix.json':
             '50646f789820aff935dc5537274aa562d47788d33f32f386e0be9737d9e62fb0',
+    },
+    'cindex-matrix-bootstrap': {
+        'mboot.csv':
+            '4f6273f18331d414c326e577472fbcaebdef8d724efaf53c05873a5a04015a2d',
+        'mboot.json':
+            '736d58716f1b15a2ea61272253e9d2d12b0859740c8062225045a0912ee45126',
     },
     'simulate': {
         'sim/eps_0/dataset_000.csv':

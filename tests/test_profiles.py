@@ -574,6 +574,34 @@ def test_multiverse_counts_once_per_rank_source_and_tolerance(monkeypatch):
     assert run(g=g, bootstrap=BootstrapSpec(4, sample_size=30)) == (2, 3 * 5, 3 * 5, 0)
 
 
+def test_multiverse_scores_profiles_as_written(monkeypatch):
+    """The run's tau and the same-data censoring fit are applied per draw, so
+    no policy is rebuilt, and each draw reads its IPCW weights once per
+    weight scheme."""
+    ds, risks, sm = _tie_rich(50, seed=8)
+    profiles = get_profiles()  # the builtins' own policies are built here
+    calls = {"policies": 0, "weights": 0}
+    post_init = ConcordancePolicy.__post_init__
+    ipcw_weights = engine.ipcw_weights
+
+    def building(self):
+        calls["policies"] += 1
+        post_init(self)
+
+    def weighing(*args):
+        calls["weights"] += 1
+        return ipcw_weights(*args)
+
+    monkeypatch.setattr(ConcordancePolicy, "__post_init__", building)
+    monkeypatch.setattr(engine, "ipcw_weights", weighing)
+    report = run_multiverse(ds, risks=risks, matrix=sm, profiles=profiles,
+                            tau=Truncation("value", 15.0), bootstrap=BootstrapSpec(4))
+    assert all(r.error is None for r in report.results)
+    assert report.result("sksurv_ipcw").g_used == "test_set_workaround"
+    # Three weight schemes (uniform, uno_squared, pec_product), five draws.
+    assert calls == {"policies": 0, "weights": 3 * 5}
+
+
 def _single_profile_cell(ds, risks, sm, profile, *, tau=None, g=None,
                          bootstrap=None, seed=0):
     """One profile's cell from concordance/concordance_td and bootstrap_ci alone."""
