@@ -19,7 +19,12 @@ variant, from survival probabilities evaluated at the anchor subject's time;
 both rank sources feed the same map and reducer, so the policy alone
 decides how pairs count.  The counts depend only on the data, the rank
 source and the tie tolerance, so policies scored on one dataset share one
-counting pass per rank source and tolerance (:class:`_Draw`).
+counting pass per rank source and tolerance (:class:`_Draw`), and one exact
+sum per case column per (rank source, tolerance, weight scheme, tau)
+(:class:`_ColumnSet`), found as integers when every weight is 1.  Scoring a
+policy on them is integer arithmetic: a case weight and credit of 0, 1/2 or
+1 halve a shared sum exactly, and any other factor gets column sums of its
+own.
 
 A draw takes each subject some number of times: once for the data itself,
 as often as a bootstrap resample draws it otherwise.  Each rank source has
@@ -228,14 +233,13 @@ class ConcordancePolicy:
             raise InputError(f"unknown final fold {self.final_fold!r}")
 
     @cached_property
-    def _comparable_by_case(self) -> np.ndarray:
-        return np.array(
-            [self.case_table[c].comparable_weight for c in CASE_ORDER], dtype=float
+    def _rules(self) -> tuple[tuple[int, float, float], ...]:
+        """(case index, comparable weight, credit) of every comparable case."""
+        return tuple(
+            (k, rule.comparable_weight, rule.credit)
+            for k, rule in enumerate(self.case_table[c] for c in CASE_ORDER)
+            if rule.comparable_weight > 0
         )
-
-    @cached_property
-    def _credit_by_case(self) -> np.ndarray:
-        return np.array([self.case_table[c].credit for c in CASE_ORDER], dtype=float)
 
     def replace(self, **changes) -> "ConcordancePolicy":
         return dataclasses.replace(self, **changes)
@@ -347,15 +351,16 @@ def _curve_cells(
     int8 from boolean views to keep the block small.  Each block takes one
     ``np.bincount`` with every partner weighted by its multiplicity, so a
     partner taken no times adds nothing and one taken k times adds k; the
-    float64 bins are exact below 2**53.  Anchors with ``mult[i] = 0`` are
-    skipped and keep a zero row.
+    float64 bins are exact below 2**53.  When every subject is taken once
+    (the data itself) the count is unweighted, with no per-pair weights.
+    Anchors with ``mult[i] = 0`` are skipped and keep a zero row.
     """
     n = times.size
     n_cells = _CELL_CASE.shape[1]
     block = int(np.clip(_BLOCK_CELL_BUDGET // max(n, 1), 8, 512))
     status = (3 * events + 7).astype(np.int8)  # 3 * delta_j; 7 lifts both signs to 0..2
     column = np.searchsorted(points, times, side="right") - 1
-    weight = mult.astype(float)
+    weight = None if np.all(mult == 1) else mult.astype(float)
     anchors = np.flatnonzero(mult)
     cells = np.zeros((n, n_cells), dtype=np.int64)
     for a0 in range(0, anchors.size, block):
@@ -372,9 +377,9 @@ def _curve_cells(
         cell += 6 * ((t > times).view(np.int8) - (t < times).view(np.int8))
         cell += status
         key = rows[:, None] * n_cells + cell
-        counts = np.bincount(key.ravel(), weights=np.broadcast_to(weight, key.shape).ravel(),
-                             minlength=batch.size * n_cells)
-        del key
+        pair_weights = None if weight is None else np.broadcast_to(weight, key.shape).ravel()
+        counts = np.bincount(key.ravel(), weights=pair_weights, minlength=batch.size * n_cells)
+        del key, pair_weights
         cells[batch] = counts.reshape(batch.size, n_cells)
     return cells
 
@@ -573,9 +578,25 @@ def _scalar_read(index: _ScalarIndex, mult: np.ndarray) -> np.ndarray:
 #: Case labels in case order, the keys of every tally mapping.
 _CASE_LABELS = tuple(c.value for c in CASE_ORDER)
 
+#: Indexes of the cases a policy may count: all but ALWAYS_EXCLUDED.
+_COUNTABLE = np.array([k for k, c in enumerate(CASE_ORDER) if c not in ALWAYS_EXCLUDED])
+
 #: Rows, counted with their multiplicities, below which a float64 sum of
 #: mantissa halves (each under 2**27) is exact.
 _EXACT_ROWS = 1 << 26
+
+#: The halvings that a dyadic case weight or credit scales a term by.
+_HALVINGS = MappingProxyType({1.0: 0, 0.5: 1})
+
+#: An exact sum ``value * 2**scale``, as (value, scale).
+_Exact = tuple[int, int]
+
+
+def _check_rows(mult: np.ndarray) -> None:
+    """Refuse more rows, counted with their multiplicities, than sum exactly."""
+    n_rows = int(mult.sum())
+    if n_rows >= _EXACT_ROWS:
+        raise ComputationError(f"cannot sum {n_rows} anchors exactly (limit {_EXACT_ROWS})")
 
 
 def _exact_sums(terms: np.ndarray, mult: np.ndarray) -> tuple[list[int], int]:
@@ -590,9 +611,7 @@ def _exact_sums(terms: np.ndarray, mult: np.ndarray) -> tuple[list[int], int]:
     exact; the bins are then joined as Python integers.
     """
     cols = terms.shape[1]
-    n_rows = int(mult.sum())
-    if n_rows >= _EXACT_ROWS:
-        raise ComputationError(f"cannot sum {n_rows} anchors exactly (limit {_EXACT_ROWS})")
+    _check_rows(mult)
     if not np.all(np.isfinite(terms)):
         raise ComputationError("a weighted pair term is not finite")
     if terms.size == 0:
@@ -629,59 +648,132 @@ def _rounded(value: int, scale: int) -> float:
         raise ComputationError("a weighted pair sum is not finite") from None
 
 
-def _reduce(
-    counts: np.ndarray,
-    times: np.ndarray,
-    policy: ConcordancePolicy,
-    weights: np.ndarray,
-    tau: float | None,
-    anchors_beyond_grid: int,
-    mult: np.ndarray,
-) -> PairTally:
-    """Apply a policy to per-anchor case counts: the one reducer.
+class _ColumnSet:
+    """One draw's case counts, masked and weighted once for every policy
+    that shares its rank source, tie tolerance, weight scheme and resolved tau.
 
-    Row i stands for ``mult[i]`` anchors with its counts; a row drawn no
-    times adds nothing, not even a term.  Anchors with T_i >= tau are left
-    out.  An anchor whose weight is NaN (G = 0) drops its pairs in
-    comparable cases; they are counted in ``dropped_pairs`` instead of
-    ``case_counts``.  Each weighted sum is the exact sum of its float terms
-    (count times anchor weight times case weight, and times credit), rounded
-    once (:func:`_exact_sums`), so it does not depend on how or in what
-    order the counts were produced; comparable and credit terms are summed
-    in one call, at one scale.  A term or a sum that is not finite raises
-    :class:`ComputationError`.
+    Row i stands for ``mult[i]`` anchors; a row drawn no times adds nothing,
+    not even a term.  Anchors with T_i >= tau are left out, and an anchor
+    whose weight is NaN (G = 0) is undefined; the other kept anchors are
+    live.  Built once are the drawn case totals of the kept and of the
+    undefined anchors, and the base sum of every countable case: the exact
+    sum of count * w over the live anchors (:func:`_exact_sums`), or one
+    int64 product when every live weight is exactly 1.  A case whose base
+    terms are not all finite has no base sum.
     """
-    cw = policy._comparable_by_case
-    comparable = cw > 0
-    active = np.ones(times.size, dtype=bool) if tau is None else times < tau
-    undefined = active & np.isnan(weights)
-    dropped_by_case = (mult * undefined) @ counts * comparable
-    case_counts = (mult * active) @ counts - dropped_by_case
 
-    live = active & ~undefined & (mult > 0)
-    live_counts = counts[live][:, comparable]
-    with np.errstate(over="ignore", invalid="ignore"):  # _exact_sums rejects inf/NaN
-        pair_comp = weights[live, None] * cw[comparable]
-        pair = np.hstack((pair_comp, pair_comp * policy._credit_by_case[comparable]))
-        terms = np.tile(live_counts, 2) * pair  # comparable terms, then credit terms
-    ints, scale = _exact_sums(terms, mult[live])
-    k = live_counts.shape[1]
-    sums = np.zeros((2, cw.size))
-    sums[:, comparable] = np.reshape([_rounded(v, scale) for v in ints], (2, k))
+    def __init__(
+        self,
+        counts: np.ndarray,
+        times: np.ndarray,
+        weights: np.ndarray,
+        tau: float | None,
+        mult: np.ndarray,
+        anchors_beyond_grid: int = 0,
+    ) -> None:
+        active = np.ones(times.size, dtype=bool) if tau is None else times < tau
+        undefined = active & np.isnan(weights)
+        live = active & ~undefined & (mult > 0)
+        self.drawn, self.undefined, base = (
+            (np.stack((active, undefined, live)) * mult) @ counts
+        ).tolist()
+        self.counts, self.weights, self.mult, self.live = counts, weights, mult, live
+        self.tau, self.anchors_beyond_grid = tau, anchors_beyond_grid
+        self._factors: dict[tuple[int, float, float], tuple[_Exact, _Exact]] = {}
+        w = weights[live]
+        # Halving count * w, an integer times w >= 1, leaves it normal and exact.
+        self.exact_halves = bool(np.all(w >= 1.0))
+        self.base: list[int | None]
+        if np.all(w == 1.0):
+            _check_rows(mult[live])
+            self.base, self.scale = base, 0
+            return
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite cases get no base
+            terms = counts[live][:, _COUNTABLE] * w[:, None]
+        finite = np.isfinite(terms).all(axis=0)
+        terms[:, ~finite] = 0.0
+        ints, self.scale = _exact_sums(terms, mult[live])
+        self.base = [None] * len(CASE_ORDER)
+        for k, value, ok in zip(_COUNTABLE.tolist(), ints, finite.tolist()):
+            self.base[k] = value if ok else None
 
-    def by_label(values: np.ndarray) -> Mapping:
-        return MappingProxyType(dict(zip(_CASE_LABELS, values.tolist())))
+    def sums(self, rules: tuple[tuple[int, float, float], ...]) -> list[tuple[_Exact, _Exact]]:
+        """Exact (comparable, credit) sums of each (case, weight, credit) rule.
+
+        A dyadic rule, a weight in {1/2, 1} and a credit in {0, 1/2, 1},
+        halves its case's base sum once or twice.  Any other rule, or one
+        whose case has no base sum, sums its own terms count * (w * weight)
+        and count * ((w * weight) * credit), the float products the policy
+        defines; the rules one call needs take one :func:`_exact_sums` call
+        and are kept.
+        """
+        halved = [self._halved(*rule) for rule in rules]
+        new = [r for r, h in zip(rules, halved) if h is None and r not in self._factors]
+        if new:
+            self._sum_factors(new)
+        return [h or self._factors[r] for r, h in zip(rules, halved)]
+
+    def _halved(self, case: int, weight: float, credit: float) -> tuple[_Exact, _Exact] | None:
+        a, b = _HALVINGS.get(weight), _HALVINGS.get(credit)
+        base = self.base[case]
+        if not self.exact_halves or base is None or a is None or (b is None and credit):
+            return None
+        comp = (base, self.scale - a)
+        return comp, ((base, self.scale - a - b) if credit else (0, self.scale))
+
+    def _sum_factors(self, rules: list[tuple[int, float, float]]) -> None:
+        cases, weight, credit = (np.array(v) for v in zip(*rules))
+        live = self.live
+        with np.errstate(over="ignore", invalid="ignore"):  # _exact_sums rejects inf/NaN
+            pair = self.weights[live, None] * weight
+            counts = self.counts[live][:, cases]
+            terms = np.hstack((counts * pair, counts * (pair * credit)))
+        ints, scale = _exact_sums(terms, self.mult[live])
+        k = len(rules)
+        for rule, comp, cred in zip(rules, ints[:k], ints[k:]):
+            self._factors[rule] = ((comp, scale), (cred, scale))
+
+
+def _reduce(cols: _ColumnSet, policy: ConcordancePolicy) -> PairTally:
+    """Apply a policy to a column set: the one reducer.
+
+    Each comparable case reads its exact (comparable, credit) sums from the
+    set (:meth:`_ColumnSet.sums`), and the rest is Python-integer
+    arithmetic: each per-case sum is rounded once, and the numerator and
+    denominator are the exact totals of the case sums, aligned to one scale
+    and rounded once (:func:`_rounded`).  So each weighted sum is the
+    correctly rounded sum of its float terms (count times anchor weight
+    times case weight, and times credit), however and in whatever order
+    the counts were produced.  Pairs of undefined anchors in comparable
+    cases are counted in ``dropped_pairs`` instead of ``case_counts``.  A
+    term or a sum that is not finite raises :class:`ComputationError`.
+    """
+    rules = policy._rules
+    sums = cols.sums(rules)
+    scale = min((s for pair in sums for _, s in pair), default=0)
+    n_cases = len(CASE_ORDER)
+    comparable, credit, dropped = [0.0] * n_cases, [0.0] * n_cases, [0] * n_cases
+    numerator = denominator = 0
+    for (case, _, _), ((comp, comp_scale), (cred, cred_scale)) in zip(rules, sums):
+        comparable[case] = _rounded(comp, comp_scale)
+        credit[case] = _rounded(cred, cred_scale)
+        denominator += comp << (comp_scale - scale)
+        numerator += cred << (cred_scale - scale)
+        dropped[case] = cols.undefined[case]
+
+    def by_label(values: list) -> Mapping:
+        return MappingProxyType(dict(zip(_CASE_LABELS, values)))
 
     return PairTally(
-        case_counts=by_label(case_counts),
-        case_comparable=by_label(sums[0]),
-        case_credit=by_label(sums[1]),
-        numerator=_rounded(sum(ints[k:]), scale),
-        denominator=_rounded(sum(ints[:k]), scale),
-        dropped_pairs=int(dropped_by_case.sum()),
-        anchors_beyond_grid=anchors_beyond_grid,
+        case_counts=by_label([d - u for d, u in zip(cols.drawn, dropped)]),
+        case_comparable=by_label(comparable),
+        case_credit=by_label(credit),
+        numerator=_rounded(numerator, scale),
+        denominator=_rounded(denominator, scale),
+        dropped_pairs=sum(dropped),
+        anchors_beyond_grid=cols.anchors_beyond_grid,
         policy=policy,
-        tau=tau,
+        tau=cols.tau,
     )
 
 
@@ -751,8 +843,10 @@ class _Draw:
     and a censoring distribution fitted on the draw whenever the scorer was
     given none.  Counts are kept per (rank source, tie tolerance), the
     censoring fit is made at most once and IPCW weights once per weight
-    scheme, all on first use, so policies that differ only in what
-    :func:`_reduce` applies share them.
+    scheme, and each (rank source, tie tolerance, weight scheme, resolved
+    tau) is masked and summed once into a :class:`_ColumnSet`, all on first
+    use, so the policies that share a set differ only in the integer
+    arithmetic :func:`_reduce` does on its sums.
     """
 
     def __init__(self, scorer: _Scorer, mult: np.ndarray) -> None:
@@ -760,6 +854,7 @@ class _Draw:
         self.mult = mult
         self._counts: dict[tuple[bool, float], tuple[np.ndarray, int]] = {}
         self._weights: dict[str, np.ndarray] = {}
+        self._sets: dict[tuple[bool, float, str, float | None], _ColumnSet] = {}
 
     def score(
         self, policy: ConcordancePolicy, by_curves: bool = False,
@@ -767,10 +862,15 @@ class _Draw:
     ) -> tuple[float, PairTally]:
         """Estimate and tally under ``policy``, ranking by curves if ``by_curves``
         and truncating by ``truncation`` in place of the policy's own if given."""
-        weights = self.weights(policy.weight_scheme)
+        scheme, tol = policy.weight_scheme, policy.tie_tolerance
+        weights = self.weights(scheme)
         tau = (truncation or policy.truncation)._resolve(self.uncensored)
-        counts, beyond = self._counts_for(by_curves, policy.tie_tolerance)
-        tally = _reduce(counts, self.scorer.ds.times, policy, weights, tau, beyond, self.mult)
+        key = (by_curves, tol, scheme, tau)
+        if key not in self._sets:
+            counts, beyond = self._counts_for(by_curves, tol)
+            self._sets[key] = _ColumnSet(counts, self.scorer.ds.times, weights, tau,
+                                         self.mult, beyond)
+        tally = _reduce(self._sets[key], policy)
         return _finalize(tally.numerator, tally.denominator, policy.final_fold), tally
 
     @cached_property

@@ -221,7 +221,8 @@ def fsum_reduce(
     correctly rounded ``math.fsum`` over anchors, so it does not depend on
     how the counts were produced.
     """
-    cw = policy._comparable_by_case
+    cw = np.array([policy.case_table[c].comparable_weight for c in CASE_ORDER])
+    cr = np.array([policy.case_table[c].credit for c in CASE_ORDER])
     comparable = cw > 0
     active = np.ones(times.size, dtype=bool) if tau is None else times < tau
     undefined = active & np.isnan(weights)
@@ -230,7 +231,7 @@ def fsum_reduce(
 
     live = active & ~undefined
     pair_comp = weights[live, None] * cw[comparable]
-    pair_cred = pair_comp * policy._credit_by_case[comparable]
+    pair_cred = pair_comp * cr[comparable]
     live_counts = counts[live][:, comparable]
     comp_terms = live_counts * pair_comp
     cred_terms = live_counts * pair_cred

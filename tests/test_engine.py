@@ -35,6 +35,7 @@ from survconcord import engine
 from survconcord.engine import (
     STRICT_PAIRS,
     _cases,
+    _ColumnSet,
     _curve_cells,
     _exact_sums,
     _reduce,
@@ -214,8 +215,8 @@ def test_reducer_rejects_sums_that_are_not_finite(count, weights):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ComputationError, match="not finite"):
-            _reduce(counts, np.array([1.0, 2.0]), HARRELL, np.array(weights), None, 0,
-                    np.ones(2, int))
+            _reduce(_ColumnSet(counts, np.array([1.0, 2.0]), np.array(weights), None,
+                               np.ones(2, int)), HARRELL)
 
 
 def test_no_comparable_pairs_errors():
@@ -354,7 +355,7 @@ def test_blockwise_reduction_is_bit_identical():
             (scalar_counts, concordance(shuffled, risks[perm], pol, g=g)),
             (curve_counts, concordance_td(shuffled, shuffled_sm, pol, g=g)),
         ):
-            tallies = [_reduce(c, ds.times, pol, weights, None, 0, np.ones(ds.n, int))
+            tallies = [_reduce(_ColumnSet(c, ds.times, weights, None, np.ones(ds.n, int)), pol)
                        for c in counts]
             # Reordering the anchors changes no bit of a correctly rounded sum.
             tallies.append(permuted[1])
@@ -371,7 +372,8 @@ def test_reducer_refuses_more_rows_than_it_sums_exactly(monkeypatch):
     monkeypatch.setattr("survconcord.engine._EXACT_ROWS", 2)
     counts = np.ones((2, 18), dtype=np.int64)
     with pytest.raises(ComputationError, match="exactly"):
-        _reduce(counts, np.array([1.0, 2.0]), HARRELL, np.ones(2), None, 0, np.ones(2, int))
+        _reduce(_ColumnSet(counts, np.array([1.0, 2.0]), np.ones(2), None, np.ones(2, int)),
+                HARRELL)
 
 
 def test_reducer_counts_multiplicities_against_the_row_bound():
@@ -381,8 +383,8 @@ def test_reducer_counts_multiplicities_against_the_row_bound():
     with pytest.raises(ComputationError, match="exactly"):
         _exact_sums(np.ones((1, 3)), np.array([1 << 26]))
     with pytest.raises(ComputationError, match="exactly"):
-        _reduce(np.ones((1, 18), dtype=np.int64), np.array([1.0]), HARRELL, np.ones(1),
-                None, 0, np.array([1 << 26]))
+        _reduce(_ColumnSet(np.ones((1, 18), dtype=np.int64), np.array([1.0]), np.ones(1),
+                           None, np.array([1 << 26])), HARRELL)
 
 
 @st.composite
@@ -413,6 +415,11 @@ _REDUCE_POLICIES = [p.policy for p in get_profiles()] + [
         PairCase.C2A: (0.7, 1.0), PairCase.C2C: (0.7, 0.7), PairCase.C5C: (0.3, 0.7),
         PairCase.C6A: (0.7, 0.3), PairCase.C7B: (0.1, 0.7),
     }),
+    # Halved weights and credits beside one that is not dyadic.
+    ConcordancePolicy({
+        **STRICT_PAIRS, PairCase.C1C: (0.5, 0.5), PairCase.C2C: (1.0, 0.5),
+        PairCase.C6A: (0.5, 1.0), PairCase.C6B: (0.5, 0.0), PairCase.C6C: (0.5, 0.3),
+    }),
 ]
 
 
@@ -421,20 +428,28 @@ def _reduce_instance(draw):
     n = draw(st.integers(0, 40))
     counts = draw(arrays(np.int64, (n, 18), elements=st.integers(0, 10**6)))
     times = draw(arrays(np.float64, n, elements=st.integers(0, 9).map(float)))
-    weight = st.one_of(st.just(1.0), st.floats(1.0, 1e12), st.just(np.nan))
+    # Weights of exactly 1 sum as integers and IPCW weights are at least 1;
+    # smaller ones, subnormal included, cannot be halved exactly.
+    weight = draw(st.sampled_from([
+        st.sampled_from([1.0, np.nan]),
+        st.one_of(st.just(1.0), st.floats(1.0, 1e12), st.just(np.nan)),
+        st.one_of(st.floats(0.0, 1.0, allow_subnormal=True), st.floats(1.0, 1e12)),
+    ]))
     weights = draw(arrays(np.float64, n, elements=weight))
     # tau 0 keeps no anchor, 5 some and 10 all of them.
     tau = draw(st.sampled_from([None, 0.0, 5.0, 10.0]))
-    return counts, times, weights, tau
+    mult = draw(arrays(np.int64, n, elements=st.integers(0, 6)))
+    return counts, times, weights, tau, mult
 
 
-@settings(max_examples=300, deadline=None)
-@given(_reduce_instance(), st.sampled_from(_REDUCE_POLICIES))
-@example((np.zeros((0, 18), dtype=np.int64), np.zeros(0), np.zeros(0), None), HARRELL)
-def test_reduce_equals_fsum_reference_bit_for_bit(instance, policy):
-    counts, times, weights, tau = instance
-    got = _reduce(counts, times, policy, weights, tau, 0, np.ones(times.size, int))
-    want = fsum_reduce(counts, times, policy, weights, tau)
+def _repeated_reference(instance, policy):
+    """``fsum_reduce`` on the rows repeated as often as drawn."""
+    counts, times, weights, tau, mult = instance
+    return fsum_reduce(np.repeat(counts, mult, axis=0), np.repeat(times, mult), policy,
+                       np.repeat(weights, mult), tau)
+
+
+def _assert_same_tally(got, want):
     assert got.numerator.hex() == want.numerator.hex()
     assert got.denominator.hex() == want.denominator.hex()
     for values in ("case_comparable", "case_credit"):
@@ -443,6 +458,35 @@ def test_reduce_equals_fsum_reference_bit_for_bit(instance, policy):
         assert [v.hex() for v in got_v.values()] == [v.hex() for v in want_v.values()]
     assert got.case_counts == want.case_counts
     assert got.dropped_pairs == want.dropped_pairs
+    assert got.tau == want.tau
+
+
+_EMPTY = (np.zeros((0, 18), dtype=np.int64), np.zeros(0), np.zeros(0), None,
+          np.zeros(0, dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reduce_instance(), st.sampled_from(_REDUCE_POLICIES))
+@example(_EMPTY, HARRELL)
+# The smallest subnormal weight halves to 0, so halving its sum is not exact.
+@example((np.ones((2, 18), dtype=np.int64), np.zeros(2), np.array([5e-324, 5e-324]), None,
+          np.array([3, 1])), _REDUCE_POLICIES[-1])
+def test_reduce_equals_fsum_reference_bit_for_bit(instance, policy):
+    got = _reduce(_ColumnSet(*instance), policy)
+    _assert_same_tally(got, _repeated_reference(instance, policy))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reduce_instance(),
+       st.lists(st.sampled_from(_REDUCE_POLICIES), min_size=1, max_size=12))
+def test_policies_sharing_one_column_set_change_no_bit(instance, policies):
+    """Policies reduced from one set, in any order and with repeats, read
+    every tally field as a fresh set and the reference do."""
+    shared = _ColumnSet(*instance)
+    for policy in policies:
+        got = _reduce(shared, policy)
+        _assert_same_tally(got, _reduce(_ColumnSet(*instance), policy))
+        _assert_same_tally(got, _repeated_reference(instance, policy))
 
 
 def _curve_instance(rng, n):
@@ -505,25 +549,38 @@ def test_curve_counts_equal_dense_reference_on_drawn_instances(instance):
     _assert_curve_counts_equal_dense_reference(*instance)
 
 
-def test_curve_cells_peak_memory_per_pair():
-    """The curve producer's traced peak stays under 24 bytes per pair of its
-    largest block: cell codes are int8, and one block's key is freed before
-    the next block's values are made."""
+def _curve_cells_peak_per_pair(mult_of):
+    """Traced peak of one ``_curve_cells`` call at n = 1000 on 356 columns,
+    in bytes per pair of its largest block, with multiplicities ``mult_of(rng, n)``."""
     rng = np.random.default_rng(3)
     n = 1000
     times = rng.integers(1, 200, n).astype(float)
     events = (rng.random(n) < 0.6).astype(int)
     points = np.linspace(0.0, 150.0, 356)
     probs = np.sort(rng.random((n, points.size)), axis=1)[:, ::-1].copy()
-    _curve_cells_once(times, events, points, probs, 0.0)  # warm up imports and caches
+    mult = mult_of(rng, n)
+    _curve_cells(times, events, points, probs, 0.0, mult)  # warm up imports and caches
     tracemalloc.start()
     try:
-        _curve_cells_once(times, events, points, probs, 0.0)
+        _curve_cells(times, events, points, probs, 0.0, mult)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     block = int(np.clip(engine._BLOCK_CELL_BUDGET // n, 8, 512))
-    assert peak < 24 * block * n
+    return peak / (block * n)
+
+
+def test_curve_cells_peak_memory_per_pair():
+    """The curve producer's traced peak stays under 24 bytes per pair of its
+    largest block with multiplicities: cell codes are int8, and one block's
+    key and partner weights are freed before the next block's values are made."""
+    assert _curve_cells_peak_per_pair(lambda rng, n: rng.integers(1, 4, n)) < 24
+
+
+def test_curve_cells_peak_memory_per_pair_of_the_data_itself():
+    """With every subject taken once the count takes no per-pair weights, so
+    the traced peak stays under 14 bytes per pair of the largest block."""
+    assert _curve_cells_peak_per_pair(lambda rng, n: np.ones(n, dtype=np.int64)) < 14
 
 
 def _assert_every_partner_once(cells, events):

@@ -602,6 +602,30 @@ def test_multiverse_scores_profiles_as_written(monkeypatch):
     assert calls == {"policies": 0, "weights": 3 * 5}
 
 
+def test_multiverse_sums_once_per_column_set(monkeypatch):
+    """Policies on a draw share one exact column sum per (rank source,
+    tolerance, weight scheme, tau), and uniform sets sum as integers, so the
+    12 scalar builtins take one ``_exact_sums`` call per IPCW set and draw."""
+    ds, risks, _ = _tie_rich(50, seed=8)
+    scalar = [p for p in get_profiles() if not p.requires_matrix]
+    assert len(scalar) == 12
+    exact_sums = engine._exact_sums
+    calls = []
+
+    def summing(*args):
+        calls.append(1)
+        return exact_sums(*args)
+
+    monkeypatch.setattr(engine, "_exact_sums", summing)
+    for bootstrap, draws in ((None, 1), (BootstrapSpec(4), 5)):
+        calls.clear()
+        report = run_multiverse(ds, risks=risks, profiles=scalar,
+                                tau=Truncation("value", 365.0), bootstrap=bootstrap)
+        assert all(r.error is None for r in report.results)
+        # (0, pec_product), (1e-8, uno_squared) and (0, uno_squared) per draw.
+        assert len(calls) == 3 * draws
+
+
 def _single_profile_cell(ds, risks, sm, profile, *, tau=None, g=None,
                          bootstrap=None, seed=0):
     """One profile's cell from concordance/concordance_td and bootstrap_ci alone."""
