@@ -22,9 +22,9 @@ source and the tie tolerance, so policies scored on one dataset share one
 counting pass per rank source and tolerance (:class:`_Draw`), and one exact
 sum per case column per (rank source, tolerance, weight scheme, tau)
 (:class:`_ColumnSet`), found as integers when every weight is 1.  Scoring a
-policy on them is integer arithmetic: a case weight and credit of 0, 1/2 or
-1 halve a shared sum exactly, and any other factor gets column sums of its
-own.
+policy on them is integer arithmetic: a case of weight 1 and credit 0, 1/2
+or 1 reads a shared sum, exactly halved for 1/2, and any other factor gets
+column sums of its own.
 
 A draw takes each subject some number of times: once for the data itself,
 as often as a bootstrap resample draws it otherwise.  Each rank source has
@@ -578,18 +578,9 @@ def _scalar_read(index: _ScalarIndex, mult: np.ndarray) -> np.ndarray:
 #: Case labels in case order, the keys of every tally mapping.
 _CASE_LABELS = tuple(c.value for c in CASE_ORDER)
 
-#: Indexes of the cases a policy may count: all but ALWAYS_EXCLUDED.
-_COUNTABLE = np.array([k for k, c in enumerate(CASE_ORDER) if c not in ALWAYS_EXCLUDED])
-
 #: Rows, counted with their multiplicities, below which a float64 sum of
 #: mantissa halves (each under 2**27) is exact.
 _EXACT_ROWS = 1 << 26
-
-#: The halvings that a dyadic case weight or credit scales a term by.
-_HALVINGS = MappingProxyType({1.0: 0, 0.5: 1})
-
-#: An exact sum ``value * 2**scale``, as (value, scale).
-_Exact = tuple[int, int]
 
 
 def _check_rows(mult: np.ndarray) -> None:
@@ -669,7 +660,7 @@ class _ColumnSet:
         weights: np.ndarray,
         tau: float | None,
         mult: np.ndarray,
-        anchors_beyond_grid: int = 0,
+        anchors_beyond_grid: int,
     ) -> None:
         active = np.ones(times.size, dtype=bool) if tau is None else times < tau
         undefined = active & np.isnan(weights)
@@ -679,7 +670,6 @@ class _ColumnSet:
         ).tolist()
         self.counts, self.weights, self.mult, self.live = counts, weights, mult, live
         self.tau, self.anchors_beyond_grid = tau, anchors_beyond_grid
-        self._factors: dict[tuple[int, float, float], tuple[_Exact, _Exact]] = {}
         w = weights[live]
         # Halving count * w, an integer times w >= 1, leaves it normal and exact.
         self.exact_halves = bool(np.all(w >= 1.0))
@@ -688,40 +678,48 @@ class _ColumnSet:
             _check_rows(mult[live])
             self.base, self.scale = base, 0
             return
+        countable = [k for k, c in enumerate(CASE_ORDER) if c not in ALWAYS_EXCLUDED]
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite cases get no base
-            terms = counts[live][:, _COUNTABLE] * w[:, None]
+            terms = counts[live][:, countable] * w[:, None]
         finite = np.isfinite(terms).all(axis=0)
         terms[:, ~finite] = 0.0
         ints, self.scale = _exact_sums(terms, mult[live])
         self.base = [None] * len(CASE_ORDER)
-        for k, value, ok in zip(_COUNTABLE.tolist(), ints, finite.tolist()):
+        for k, value, ok in zip(countable, ints, finite.tolist()):
             self.base[k] = value if ok else None
 
-    def sums(self, rules: tuple[tuple[int, float, float], ...]) -> list[tuple[_Exact, _Exact]]:
-        """Exact (comparable, credit) sums of each (case, weight, credit) rule.
+    def sums(
+        self, rules: tuple[tuple[int, float, float], ...],
+    ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        """Exact (comparable, credit) sums of each (case, weight, credit)
+        rule, each sum ``value * 2**scale`` as (value, scale).
 
-        A dyadic rule, a weight in {1/2, 1} and a credit in {0, 1/2, 1},
-        halves its case's base sum once or twice.  Any other rule, or one
-        whose case has no base sum, sums its own terms count * (w * weight)
-        and count * ((w * weight) * credit), the float products the policy
-        defines; the rules one call needs take one :func:`_exact_sums` call
-        and are kept.
+        A rule with weight 1 and credit 0, 1/2 or 1 reads its case's base
+        sum, halved for a credit of 1/2.  Any other rule, or one whose case
+        has no base sum, sums its own terms count * (w * weight) and
+        count * ((w * weight) * credit), the float products the policy
+        defines; all such rules of one call take one :func:`_exact_sums` call.
         """
-        halved = [self._halved(*rule) for rule in rules]
-        new = [r for r, h in zip(rules, halved) if h is None and r not in self._factors]
-        if new:
-            self._sum_factors(new)
-        return [h or self._factors[r] for r, h in zip(rules, halved)]
+        read = [self._read(*rule) for rule in rules]
+        own = iter(self._own_sums([r for r, s in zip(rules, read) if s is None]))
+        return [s or next(own) for s in read]
 
-    def _halved(self, case: int, weight: float, credit: float) -> tuple[_Exact, _Exact] | None:
-        a, b = _HALVINGS.get(weight), _HALVINGS.get(credit)
+    def _read(
+        self, case: int, weight: float, credit: float,
+    ) -> tuple[tuple[int, int], tuple[int, int]] | None:
         base = self.base[case]
-        if not self.exact_halves or base is None or a is None or (b is None and credit):
+        if (weight != 1.0 or credit not in (0.0, 0.5, 1.0) or base is None
+                or not self.exact_halves):
             return None
-        comp = (base, self.scale - a)
-        return comp, ((base, self.scale - a - b) if credit else (0, self.scale))
+        halvings = 1 if credit == 0.5 else 0
+        credited = (base, self.scale - halvings) if credit else (0, self.scale)
+        return (base, self.scale), credited
 
-    def _sum_factors(self, rules: list[tuple[int, float, float]]) -> None:
+    def _own_sums(
+        self, rules: list[tuple[int, float, float]],
+    ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        if not rules:
+            return []
         cases, weight, credit = (np.array(v) for v in zip(*rules))
         live = self.live
         with np.errstate(over="ignore", invalid="ignore"):  # _exact_sums rejects inf/NaN
@@ -730,8 +728,7 @@ class _ColumnSet:
             terms = np.hstack((counts * pair, counts * (pair * credit)))
         ints, scale = _exact_sums(terms, self.mult[live])
         k = len(rules)
-        for rule, comp, cred in zip(rules, ints[:k], ints[k:]):
-            self._factors[rule] = ((comp, scale), (cred, scale))
+        return [((comp, scale), (cred, scale)) for comp, cred in zip(ints[:k], ints[k:])]
 
 
 def _reduce(cols: _ColumnSet, policy: ConcordancePolicy) -> PairTally:
