@@ -339,18 +339,24 @@ class SurvivalMatrix:
         if not np.all(np.isfinite(probs)):
             raise InputError("survival probabilities contain non-finite values")
         tol = MONOTONICITY_TOLERANCE
-        if probs.size and (probs.min() < -tol or probs.max() > 1.0 + tol):
+        # Clamping and the running minimum run only where they change a value:
+        # np.clip keeps values in [0, 1] bit for bit, and np.minimum returns
+        # its second argument on ties, so a nonincreasing row is kept as is.
+        low, high = (probs.min(), probs.max()) if probs.size else (0.0, 1.0)
+        if low < -tol or high > 1.0 + tol:
             raise InputError("survival probabilities outside [0, 1]")
-        probs = np.clip(probs, 0.0, 1.0)
-        rises = np.diff(probs, axis=1)
-        worst = rises.max(initial=0.0)
-        if worst > tol:
-            rows = np.unique(np.nonzero(rises > tol)[0])
-            raise InputError(
-                f"survival rows increase over time beyond tolerance "
-                f"(worst rise {worst:.3e}, rows {rows[:5].tolist()})"
-            )
-        probs = np.minimum.accumulate(probs, axis=1)
+        if low < 0.0 or high > 1.0:
+            probs = np.clip(probs, 0.0, 1.0)
+        if np.any(probs[:, 1:] > probs[:, :-1]):  # some row rises
+            rises = np.diff(probs, axis=1)
+            worst = rises.max()
+            if worst > tol:
+                rows = np.unique(np.nonzero(rises > tol)[0])
+                raise InputError(
+                    f"survival rows increase over time beyond tolerance "
+                    f"(worst rise {worst:.3e}, rows {rows[:5].tolist()})"
+                )
+            probs = np.minimum.accumulate(probs, axis=1)
         object.__setattr__(self, "probs", _readonly(probs))
 
     @property

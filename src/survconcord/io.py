@@ -21,8 +21,9 @@ import csv
 import json
 import math
 from contextlib import closing
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -47,7 +48,7 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> InputError:
 
 
 def _csv_rows(path: Path) -> Iterator:
-    """Stream a CSV file: the header, then ``(path:line, fields)`` per row.
+    """Stream a CSV file: the header, then ``(line number, fields)`` per row.
 
     A leading UTF-8 byte-order mark is dropped and blank lines are skipped.
     An empty file, text that is not UTF-8, or a row whose field count
@@ -66,9 +67,33 @@ def _csv_rows(path: Path) -> Iterator:
                 if len(row) != len(header):
                     raise InputError(f"{path}:{lineno}: expected {len(header)} "
                                      f"fields, got {len(row)}")
-                yield f"{path}:{lineno}", row
+                yield lineno, row
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
+
+
+def _float_rows(path: Path, rows: Iterator, numbers: Callable, width: int,
+                check_row: Callable, valid: Callable | None = None) -> np.ndarray:
+    """The fields ``numbers(row)`` of every row left in ``rows``, converted by
+    C-level ``float`` in one pass into an (n, width) array.
+
+    The values must be finite and pass ``valid(values)``.  When they do not,
+    or a field is not a number or a row has the wrong field count, the file is
+    read again from the top with ``check_row(where, row)`` on each row, which
+    raises the error of the first bad field in file order.
+    """
+    try:
+        fields = chain.from_iterable(numbers(row) for _, row in rows)
+        values = np.fromiter(map(float, fields), float).reshape(-1, width)
+        if np.isfinite(values).all() and (valid is None or valid(values)):
+            return values
+    except ValueError:  # InputError included
+        pass
+    with closing(_csv_rows(path)) as rows:
+        next(rows)
+        for lineno, row in rows:
+            check_row(f"{path}:{lineno}", row)
+    raise InputError(f"{path}: changed while it was read")
 
 
 def write_csv(out: str | Path | TextIO, header: list, rows: Iterable) -> None:
@@ -135,35 +160,38 @@ def read_subjects_csv(
         if risk_col is not None and risk_idx is None:
             raise InputError(f"{path}:1: risk column {risk_col!r} not found")
 
+        columns = [1] + cov_cols if risk_idx is None else [1, risk_idx, *cov_cols]
         ids: list[str] = []
-        times: list[float] = []
-        events: list[int] = []
-        risks: list[float] = []
-        covs: list[list[float]] = []
-        for where, row in rows:
+        events: list[str] = []
+
+        def numbers(row):
             ids.append(row[0])
-            t = _parse_float(row[1], where, "time")
-            if t < 0:
+            events.append(row[2])
+            return [row[c] for c in columns]
+
+        def check_row(where, row):
+            if _parse_float(row[1], where, "time") < 0:
                 raise InputError(f"{where}: negative time {row[1]!r}")
-            times.append(t)
             if row[2] not in ("0", "1"):
                 raise InputError(f"{where}: event must be 0 or 1, got {row[2]!r}")
-            events.append(int(row[2]))
             if risk_idx is not None:
-                risks.append(_parse_float(row[risk_idx], where, "risk"))
-            if cov_cols:
-                covs.append(
-                    [_parse_float(row[c], where, header[c]) for c in cov_cols]
-                )
+                _parse_float(row[risk_idx], where, "risk")
+            for c in cov_cols:
+                _parse_float(row[c], where, header[c])
+
+        values = _float_rows(
+            path, rows, numbers, len(columns), check_row,
+            lambda values: (values[:, 0] >= 0).all() and set(events) <= {"0", "1"},
+        )
     if not ids:
         raise InputError(f"{path}: no records")
     ds = SurvivalDataset(
-        times=np.array(times),
-        events=np.array(events, dtype=np.int8),
+        times=values[:, 0],
+        events=np.array(events) == "1",
         subject_ids=tuple(ids),
-        covariates=np.array(covs) if covs else None,
+        covariates=values[:, -len(cov_cols):] if cov_cols else None,
     )
-    return ds, (np.array(risks) if risk_idx is not None else None)
+    return ds, (values[:, 1].copy() if risk_idx is not None else None)
 
 
 def write_subjects_csv(
@@ -201,16 +229,22 @@ def read_matrix_csv(path: str | Path, expected_ids: Sequence[str]) -> SurvivalMa
             raise InputError(f"{path}:1: {exc}") from None
 
         ids: list[str] = []
-        probs: list[list[float]] = []
-        for where, row in rows:
+
+        def numbers(row):
             ids.append(row[0])
-            probs.append([_parse_float(v, where, "survival value") for v in row[1:]])
+            return row[1:]
+
+        def check_row(where, row):
+            for v in row[1:]:
+                _parse_float(v, where, "survival value")
+
+        probs = _float_rows(path, rows, numbers, len(grid), check_row)
     if list(expected_ids) != ids:
         raise InputError(
             f"{path}: subject ids do not match the subjects file row order"
         )
     try:
-        return SurvivalMatrix(grid=grid, probs=np.array(probs))
+        return SurvivalMatrix(grid=grid, probs=probs)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -220,13 +254,15 @@ def read_covariate_pool(path: str | Path) -> np.ndarray:
     path = Path(path)
     with closing(_csv_rows(path)) as rows:
         header = next(rows)
-        pool = [
-            [_parse_float(v, where, name) for v, name in zip(row, header)]
-            for where, row in rows
-        ]
-    if not pool:
+
+        def check_row(where, row):
+            for v, name in zip(row, header):
+                _parse_float(v, where, name)
+
+        pool = _float_rows(path, rows, lambda row: row, len(header), check_row)
+    if not len(pool):
         raise InputError(f"{path}: no covariate rows")
-    return np.array(pool)
+    return pool
 
 
 def write_matrix_csv(path: str | Path, ids: Sequence[str], sm: SurvivalMatrix) -> None:

@@ -33,21 +33,26 @@ def default_common_grid() -> TimeGrid:
 def interpolate(sm: SurvivalMatrix, dst: TimeGrid) -> SurvivalMatrix:
     """Linearly interpolate every row onto a new grid.
 
-    Destination points below the source grid take the value 1 when the source
-    grid starts after time zero (the curve is anchored at S(0) = 1) and the
-    first source value otherwise; points beyond the source grid carry the
-    last value forward.
+    Destination points below the source grid, which then starts after time
+    zero, take the value 1 (the curve is anchored at S(0) = 1); points beyond
+    the source grid carry the last value forward.  The result is bit for bit
+    that of ``np.interp`` on each row.
     """
     _check_kind(sm, SurvivalMatrix, "sm")
     if not isinstance(dst, TimeGrid):
         raise InputError(f"interpolate onto a TimeGrid, got {type(dst).__name__}")
-    src = sm.grid.points
-    out = np.empty((sm.n, len(dst)))
-    for i in range(sm.n):
-        row = sm.probs[i]
-        left = 1.0 if src[0] > 0 else row[0]
-        out[i] = np.interp(dst.points, src, row, left=left, right=row[-1])
-    return SurvivalMatrix(grid=dst, probs=out)
+    src, x = sm.grid.points, dst.points
+    k = np.searchsorted(src, x, side="right") - 1  # src[k] <= x < src[k + 1]
+    columns = np.ascontiguousarray(sm.probs.T)  # one source column per row
+    # At a source point or past the last one, copy that source column.
+    out = columns[np.maximum(k, 0)]
+    out[k < 0] = 1.0
+    inner = np.flatnonzero((k >= 0) & (k < src.size - 1) & (src[k] != x))
+    ki = k[inner]
+    with np.errstate(over="ignore"):  # as in np.interp, a tiny spacing gives inf
+        slopes = np.diff(columns, axis=0) / np.diff(src)[:, None]
+    out[inner] = slopes[ki] * (x[inner] - src[ki])[:, None] + columns[ki]
+    return SurvivalMatrix(grid=dst, probs=np.ascontiguousarray(out.T))
 
 
 def risk_at_time(sm: SurvivalMatrix, t: float) -> np.ndarray:

@@ -254,3 +254,20 @@ def fsum_reduce(
         policy=policy,
         tau=tau,
     )
+
+
+def interpolate_reference(src, probs, dst) -> np.ndarray:
+    """Re-grid each row with its own ``np.interp`` call: below the source grid
+    the anchor 1 when the grid starts after time 0 (the first value
+    otherwise), beyond it the last value carried forward."""
+    out = np.empty((probs.shape[0], dst.size))
+    for i, row in enumerate(probs):
+        left = 1.0 if src[0] > 0 else row[0]
+        out[i] = np.interp(dst, src, row, left=left, right=row[-1])
+    return out
+
+
+def normalized_reference(probs) -> np.ndarray:
+    """A survival matrix's normalization done unconditionally: every value
+    clamped to [0, 1], then each row's running minimum."""
+    return np.minimum.accumulate(np.clip(probs, 0.0, 1.0), axis=1)

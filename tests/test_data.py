@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from survconcord import (
     InputError,
@@ -33,8 +35,10 @@ from survconcord import (
     subseed,
     tie_weighted_policy,
 )
-from survconcord.data import as_risk_array
+from survconcord.data import MONOTONICITY_TOLERANCE, as_risk_array
 from survconcord.profiles import policy_from_dict
+
+from oracle import normalized_reference
 
 GREATER, LESS, TIED = RankRelation.GREATER, RankRelation.LESS, RankRelation.TIED
 ALL_RELS = (GREATER, LESS, TIED)
@@ -191,6 +195,52 @@ def test_survival_matrix_clamps_tiny_wiggle_and_rejects_rises():
         SurvivalMatrix(grid=grid, probs=[[1.0, 0.5, 0.6]])
     with pytest.raises(InputError, match="outside"):
         SurvivalMatrix(grid=grid, probs=[[1.2, 0.5, 0.4]])
+
+
+_TOL = MONOTONICITY_TOLERANCE
+_NEAR_BOUNDS = [0.0, -0.0, 1.0, 0.5, 5e-324, -5e-324, -_TOL, -_TOL / 2,
+                1.0 + _TOL, 1.0 + _TOL / 2, 1.0 - _TOL / 2, -2 * _TOL, 1.0 + 2 * _TOL]
+_BUMPS = [0.0, 0.0, 5e-324, _TOL / 3, _TOL, 2 * _TOL]
+
+
+@st.composite
+def _near_monotone_rows(draw):
+    """Nonincreasing rows near [0, 1] with some values bumped up, so that
+    rows rise by up to twice the tolerance."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(_NEAR_BOUNDS), st.floats(-_TOL, 1.0 + _TOL)),
+        min_size=n * m, max_size=n * m))
+    probs = np.sort(np.reshape(values, (n, m)), axis=1)[:, ::-1]
+    bumps = np.reshape(draw(st.lists(st.sampled_from(_BUMPS), min_size=n * m,
+                                     max_size=n * m)), (n, m))
+    return np.where(bumps > 0, probs + bumps, probs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_monotone_rows())
+@example(np.array([[1.0, -0.0, 0.0, -0.0], [0.5, 0.5, -0.0, -0.0]]))
+@example(np.array([[1.0 + _TOL, 0.5, -0.0], [1.0, 0.5, 0.5 + _TOL]]))
+@example(np.array([[1.0, 0.5, 0.5 + 2 * _TOL], [0.2, 0.2 + 3 * _TOL, 0.0]]))
+def test_matrix_normalization_equals_clamp_and_running_minimum(probs):
+    """Skipping the clamp and the running minimum where they change no value
+    gives the bits of doing both, and every error message stays."""
+    grid = TimeGrid(np.arange(float(probs.shape[1])))
+    if probs.min() < -_TOL or probs.max() > 1.0 + _TOL:
+        with pytest.raises(InputError, match=r"^survival probabilities outside \[0, 1\]$"):
+            SurvivalMatrix(grid, probs)
+        return
+    rises = np.diff(np.clip(probs, 0.0, 1.0), axis=1)
+    if rises.max(initial=0.0) > _TOL:
+        rows = np.unique(np.nonzero(rises > _TOL)[0])[:5].tolist()
+        with pytest.raises(InputError) as info:
+            SurvivalMatrix(grid, probs)
+        assert str(info.value) == ("survival rows increase over time beyond tolerance "
+                                   f"(worst rise {rises.max():.3e}, rows {rows})")
+        return
+    want = normalized_reference(probs)
+    assert [v.hex() for v in SurvivalMatrix(grid, probs).probs.ravel().tolist()] == \
+        [v.hex() for v in want.ravel().tolist()]
 
 
 _DS = SurvivalDataset(times=[1.0, 2.0, 3.0, 4.0], events=[1, 0, 1, 1])

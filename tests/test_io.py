@@ -96,6 +96,58 @@ def test_readers_share_row_rules(tmp_path, read, header, row):
         read(path)
 
 
+_READERS = {
+    "subjects": read_subjects_csv,
+    "subjects-risk": lambda path: read_subjects_csv(path, risk_col="score"),
+    "matrix": lambda path: read_matrix_csv(path, ["a", "b"]),
+    "pool": read_covariate_pool,
+}
+
+
+@pytest.mark.parametrize(
+    "reader, text, error",
+    [
+        ("subjects", "id,time,event\na,inf,1\nb,1\n", "2: time must be finite, got 'inf'"),
+        ("subjects", "id,time,event,cov_1,cov_2\na,1,1,inf,x\n",
+         "2: cov_1 must be finite, got 'inf'"),
+        ("subjects", "id,time,event\na,1,1\nb,-1,2\n", "3: negative time '-1'"),
+        ("subjects", "id,time,event\na,1,1\n\nb,1,2\n", "4: event must be 0 or 1, got '2'"),
+        ("subjects", "id,time,event,cov_1\na,1,1,0.5\nb,2,0,nan\n",
+         "3: cov_1 must be finite, got 'nan'"),
+        ("subjects-risk", "id,time,event,score,cov_1\na,1,1,nan,x\n",
+         "2: risk must be finite, got 'nan'"),
+        ("subjects-risk", "id,time,event,score\na,1,1,0.5\nb,1,1,x\n",
+         "3: risk is not a number: 'x'"),
+        ("matrix", "id,0,1\na,1,inf\nb,1\n", "2: survival value must be finite, got 'inf'"),
+        ("matrix", "id,0,1\na,inf,x\n", "2: survival value must be finite, got 'inf'"),
+        ("matrix", "id,0,1\nb,1,0.5\na,1,x\n", "3: survival value is not a number: 'x'"),
+        ("matrix", "id,0,1\na,1,0.5\nb,1,nan\n",
+         "3: survival value must be finite, got 'nan'"),
+        ("pool", "age,dose\ninf,1\n2\n", "2: age must be finite, got 'inf'"),
+        ("pool", "age,dose\ninf,x\n", "2: age must be finite, got 'inf'"),
+        ("pool", "age,dose\n1,2\n3,nan\n", "3: dose must be finite, got 'nan'"),
+    ],
+)
+def test_readers_report_the_first_bad_field_in_file_order(tmp_path, reader, text, error):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(InputError) as info:
+        _READERS[reader](path)
+    assert str(info.value) == f"{path}:{error}"
+
+
+def test_readers_accept_the_largest_finite_values(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("id,time,event,cov_1\na,1e308,1,1e308\nb,1.7e308,0,1.7e308\n")
+    ds, _ = read_subjects_csv(path)
+    assert ds.times.tolist() == [1e308, 1.7e308]
+    assert ds.covariates.tolist() == [[1e308], [1.7e308]]
+    path.write_text("a,b\n1e308,1e308\n")
+    assert read_covariate_pool(path).tolist() == [[1e308, 1e308]]
+    path.write_text("id,0,1e308\na,1,0.5\n")
+    assert read_matrix_csv(path, ["a"]).grid.points.tolist() == [0.0, 1e308]
+
+
 def test_subjects_writer_rejects_risks_of_the_wrong_length(tmp_path):
     ds = SurvivalDataset(times=[1.0, 2.0], events=[1, 0])
     for risks in ([0.5], [0.5, 0.25, 0.125]):

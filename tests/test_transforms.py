@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from survconcord import (
     ComputationError,
@@ -12,6 +14,8 @@ from survconcord import (
     neg_rmst,
     risk_at_time,
 )
+
+from oracle import interpolate_reference, normalized_reference
 
 
 def _matrix(grid_points, rows):
@@ -47,6 +51,55 @@ def test_interpolate_preserves_bounds_and_monotonicity():
         dst = TimeGrid(np.sort(rng.uniform(0, 60, 15)) + np.arange(15) * 1e-6)
         out = interpolate(sm, dst)  # SurvivalMatrix would reject violations
         assert out.probs.min() >= 0.0 and out.probs.max() <= 1.0
+
+
+def _hex(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
+# Spacings down to the smallest subnormal: below about 1e-308 a slope can
+# overflow to inf, so np.interp gives a non-finite value there.
+_SPACINGS = [5e-324, 1e-310, 1e-300, 1e-3, 0.25, 1.0, 8.0]
+_LEVELS = [1.0, 0.75, 0.5, 0.1, 1e-300, 5e-324, 0.0, -0.0]
+
+
+@st.composite
+def _regrid_instance(draw):
+    """A matrix of nonincreasing rows and a grid with points before, at,
+    between and beyond its source points."""
+    start = draw(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.5, 2.0]))
+    steps = draw(st.lists(st.sampled_from(_SPACINGS), max_size=6))
+    src = np.unique(np.cumsum([start, *steps]))
+    mids = (src[:-1] + src[1:]) / 2
+    pool = [*src, *mids, src[-1] + 1.0, 2 * src[-1] + 3.0]
+    if src[0] > 0:
+        pool += [0.0, src[0] / 2]
+    picked = draw(st.lists(st.sampled_from([float(v) for v in pool]), min_size=1, max_size=12))
+    extra = draw(st.lists(st.floats(0.0, 1.5 * float(src[-1]) + 1.0), max_size=4))
+    n = draw(st.integers(0, 4))
+    values = draw(st.lists(st.one_of(st.sampled_from(_LEVELS), st.floats(0.0, 1.0)),
+                           min_size=n * src.size, max_size=n * src.size))
+    probs = np.sort(np.reshape(values, (n, src.size)), axis=1)[:, ::-1]
+    probs = np.asarray(probs, order=draw(st.sampled_from("CF")))
+    return SurvivalMatrix(TimeGrid(src), probs), TimeGrid(np.unique(picked + extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_regrid_instance())
+@example((_matrix([3.0], [[0.5], [-0.0]]), TimeGrid([0.0, 3.0, 4.0])))
+@example((_matrix([0.0, 1e-310, 1.0], [[1.0, 1.0, 0.0], [-0.0, -0.0, 0.0]]),
+          TimeGrid([0.0, 5e-311, 1e-310, 0.5, 2.0])))
+@example((_matrix([0.0, 1e-310, 1.0], [[1.0, 0.5, 0.0]]), TimeGrid([5e-311])))
+def test_interpolate_equals_per_row_np_interp(instance):
+    sm, dst = instance
+    want = interpolate_reference(sm.grid.points, sm.probs, dst.points)
+    if not np.isfinite(want).all():  # an overflowing slope
+        with pytest.raises(InputError, match="non-finite"):
+            interpolate(sm, dst)
+        return
+    got = interpolate(sm, dst).probs
+    assert got.flags.c_contiguous  # row sums, as in neg_rmst, depend on the layout
+    assert _hex(got) == _hex(normalized_reference(want))
 
 
 def test_risk_at_time():
