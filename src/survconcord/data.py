@@ -115,15 +115,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _float_array(values, what: str) -> np.ndarray:
-    """``values`` as a read-only float64 copy; anything but a rectangular array
-    of numbers or booleans raises :class:`InputError` naming ``what``."""
+    """``values`` as a read-only C-ordered float64 copy; anything but a rectangular
+    array of numbers or booleans raises :class:`InputError` naming ``what``."""
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged nesting
         array = None
     if array is None or array.dtype.kind not in ("b", "i", "u", "f"):
         raise InputError(f"{what} must be a rectangular numeric array")
-    return _readonly(array.astype(float))
+    return _readonly(array.astype(float, order="C"))
 
 
 def _reject_first(values: np.ndarray, ok: np.ndarray, what: str) -> None:

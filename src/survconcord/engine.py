@@ -582,6 +582,10 @@ _CASE_LABELS = tuple(c.value for c in CASE_ORDER)
 #: mantissa halves (each under 2**27) is exact.
 _EXACT_ROWS = 1 << 26
 
+#: Exact sums count units of 2**-_UNIT_BITS, of which every float64 is a whole
+#: number: ``np.frexp`` puts no 53-bit mantissa lower, subnormals included.
+_UNIT_BITS = 1126
+
 
 def _check_rows(mult: np.ndarray) -> None:
     """Refuse more rows, counted with their multiplicities, than sum exactly."""
@@ -590,23 +594,23 @@ def _check_rows(mult: np.ndarray) -> None:
         raise ComputationError(f"cannot sum {n_rows} anchors exactly (limit {_EXACT_ROWS})")
 
 
-def _exact_sums(terms: np.ndarray, mult: np.ndarray) -> tuple[list[int], int]:
-    """Exact column sums of ``terms``, row i taken ``mult[i]`` times: column k
-    sums to ``ints[k] * 2**scale``.
+def _exact_sums(terms: np.ndarray, mult: np.ndarray) -> list[int]:
+    """Exact column sums of ``terms`` in units, row i taken ``mult[i]`` times.
 
     Every finite float is M * 2**(E - 53) for an integer |M| < 2**53
     (``np.frexp``).  M splits into a high half below 2**27 and a low half
     below 2**26, and one ``np.bincount`` per half, weighted by the
     multiplicities, sums them per (column, E).  With fewer than 2**26 rows
     in all each such sum is an integer below 2**53, so the float64 sums are
-    exact; the bins are then joined as Python integers.
+    exact; the bins are then joined as Python integers, each shifted to its
+    place in units.
     """
     cols = terms.shape[1]
     _check_rows(mult)
     if not np.all(np.isfinite(terms)):
         raise ComputationError("a weighted pair term is not finite")
     if terms.size == 0:
-        return [0] * cols, 0
+        return [0] * cols
     frac, exp = np.frexp(terms)
     # Scaled, split and keyed in place: fewer temporaries keep the heap small.
     # Every step is exact in float64.
@@ -626,15 +630,15 @@ def _exact_sums(terms: np.ndarray, mult: np.ndarray) -> tuple[list[int], int]:
         np.bincount(key, weights=half.ravel(), minlength=cols * width).reshape(cols, width)
         for half in (frac, high)
     ], axis=1)
-    shifts = np.concatenate((np.arange(width), np.arange(26, 26 + width))).astype(object)
-    ints = (bins.astype(np.int64).astype(object) << shifts).sum(axis=1)
-    return ints.tolist(), low - 53
+    shifts = np.r_[:width, 26:26 + width] + (low - 53 + _UNIT_BITS)
+    ints = (bins.astype(np.int64).astype(object) << shifts.astype(object)).sum(axis=1)
+    return ints.tolist()
 
 
-def _rounded(value: int, scale: int) -> float:
-    """``value * 2**scale`` rounded once to the nearest float."""
+def _rounded(value: int) -> float:
+    """``value`` units rounded once to the nearest float."""
     try:
-        return float(value << scale) if scale >= 0 else value / (1 << -scale)
+        return value / (1 << _UNIT_BITS)
     except OverflowError:
         raise ComputationError("a weighted pair sum is not finite") from None
 
@@ -647,10 +651,10 @@ class _ColumnSet:
     not even a term.  Anchors with T_i >= tau are left out, and an anchor
     whose weight is NaN (G = 0) is undefined; the other kept anchors are
     live.  Built once are the drawn case totals of the kept and of the
-    undefined anchors, and the base sum of every countable case: the exact
-    sum of count * w over the live anchors (:func:`_exact_sums`), or one
-    int64 product when every live weight is exactly 1.  A case whose base
-    terms are not all finite has no base sum.
+    undefined anchors, and the base sum of every countable case in units:
+    the exact sum of count * w over the live anchors (:func:`_exact_sums`),
+    or one int64 product, shifted into units, when every live weight is
+    exactly 1.  A case whose base terms are not all finite has no base sum.
     """
 
     def __init__(
@@ -676,29 +680,30 @@ class _ColumnSet:
         self.base: list[int | None]
         if np.all(w == 1.0):
             _check_rows(mult[live])
-            self.base, self.scale = base, 0
+            self.base = [b << _UNIT_BITS for b in base]
             return
         countable = [k for k, c in enumerate(CASE_ORDER) if c not in ALWAYS_EXCLUDED]
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite cases get no base
             terms = counts[live][:, countable] * w[:, None]
         finite = np.isfinite(terms).all(axis=0)
         terms[:, ~finite] = 0.0
-        ints, self.scale = _exact_sums(terms, mult[live])
+        ints = _exact_sums(terms, mult[live])
         self.base = [None] * len(CASE_ORDER)
         for k, value, ok in zip(countable, ints, finite.tolist()):
             self.base[k] = value if ok else None
 
     def sums(
         self, rules: tuple[tuple[int, float, float], ...],
-    ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """Exact (comparable, credit) sums of each (case, weight, credit)
-        rule, each sum ``value * 2**scale`` as (value, scale).
+    ) -> list[tuple[int, int]]:
+        """Exact (comparable, credit) sums in units of each (case, weight,
+        credit) rule.
 
         A rule with weight 1 and credit 0, 1/2 or 1 reads its case's base
-        sum, halved for a credit of 1/2.  Any other rule, or one whose case
-        has no base sum, sums its own terms count * (w * weight) and
-        count * ((w * weight) * credit), the float products the policy
-        defines; all such rules of one call take one :func:`_exact_sums` call.
+        sum, halved for a credit of 1/2 (exact: every float is an even number
+        of units).  Any other rule, or one whose case has no base sum, sums
+        its own terms count * (w * weight) and count * ((w * weight) *
+        credit), the float products the policy defines; all such rules of one
+        call take one :func:`_exact_sums` call.
         """
         read = [self._read(*rule) for rule in rules]
         own = iter(self._own_sums([r for r, s in zip(rules, read) if s is None]))
@@ -706,18 +711,16 @@ class _ColumnSet:
 
     def _read(
         self, case: int, weight: float, credit: float,
-    ) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    ) -> tuple[int, int] | None:
         base = self.base[case]
         if (weight != 1.0 or credit not in (0.0, 0.5, 1.0) or base is None
                 or not self.exact_halves):
             return None
-        halvings = 1 if credit == 0.5 else 0
-        credited = (base, self.scale - halvings) if credit else (0, self.scale)
-        return (base, self.scale), credited
+        return base, base >> 1 if credit == 0.5 else base if credit else 0
 
     def _own_sums(
         self, rules: list[tuple[int, float, float]],
-    ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    ) -> list[tuple[int, int]]:
         if not rules:
             return []
         cases, weight, credit = (np.array(v) for v in zip(*rules))
@@ -726,36 +729,30 @@ class _ColumnSet:
             pair = self.weights[live, None] * weight
             counts = self.counts[live][:, cases]
             terms = np.hstack((counts * pair, counts * (pair * credit)))
-        ints, scale = _exact_sums(terms, self.mult[live])
+        ints = _exact_sums(terms, self.mult[live])
         k = len(rules)
-        return [((comp, scale), (cred, scale)) for comp, cred in zip(ints[:k], ints[k:])]
+        return list(zip(ints[:k], ints[k:]))
 
 
 def _reduce(cols: _ColumnSet, policy: ConcordancePolicy) -> PairTally:
     """Apply a policy to a column set: the one reducer.
 
-    Each comparable case reads its exact (comparable, credit) sums from the
-    set (:meth:`_ColumnSet.sums`), and the rest is Python-integer
+    Each comparable case reads its exact (comparable, credit) sums in units
+    from the set (:meth:`_ColumnSet.sums`), and the rest is Python-integer
     arithmetic: each per-case sum is rounded once, and the numerator and
-    denominator are the exact totals of the case sums, aligned to one scale
-    and rounded once (:func:`_rounded`).  So each weighted sum is the
-    correctly rounded sum of its float terms (count times anchor weight
-    times case weight, and times credit), however and in whatever order
-    the counts were produced.  Pairs of undefined anchors in comparable
+    denominator are the exact totals of the case sums, rounded once
+    (:func:`_rounded`).  So each weighted sum is the correctly rounded sum
+    of its float terms (count times anchor weight times case weight, and
+    times credit), however and in whatever order the counts were produced.  Pairs of undefined anchors in comparable
     cases are counted in ``dropped_pairs`` instead of ``case_counts``.  A
     term or a sum that is not finite raises :class:`ComputationError`.
     """
     rules = policy._rules
     sums = cols.sums(rules)
-    scale = min((s for pair in sums for _, s in pair), default=0)
     n_cases = len(CASE_ORDER)
     comparable, credit, dropped = [0.0] * n_cases, [0.0] * n_cases, [0] * n_cases
-    numerator = denominator = 0
-    for (case, _, _), ((comp, comp_scale), (cred, cred_scale)) in zip(rules, sums):
-        comparable[case] = _rounded(comp, comp_scale)
-        credit[case] = _rounded(cred, cred_scale)
-        denominator += comp << (comp_scale - scale)
-        numerator += cred << (cred_scale - scale)
+    for (case, _, _), (comp, cred) in zip(rules, sums):
+        comparable[case], credit[case] = _rounded(comp), _rounded(cred)
         dropped[case] = cols.undefined[case]
 
     def by_label(values: list) -> Mapping:
@@ -765,8 +762,8 @@ def _reduce(cols: _ColumnSet, policy: ConcordancePolicy) -> PairTally:
         case_counts=by_label([d - u for d, u in zip(cols.drawn, dropped)]),
         case_comparable=by_label(comparable),
         case_credit=by_label(credit),
-        numerator=_rounded(numerator, scale),
-        denominator=_rounded(denominator, scale),
+        numerator=_rounded(sum(cred for _, cred in sums)),
+        denominator=_rounded(sum(comp for comp, _ in sums)),
         dropped_pairs=sum(dropped),
         anchors_beyond_grid=cols.anchors_beyond_grid,
         policy=policy,

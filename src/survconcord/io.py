@@ -30,7 +30,7 @@ import numpy as np
 from .data import InputError, SurvivalDataset, SurvivalMatrix, TimeGrid
 from .data import _reject_unknown_keys
 from .km import StepFunction
-from .profiles import MultiverseReport, Profile, profile_from_dict
+from .profiles import PROVENANCE_KEYS, MultiverseReport, Profile, profile_from_dict
 
 
 def _parse_float(raw: str, where: str, what: str) -> float:
@@ -308,8 +308,7 @@ def load_profiles_file(path: str | Path) -> list[Profile]:
     entries = read_json(path)
     if isinstance(entries, dict):
         try:  # a report's provenance block is a profile file, so its keys are known
-            _reject_unknown_keys(entries, ["profiles", "dataset", "grid", "transform",
-                                           "tau", "bootstrap", "seed"], "profile file")
+            _reject_unknown_keys(entries, PROVENANCE_KEYS, "profile file")
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from None
         entries = entries.get("profiles")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -138,7 +137,7 @@ def _product_values(numerators: list[int], denominators: list[int]) -> list[floa
     and U / 2**P round to the same float, so does V (Ziv's rounding test);
     the no-censoring case stays identical to the empirical survivor
     function.  From the first factor where they differ, V is carried
-    exactly as a Fraction.
+    exactly as a ratio of two integers, which true division rounds once.
     """
     scale = 1 << _PRODUCT_BITS
     low = high = scale
@@ -147,10 +146,10 @@ def _product_values(numerators: list[int], denominators: list[int]) -> list[floa
         low, high = low * num // den, -(-high * num // den)
         value = low / scale
         if value != high / scale:
-            running = Fraction(math.prod(numerators[:k]), math.prod(denominators[:k]))
+            top, bottom = math.prod(numerators[:k]), math.prod(denominators[:k])
             for num, den in zip(numerators[k:], denominators[k:]):
-                running *= Fraction(num, den)
-                values.append(float(running))
+                top, bottom = top * num, bottom * den
+                values.append(top / bottom)
             break
         values.append(value)
     return values

@@ -384,7 +384,7 @@ class ProfileResult:
 
 @dataclass(frozen=True)
 class MultiverseReport:
-    provenance: dict
+    provenance: dict  # keyed by PROVENANCE_KEYS
     results: tuple[ProfileResult, ...]
 
     def to_dict(self) -> dict:
@@ -398,6 +398,10 @@ class MultiverseReport:
             if r.name == name:
                 return r
         raise KeyError(name)
+
+
+#: A report's provenance keys, which a profile file may carry too (io reloads it).
+PROVENANCE_KEYS = ("dataset", "grid", "transform", "tau", "bootstrap", "seed", "profiles")
 
 
 def run_multiverse(
@@ -488,15 +492,15 @@ def run_multiverse(
     cells = tuple(_cell(p, full.get(k, unscorable[k]), resampled.get(k), bootstrap, g)
                   for k, p in enumerate(profiles))
 
-    provenance = {
-        "dataset": {"n": ds.n, "n_events": ds.n_events},
-        "grid": None if matrix is None else matrix.grid.points.tolist(),
-        "transform": None if transform is None else transform.to_dict(),
-        "tau": None if tau is None else _field_dict(tau),
-        "bootstrap": None if bootstrap is None else bootstrap.to_dict(),
-        "seed": seed,
-        "profiles": [profile_to_dict(p) for p in profiles],
-    }
+    provenance = dict(zip(PROVENANCE_KEYS, (
+        {"n": ds.n, "n_events": ds.n_events},
+        None if matrix is None else matrix.grid.points.tolist(),
+        None if transform is None else transform.to_dict(),
+        None if tau is None else _field_dict(tau),
+        None if bootstrap is None else bootstrap.to_dict(),
+        seed,
+        [profile_to_dict(p) for p in profiles],
+    )))
     return MultiverseReport(provenance=provenance, results=cells)
 
 

@@ -52,7 +52,7 @@ def interpolate(sm: SurvivalMatrix, dst: TimeGrid) -> SurvivalMatrix:
     with np.errstate(over="ignore"):  # as in np.interp, a tiny spacing gives inf
         slopes = np.diff(columns, axis=0) / np.diff(src)[:, None]
     out[inner] = slopes[ki] * (x[inner] - src[ki])[:, None] + columns[ki]
-    return SurvivalMatrix(grid=dst, probs=np.ascontiguousarray(out.T))
+    return SurvivalMatrix(grid=dst, probs=out.T)
 
 
 def risk_at_time(sm: SurvivalMatrix, t: float) -> np.ndarray:

@@ -376,3 +376,28 @@ def test_bad_input_is_rejected_by_the_type_that_stores_it(case):
 def test_subset_takes_lists_and_negative_positions():
     assert _DS.subset([]).n == 0
     assert _DS.subset([3, -4]).times.tolist() == [4.0, 1.0]
+
+
+def _layouts(a: np.ndarray) -> list[np.ndarray]:
+    """``a`` C-ordered, Fortran-ordered and as a transposed view."""
+    return [a, np.asfortranarray(a), np.ascontiguousarray(a.T).T]
+
+
+def test_results_do_not_depend_on_the_callers_memory_layout():
+    # A stored Fortran-ordered copy would add each row sum in another order.
+    rng = np.random.default_rng(3)
+    grid = TimeGrid(np.arange(1.0, 401.0))
+    probs = np.ascontiguousarray(np.sort(rng.uniform(0.01, 1.0, (50, 400)))[:, ::-1])
+    params = WeibullPHParams(1.0, 0.01, rng.normal(size=20))
+    covariates = rng.normal(size=(200, 20))
+    times = rng.uniform(1.0, 10.0, 200)
+    results = set()
+    for p, x in zip(_layouts(probs), _layouts(covariates)):
+        sm = SurvivalMatrix(grid, p)
+        ds = SurvivalDataset(times=times, events=np.ones(200, int), covariates=x)
+        stored = (sm.probs, interpolate(sm, TimeGrid([0.5, 2.5, 399.5])).probs, ds.covariates)
+        assert all(a.flags.c_contiguous for a in stored)
+        values = (expected_mortality(sm), neg_rmst(sm, 250.5), risk_at_time(sm, 100.0),
+                  params.linear_predictor(x))
+        results.add(tuple(v.hex() for v in np.concatenate(values).tolist()))
+    assert len(results) == 1

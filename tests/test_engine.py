@@ -378,8 +378,8 @@ def test_reducer_refuses_more_rows_than_it_sums_exactly(monkeypatch):
 
 def test_reducer_counts_multiplicities_against_the_row_bound():
     # One row taken 2**26 times reaches the bound without 2**26 rows.
-    ints, scale = _exact_sums(np.ones((1, 3)), np.array([(1 << 26) - 1]))
-    assert [_rounded(v, scale) for v in ints] == [(1 << 26) - 1.0] * 3
+    ints = _exact_sums(np.ones((1, 3)), np.array([(1 << 26) - 1]))
+    assert [_rounded(v) for v in ints] == [(1 << 26) - 1.0] * 3
     with pytest.raises(ComputationError, match="exactly"):
         _exact_sums(np.ones((1, 3)), np.array([1 << 26]))
     with pytest.raises(ComputationError, match="exactly"):
@@ -402,9 +402,9 @@ def test_exact_sums_with_multiplicities_equal_the_repeated_rows(instance):
     terms, mult = instance
     repeated = np.repeat(terms, mult, axis=0)
     sums = []
-    for ints, scale in (_exact_sums(terms, mult),
-                        _exact_sums(repeated, np.ones(len(repeated), int))):
-        sums.append([_rounded(v, scale).hex() for v in ints])
+    for ints in (_exact_sums(terms, mult),
+                 _exact_sums(repeated, np.ones(len(repeated), int))):
+        sums.append([_rounded(v).hex() for v in ints])
     assert sums[0] == sums[1] == [math.fsum(col).hex() for col in repeated.T.tolist()]
 
 

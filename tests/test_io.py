@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from survconcord import (
+    BootstrapSpec,
     ConcordancePolicy,
     InputError,
     Profile,
@@ -30,6 +31,7 @@ from survconcord.io import (
     write_subjects_csv,
 )
 from survconcord.profiles import (
+    PROVENANCE_KEYS,
     TransformSpec,
     get_profiles,
     profile_to_dict,
@@ -257,6 +259,22 @@ def test_report_with_integer_and_numpy_knobs_reloads_as_profiles(tmp_path):
     assert '"value": 3.0' in path.read_text()
     [loaded] = load_profiles_file(path)
     assert loaded == profile
+
+
+def test_provenance_of_a_run_with_every_input_reloads_as_profiles(tmp_path):
+    ds = SurvivalDataset(times=[1.0, 2.0, 3.0, 4.0, 5.0], events=[1, 0, 1, 1, 0])
+    probs = np.exp(-np.outer([0.1, 0.2, 0.3, 0.4, 0.5], [0.5, 2.5, 4.5]))
+    matrix = SurvivalMatrix(TimeGrid([0.5, 2.5, 4.5]), probs)
+    profiles = get_profiles()
+    report = run_multiverse(ds, matrix=matrix, profiles=profiles,
+                            transform=TransformSpec("neg-rmst", horizon=4.0),
+                            tau=Truncation("value", 4.0), bootstrap=BootstrapSpec(3), seed=1)
+    provenance = report.to_dict()["provenance"]
+    assert list(provenance) == list(PROVENANCE_KEYS)
+    assert None not in provenance.values()
+    path = tmp_path / "provenance.json"
+    path.write_text(canonical_json(provenance))
+    assert load_profiles_file(path) == list(profiles)
 
 
 def test_profiles_file_rejects_unknown_keys(tmp_path):

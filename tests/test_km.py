@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -165,7 +166,7 @@ def test_km_fit_falls_back_to_fractions_bit_for_bit(instance):
 
 def test_km_product_bounds_that_round_apart_continue_exactly():
     with mock.patch.object(km, "_PRODUCT_BITS", 2), \
-            mock.patch.object(km, "Fraction", wraps=Fraction) as exact:
+            mock.patch.object(km.math, "prod", wraps=math.prod) as exact:
         values = km._product_values([2, 1, 4], [3, 3, 7])
     assert exact.called
     assert values == [2 / 3, float(Fraction(2, 9)), float(Fraction(8, 63))]
