@@ -38,9 +38,9 @@ draw reads its counts off prefix sums of its multiplicities, in O(n log n)
 ``classify_pair``, turns cells into case counts and drops the self-pair;
 the result equals classifying every pair of the drawn rows.  Every
 weighted sum is the exact sum of its float terms, each row taken as often
-as drawn, found in integers and rounded once (:func:`_exact_sums`), so
-estimates do not depend on the producer or the anchor order and are
-deterministic for a given input.
+as drawn: an integer count of one unit, 2**-1126, rounded once
+(:func:`_exact_sums`), so estimates do not depend on the producer or the
+anchor order and are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -602,8 +602,7 @@ def _exact_sums(terms: np.ndarray, mult: np.ndarray) -> list[int]:
     below 2**26, and one ``np.bincount`` per half, weighted by the
     multiplicities, sums them per (column, E).  With fewer than 2**26 rows
     in all each such sum is an integer below 2**53, so the float64 sums are
-    exact; the bins are then joined as Python integers, each shifted to its
-    place in units.
+    exact; the bins are then joined as Python integers.
     """
     cols = terms.shape[1]
     _check_rows(mult)
@@ -630,9 +629,9 @@ def _exact_sums(terms: np.ndarray, mult: np.ndarray) -> list[int]:
         np.bincount(key, weights=half.ravel(), minlength=cols * width).reshape(cols, width)
         for half in (frac, high)
     ], axis=1)
-    shifts = np.r_[:width, 26:26 + width] + (low - 53 + _UNIT_BITS)
-    ints = (bins.astype(np.int64).astype(object) << shifts.astype(object)).sum(axis=1)
-    return ints.tolist()
+    shifts = np.concatenate((np.arange(width), np.arange(26, 26 + width))).astype(object)
+    ints = (bins.astype(np.int64).astype(object) << shifts).sum(axis=1)
+    return (ints << (low - 53 + _UNIT_BITS)).tolist()  # into units once per column
 
 
 def _rounded(value: int) -> float:

@@ -171,6 +171,11 @@ def test_km_product_bounds_that_round_apart_continue_exactly():
     assert exact.called
     assert values == [2 / 3, float(Fraction(2, 9)), float(Fraction(8, 63))]
     assert km._product_values([2, 1, 4], [3, 3, 7]) == values
+    # Past 2**53 the products round, and dividing the roundings is an ulp low here.
+    nums, dens = [3253749, 2057976, 5278887, 2977863], [3254257, 2058756, 5279348, 2978347]
+    with mock.patch.object(km, "_PRODUCT_BITS", 2):
+        deep = km._product_values(nums, dens)
+    assert deep == [float(Fraction(math.prod(nums[:k]), math.prod(dens[:k]))) for k in (1, 2, 3, 4)]
 
 
 def test_step_evaluation_left_and_right():
