@@ -183,9 +183,6 @@ class SurvivalDataset:
     def n(self) -> int:
         return int(self.times.size)
 
-    def __len__(self) -> int:
-        return self.n
-
     @property
     def n_events(self) -> int:
         return int(np.sum(self.events == 1))

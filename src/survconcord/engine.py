@@ -140,12 +140,9 @@ class Truncation:
         elif self.value is not None:
             raise InputError(f"truncation mode {self.mode!r} takes no value")
 
-    def resolve(self, ds: SurvivalDataset) -> float | None:
-        """Concrete tau for this dataset, or None when no truncation applies."""
-        return self._resolve(ds.times[ds.events == 1])
-
-    def _resolve(self, uncensored: np.ndarray) -> float | None:
-        """Concrete tau for data with these uncensored times."""
+    def resolve(self, uncensored: np.ndarray) -> float | None:
+        """Concrete tau for data with these uncensored times, or None when no
+        truncation applies."""
         if self.mode == TRUNC_NONE:
             return None
         if self.mode == TRUNC_VALUE:
@@ -155,9 +152,6 @@ class Truncation:
                 "cannot resolve truncation: dataset has no uncensored times"
             )
         return float(uncensored.max())
-
-
-NO_TRUNCATION = Truncation()
 
 
 class CaseRule(NamedTuple):
@@ -207,7 +201,7 @@ class ConcordancePolicy:
     tie_tolerance: float = 0.0
     weight_scheme: str = WEIGHT_UNIFORM
     g_source: str = G_SOURCE_TEST_SET
-    truncation: Truncation = NO_TRUNCATION
+    truncation: Truncation = Truncation()
     final_fold: str = FOLD_IDENTITY
 
     def __post_init__(self) -> None:
@@ -850,14 +844,13 @@ class _Draw:
         self._sets: dict[tuple[bool, float, str, float | None], _ColumnSet] = {}
 
     def score(
-        self, policy: ConcordancePolicy, by_curves: bool = False,
-        truncation: Truncation | None = None,
+        self, policy: ConcordancePolicy, by_curves: bool, truncation: Truncation
     ) -> tuple[float, PairTally]:
         """Estimate and tally under ``policy``, ranking by curves if ``by_curves``
-        and truncating by ``truncation`` in place of the policy's own if given."""
+        and truncating by ``truncation``."""
         scheme, tol = policy.weight_scheme, policy.tie_tolerance
         weights = self.weights(scheme)
-        tau = (truncation or policy.truncation)._resolve(self.uncensored)
+        tau = truncation.resolve(self.uncensored)
         key = (by_curves, tol, scheme, tau)
         if key not in self._sets:
             counts, beyond = self._counts_for(by_curves, tol)
@@ -911,7 +904,7 @@ def _score_once(
     if (scorer.g is None and policy.weight_scheme != WEIGHT_UNIFORM
             and policy.g_source == G_SOURCE_PROVIDED):
         raise InputError("policy requires an externally fitted censoring distribution")
-    return scorer.draw().score(policy, by_curves)
+    return scorer.draw().score(policy, by_curves, policy.truncation)
 
 
 def concordance(

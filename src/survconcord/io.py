@@ -194,19 +194,9 @@ def read_subjects_csv(
     return ds, (values[:, 1].copy() if risk_idx is not None else None)
 
 
-def write_subjects_csv(
-    path: str | Path,
-    ds: SurvivalDataset,
-    risks: np.ndarray | None = None,
-) -> None:
+def write_subjects_csv(path: str | Path, ds: SurvivalDataset) -> None:
     header = ["id", "time", "event"]
     columns = [ds.subject_ids, ds.times.tolist(), ds.events.tolist()]
-    if risks is not None:
-        risks = np.asarray(risks)
-        if risks.shape != (ds.n,):
-            raise InputError(f"{path}: {risks.size} risks for {ds.n} subjects")
-        header.append("risk")
-        columns.append(risks.tolist())
     if ds.covariates is not None:
         header += [f"cov_{j + 1}" for j in range(ds.covariates.shape[1])]
         columns += ds.covariates.T.tolist()
@@ -263,13 +253,6 @@ def read_covariate_pool(path: str | Path) -> np.ndarray:
     if not len(pool):
         raise InputError(f"{path}: no covariate rows")
     return pool
-
-
-def write_matrix_csv(path: str | Path, ids: Sequence[str], sm: SurvivalMatrix) -> None:
-    if len(ids) != sm.probs.shape[0]:
-        raise InputError(f"{path}: {len(ids)} ids for {sm.probs.shape[0]} matrix rows")
-    rows = ([sid, *row.tolist()] for sid, row in zip(ids, sm.probs))
-    write_csv(path, ["id", *sm.grid.points.tolist()], rows)
 
 
 def write_step_function_csv(out: str | Path | TextIO, sf: StepFunction) -> None:

@@ -67,7 +67,8 @@ class Profile:
     The policy alone decides how pairs are scored.  ``family == "C_td"``
     only switches the rank source from scalar risks to survival curves
     evaluated at the anchor's time.  ``requires_tau`` marks emulations that
-    refuse to run without an explicit truncation time.
+    score only when their policy truncates or the run is given any ``tau``,
+    ``mode="none"`` included.
     """
 
     name: str
@@ -347,7 +348,6 @@ class TransformSpec:
                 )
 
     def apply(self, sm: SurvivalMatrix) -> np.ndarray:
-        _check_kind(sm, SurvivalMatrix, "sm")
         if self.kind == TRANSFORM_AT_TIME:
             return risk_at_time(sm, self.time)
         if self.kind == TRANSFORM_EXPECTED_MORTALITY:
@@ -532,7 +532,8 @@ def _outcomes(
     outcomes: dict[int, _Outcome] = {}
     for k, profile in profiles.items():
         try:
-            outcomes[k] = draw.score(profile.policy, profile.requires_matrix, tau)
+            outcomes[k] = draw.score(profile.policy, profile.requires_matrix,
+                                     tau or profile.policy.truncation)
         except ComputationError as exc:
             outcomes[k] = str(exc)
     return outcomes

@@ -63,7 +63,7 @@ def brute_force_oracle(
     if ds.n > BRUTE_FORCE_LIMIT:
         raise InputError(f"brute force reference is limited to n <= {BRUTE_FORCE_LIMIT}")
     m = as_risk_array(risks, ds.n)
-    tau = policy.truncation.resolve(ds)
+    tau = policy.truncation.resolve(ds.times[ds.events == 1])
     tol = policy.tie_tolerance
 
     if policy.weight_scheme == WEIGHT_UNIFORM:
@@ -122,7 +122,7 @@ def td_brute_force_oracle(ds: SurvivalDataset, sm, policy: ConcordancePolicy) ->
     if policy.weight_scheme != WEIGHT_UNIFORM:
         raise InputError("td brute force reference supports uniform weights only")
     grid = sm.grid.points
-    tau = policy.truncation.resolve(ds)
+    tau = policy.truncation.resolve(ds.times[ds.events == 1])
     tol = policy.tie_tolerance
 
     def lookup(row, t):

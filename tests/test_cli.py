@@ -152,6 +152,25 @@ def test_cindex_profile_file_name_clash_exits_2(
     assert not (tmp_path / "r.json").exists()
 
 
+def test_cindex_whole_report_as_profile_file_exits_2(subjects_file, tmp_path, capsys):
+    first = tmp_path / "first"
+    assert main([
+        "cindex", "--subjects", str(subjects_file), "--risk-col", "risk",
+        "--profiles", "hmisc", "--out", str(first),
+    ]) == 0
+    capsys.readouterr()
+    report = tmp_path / "first.json"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code = main([
+        "cindex", "--subjects", str(subjects_file), "--risk-col", "risk",
+        "--profile-file", str(report), "--out", str(tmp_path / "second"),
+    ])
+    assert code == 2
+    assert (f"error: {report}: unknown profile file key(s): 'provenance', 'results'"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_cindex_runs_build_the_builtin_profiles_once(
     profile_builds, subjects_file, tmp_path
 ):

@@ -135,10 +135,10 @@ def test_truncation_is_strict_and_monotone():
 def test_max_uncensored_truncation_resolution():
     ds = SurvivalDataset(times=[1.0, 2.0, 5.0, 9.0], events=[1, 1, 1, 0])
     pol = tie_weighted_policy(0.0, 0.0, truncation=Truncation("max_uncensored"))
-    assert pol.truncation.resolve(ds) == 5.0
+    assert pol.truncation.resolve(ds.times[ds.events == 1]) == 5.0
     all_censored = SurvivalDataset(times=[1.0, 2.0], events=[0, 0])
     with pytest.raises(ComputationError):
-        pol.truncation.resolve(all_censored)
+        pol.truncation.resolve(all_censored.times[all_censored.events == 1])
 
 
 def test_uno_weights_reduce_to_harrell_without_censoring():

@@ -651,7 +651,7 @@ def _single_profile_cell(ds, risks, sm, profile, *, tau=None, g=None,
         "denominator": tally.denominator,
         "per_case": tally.per_case,
         "dropped_pairs": tally.dropped_pairs,
-        "tau_used": policy.truncation.resolve(ds),
+        "tau_used": policy.truncation.resolve(ds.times[ds.events == 1]),
         "ci_lower": None,
         "ci_upper": None,
         "failed_resamples": 0,

@@ -26,3 +26,4 @@ def test_readme_examples_run_and_give_the_commented_values():
     with_ties = sc.concordance(namespace["ds"], namespace["risks"], namespace["with_ties"])
     assert with_ties[0] == pytest.approx(2 / 3, abs=1e-15)
     assert len(namespace["report"].results) == len(sc.get_profiles())
+    assert namespace["hmisc"].estimate == pytest.approx(2 / 3, abs=1e-15)
