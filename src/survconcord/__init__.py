@@ -30,17 +30,19 @@ from .engine import (
 )
 from .km import StepFunction, ipcw_weights, km_fit
 from .profiles import (
+    BootstrapResult,
+    BootstrapSpec,
     MultiverseReport,
     Profile,
     ProfileResult,
     TransformSpec,
+    bootstrap_ci,
     get_profiles,
     pec_profile,
     profile_from_dict,
     profile_to_dict,
     run_multiverse,
 )
-from .resampling import BootstrapResult, BootstrapSpec, bootstrap_ci
 from .synthetic import (
     UniformQuantileCensoring,
     WeibullCensoring,

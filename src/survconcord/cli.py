@@ -38,8 +38,8 @@ from .data import (
 )
 from .engine import TRUNC_MAX_UNCENSORED, TRUNC_NONE, TRUNC_VALUE, Truncation
 from .km import km_fit
-from .profiles import _TRANSFORM_NUMBERS, TransformSpec, get_profiles, run_multiverse
-from .resampling import BootstrapSpec
+from .profiles import (_TRANSFORM_NUMBERS, BootstrapSpec, TransformSpec, get_profiles,
+                       run_multiverse)
 from .synthetic import (
     UniformQuantileCensoring,
     WeibullCensoring,
@@ -174,8 +174,7 @@ def cmd_cindex(args: argparse.Namespace) -> int:
     )
 
     out = Path(args.out)
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     json_path = Path(str(out) + ".json")
     csv_path = Path(str(out) + ".csv")
     sio.write_json(json_path, report.to_dict())
@@ -332,6 +331,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_km(args: argparse.Namespace) -> int:
     ds, _ = sio.read_subjects_csv(args.subjects)
     sf = km_fit(ds, target=args.target)
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     sio.write_step_function_csv(args.out or sys.stdout, sf)
     if args.out:
         print(f"wrote {args.out}")

@@ -355,7 +355,3 @@ class SurvivalMatrix:
                 )
             probs = np.minimum.accumulate(probs, axis=1)
         object.__setattr__(self, "probs", _readonly(probs))
-
-    @property
-    def n(self) -> int:
-        return int(self.probs.shape[0])

@@ -972,15 +972,17 @@ class DecompositionReport:
 def decompose(tally: PairTally) -> DecompositionReport:
     """Split a uniform-weight tie-family tally into its weighted-average blocks.
 
-    Requires a tally produced with uniform weights by a policy of the
-    :func:`tie_weighted_policy` family, whose ``omega_o`` (the weight of case
-    6A) and ``omega_p`` (the credit of case 1C) it reads; recombining the
-    blocks reproduces the original estimate.
+    Requires a tally produced with uniform weights and no final fold by a
+    policy of the :func:`tie_weighted_policy` family, whose ``omega_o`` (the
+    weight of case 6A) and ``omega_p`` (the credit of case 1C) it reads;
+    recombining the blocks reproduces the original estimate.
     """
     _check_kind(tally, PairTally, "tally")
     policy = tally.policy
     if policy.weight_scheme != WEIGHT_UNIFORM:
         raise InputError("decomposition is defined for uniform weights only")
+    if policy.final_fold != FOLD_IDENTITY:
+        raise InputError("decomposition is defined for unfolded estimates only")
     omega_o = policy.case_table[PairCase.C6A].comparable_weight
     omega_p = policy.case_table[PairCase.C1C].credit
     foreign = InputError("tally was not produced by a tie-weighted policy")

@@ -7,15 +7,16 @@ as data keeps the whole family auditable and lets users define their own
 policies in a config file with the same schema as the report's provenance
 block.
 
-``run_multiverse`` evaluates a dataset under many profiles side by side and
-returns a deterministic, serializable report.
+``run_multiverse`` evaluates a dataset under many profiles side by side, with
+the run specs defined here (``TransformSpec``, ``BootstrapSpec``), and returns
+a deterministic, serializable report whose provenance records each spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,13 +48,11 @@ from .engine import (
     tie_weighted_policy,
 )
 from .km import WEIGHT_PEC_PRODUCT, WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED, StepFunction
-from .resampling import BootstrapSpec
 from .transforms import expected_mortality, neg_rmst, risk_at_time
 
 # The single-profile forms of run_multiverse stay importable from this module,
 # although it no longer calls them: bench/tracing.py wraps them here.
 from .engine import concordance, concordance_td  # noqa: F401
-from .resampling import bootstrap_ci  # noqa: F401
 
 FAMILY_C = "C"
 FAMILY_C_TAU = "C_tau"
@@ -240,11 +239,14 @@ def get_profiles(
     """
     registry = {p.name: p for p in _builtins()}
     for profile in extra:
+        _check_kind(profile, Profile, "extra")
         if profile.name in registry:
             raise InputError(f"profile name {profile.name!r} is already taken")
         registry[profile.name] = profile
     if names is None:
         return list(registry.values())
+    if isinstance(names, str):
+        raise InputError(f"names must be a sequence of profile names, got {names!r}")
     _reject_repeated_names(names)
     for name in names:
         if name not in registry:
@@ -291,6 +293,7 @@ def policy_from_dict(d: Mapping) -> ConcordancePolicy:
 
 
 def profile_to_dict(profile: Profile) -> dict:
+    _check_kind(profile, Profile, "profile")
     return {**_field_dict(profile), "policy": policy_to_dict(profile.policy)}
 
 
@@ -354,8 +357,87 @@ class TransformSpec:
             return expected_mortality(sm)
         return neg_rmst(sm, self.horizon)
 
-    def to_dict(self) -> dict:
-        return _field_dict(self)
+
+@dataclass(frozen=True)
+class BootstrapResult:
+    lower: float
+    upper: float
+    samples: np.ndarray
+    n_failed: int
+
+
+@dataclass(frozen=True)
+class BootstrapSpec:
+    """Percentile bootstrap settings, checked where they are built."""
+
+    n_resamples: int = 100
+    sample_size: int | None = None
+    level: float = 0.95
+
+    def __post_init__(self) -> None:
+        size = 1 if self.sample_size is None else self.sample_size
+        for value in (self.n_resamples, size):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"bootstrap counts must be integers, got {value!r}")
+        # Plain Python numbers, so that the provenance holds JSON numbers.
+        object.__setattr__(self, "n_resamples", int(self.n_resamples))
+        if self.sample_size is not None:
+            object.__setattr__(self, "sample_size", int(self.sample_size))
+        object.__setattr__(self, "level", as_float(self.level, "confidence level"))
+        if self.n_resamples < 1:
+            raise InputError("need at least one bootstrap resample")
+        if not 0.0 < self.level < 1.0:
+            raise InputError("confidence level must lie in (0, 1)")
+        if size < 1:
+            raise InputError("sample size must be positive")
+
+    def resamples(self, n: int, seed: int) -> Iterator[np.ndarray]:
+        """Index arrays into ``n`` subjects, one per resample, from one PCG64(seed)."""
+        size = n if self.sample_size is None else self.sample_size
+        rng = np.random.Generator(np.random.PCG64(as_seed(seed)))
+        return (rng.integers(0, n, size=size) for _ in range(self.n_resamples))
+
+    def interval(self, values: Sequence[float], n_failed: int) -> BootstrapResult:
+        """Percentile interval of the resample values that did not fail."""
+        if not values:
+            raise ComputationError("all bootstrap resamples failed")
+        samples = np.array(values)
+        tail = (1.0 - self.level) / 2.0
+        lower, upper = np.quantile(samples, [tail, 1.0 - tail])
+        return BootstrapResult(
+            lower=float(lower),
+            upper=float(upper),
+            samples=samples,
+            n_failed=n_failed,
+        )
+
+
+def bootstrap_ci(
+    ds: SurvivalDataset,
+    estimator: Callable[[np.ndarray], float],
+    spec: BootstrapSpec,
+    seed: int = 0,
+) -> BootstrapResult:
+    """Percentile bootstrap interval around an estimator of subject indices.
+
+    ``estimator`` receives an index array into ``ds`` and returns a scalar.
+    The resamples are the ones ``spec.resamples(ds.n, seed)`` draws, as in
+    ``run_multiverse(bootstrap=spec, seed=seed)``; the point estimate on the
+    unresampled data is the caller's.  Resamples on which the estimator
+    raises :class:`ComputationError` (e.g. no comparable pairs under heavy
+    censoring) are counted and excluded from the percentile computation
+    rather than aborting the run.
+    """
+    _check_kind(ds, SurvivalDataset, "ds")
+    _check_kind(spec, BootstrapSpec, "spec")
+    values = []
+    n_failed = 0
+    for draw in spec.resamples(ds.n, seed):
+        try:
+            values.append(estimator(draw))
+        except ComputationError:
+            n_failed += 1
+    return spec.interval(values, n_failed)
 
 
 @dataclass(frozen=True)
@@ -495,9 +577,9 @@ def run_multiverse(
     provenance = dict(zip(PROVENANCE_KEYS, (
         {"n": ds.n, "n_events": ds.n_events},
         None if matrix is None else matrix.grid.points.tolist(),
-        None if transform is None else transform.to_dict(),
+        None if transform is None else _field_dict(transform),
         None if tau is None else _field_dict(tau),
-        None if bootstrap is None else bootstrap.to_dict(),
+        None if bootstrap is None else _field_dict(bootstrap),
         seed,
         [profile_to_dict(p) for p in profiles],
     )))

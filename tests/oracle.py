@@ -7,6 +7,7 @@ from types import MappingProxyType
 import numpy as np
 
 from survconcord import (
+    ComputationError,
     InputError,
     RankRelation,
     StepFunction,
@@ -16,10 +17,10 @@ from survconcord import (
 )
 from survconcord.data import CASE_ORDER, as_risk_array
 from survconcord.engine import (
+    FOLD_MAX_COMPLEMENT,
     G_SOURCE_PROVIDED,
     ConcordancePolicy,
     PairTally,
-    _finalize,
 )
 from survconcord.km import WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED
 
@@ -46,6 +47,14 @@ def km_reference(ds: SurvivalDataset, target: str = "event"):
     jumps = sorted(factor)
     values = [float(math.prod(f for u, f in factor.items() if u <= t)) for t in jumps]
     return jumps, values
+
+
+def _folded(num: float, den: float, policy: ConcordancePolicy) -> float:
+    """num / den, reported as max(C, 1 - C) under the max_with_complement fold."""
+    if den == 0:
+        raise ComputationError("no comparable pairs")
+    c = num / den
+    return max(c, 1.0 - c) if policy.final_fold == FOLD_MAX_COMPLEMENT else c
 
 
 def brute_force_oracle(
@@ -109,7 +118,7 @@ def brute_force_oracle(
                 continue
             den += wi * rule.comparable_weight
             num += wi * rule.comparable_weight * rule.credit
-    return _finalize(num, den, policy.final_fold)
+    return _folded(num, den, policy)
 
 
 def td_brute_force_oracle(ds: SurvivalDataset, sm, policy: ConcordancePolicy) -> float:
@@ -153,7 +162,7 @@ def td_brute_force_oracle(ds: SurvivalDataset, sm, policy: ConcordancePolicy) ->
             ]
             den += rule.comparable_weight
             num += rule.comparable_weight * rule.credit
-    return _finalize(num, den, policy.final_fold)
+    return _folded(num, den, policy)
 
 
 _RELATIONS = (RankRelation.GREATER, RankRelation.LESS, RankRelation.TIED)

@@ -194,6 +194,11 @@ def test_km_outputs(subjects_file, tmp_path, capsys):
     code = main(["km", "--subjects", str(empty)])
     assert code == 2
 
+    # --out creates its directory, as cindex --out and simulate --out-dir do.
+    out = tmp_path / "new" / "dir" / "km.csv"
+    assert main(["km", "--subjects", str(subjects_file), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[:2] == lines[:2]
+
 
 def test_simulate_outputs_and_zero_epsilon(tmp_path):
     params = tmp_path / "params.json"
@@ -568,8 +573,11 @@ def test_bad_input_values_exit_2_before_writing(
         ("--grid", "0,2.5,5,10", "grid", [0.0, 2.5, 5.0, 10.0]),
         ("--transform", "expected-mortality", "transform",
          {"kind": "expected-mortality", "time": None, "horizon": None}),
+        ("--transform", "neg-rmst", "transform",
+         {"kind": "neg-rmst", "time": None, "horizon": 355.0}),
     ],
-    ids=["tau-none", "tau-max-uncensored", "grid-list", "expected-mortality"],
+    ids=["tau-none", "tau-max-uncensored", "grid-list", "expected-mortality",
+         "neg-rmst-default-horizon"],
 )
 def test_cindex_option_specs_reach_the_report(option, value, key, written, tmp_path):
     subjects = tmp_path / "s.csv"

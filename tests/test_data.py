@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survconcord import (
+    BootstrapSpec,
+    ConcordancePolicy,
     InputError,
     PairCase,
     Profile,
@@ -13,10 +15,12 @@ from survconcord import (
     SurvivalMatrix,
     TimeGrid,
     TransformSpec,
+    Truncation,
     UniformQuantileCensoring,
     WeibullCensoring,
     WeibullPHParams,
     assemble,
+    bootstrap_ci,
     classify_pair,
     concordance,
     concordance_td,
@@ -24,18 +28,21 @@ from survconcord import (
     expected_mortality,
     generate_censoring,
     generate_event_times,
+    get_profiles,
     interpolate,
     ipcw_weights,
     km_fit,
     neg_rmst,
     oracle_cindex,
     profile_from_dict,
+    profile_to_dict,
     risk_at_time,
     run_multiverse,
     subseed,
     tie_weighted_policy,
 )
 from survconcord.data import MONOTONICITY_TOLERANCE, as_risk_array
+from survconcord.engine import STRICT_PAIRS
 from survconcord.profiles import policy_from_dict
 
 from oracle import normalized_reference
@@ -359,6 +366,44 @@ _BAD_INPUTS = {
         (lambda: generate_event_times({"shape": 1.0}, [[1.0]], 0), "params must be"),
     "oracle-params":
         (lambda: oracle_cindex({"shape": 1.0}, [[1.0]], [1.0]), "params must be"),
+    "bootstrap-spec":
+        (lambda: bootstrap_ci(_DS, len, "x"), "spec must be a BootstrapSpec"),
+    "bootstrap-dataset":
+        (lambda: bootstrap_ci("x", len, BootstrapSpec(2)), "ds must be a SurvivalDataset"),
+    "profiles-extra": (lambda: get_profiles(["hmisc"], extra=[1]), "extra must be a Profile"),
+    "profiles-names-string":
+        (lambda: get_profiles("hmisc"), "names must be a sequence of profile names"),
+    "profile-to-dict": (lambda: profile_to_dict(5), "profile must be a Profile"),
+    # Each value a type stores is checked where the type is built.
+    "grid-empty": (lambda: TimeGrid([]), "grid must be a non-empty 1-d array"),
+    "grid-non-finite": (lambda: TimeGrid([0.0, np.inf]), "grid contains non-finite values"),
+    "regular-step-zero": (lambda: TimeGrid.regular(10.0, step=0.0), "grid step must be positive"),
+    "regular-stop-before-start":
+        (lambda: TimeGrid.regular(1.0, start=5.0), "grid stop precedes start"),
+    "matrix-shape": (lambda: SurvivalMatrix(_GRID, [[1.0, 0.5]]), "probs must be (n, 3)"),
+    "truncation-mode": (lambda: Truncation("bogus"), "unknown truncation mode 'bogus'"),
+    "truncation-value-missing":
+        (lambda: Truncation("value"), "truncation value must be a finite number"),
+    "truncation-value-unwanted":
+        (lambda: Truncation("none", 3.0), "truncation mode 'none' takes no value"),
+    "policy-case-8": (lambda: ConcordancePolicy({**STRICT_PAIRS, PairCase.C8: (1.0, 0.5)}),
+                      "case 8 cannot be comparable"),
+    "policy-weight-scheme": (lambda: ConcordancePolicy(STRICT_PAIRS, weight_scheme="g2"),
+                             "unknown weight scheme 'g2'"),
+    "policy-g-source": (lambda: ConcordancePolicy(STRICT_PAIRS, g_source="train"),
+                        "unknown g_source 'train'"),
+    "policy-fold": (lambda: ConcordancePolicy(STRICT_PAIRS, final_fold="min"),
+                    "unknown final fold 'min'"),
+    "step-shapes": (lambda: StepFunction([1.0, 2.0], [0.5]),
+                    "jump_times and values must be 1-d arrays of equal length"),
+    "km-target": (lambda: km_fit(_DS, target="death"), "unknown target 'death'"),
+    "ipcw-scheme": (lambda: ipcw_weights(km_fit(_DS, "censoring"), _DS, "g2"),
+                    "unknown weight scheme 'g2'"),
+    "transform-kind": (lambda: TransformSpec("rmst"), "unknown transform 'rmst'"),
+    "model-coefficient-inf":
+        (lambda: WeibullPHParams(1.0, 1.0, [np.inf]), "coefficients must be finite"),
+    "assemble-lengths": (lambda: assemble([1.0, 2.0], [1.0]),
+                         "event and censoring time arrays must have equal length"),
 }
 
 

@@ -14,6 +14,7 @@ from survconcord import (
     ConcordancePolicy,
     InputError,
     PairCase,
+    PairTally,
     Profile,
     StepFunction,
     SurvivalDataset,
@@ -790,6 +791,17 @@ def test_decompose_rejects_foreign_tallies():
         _, foreign = concordance(ds, [2.0, 1.0], pol)
         with pytest.raises(InputError, match="not produced by a tie-weighted policy"):
             decompose(foreign)
+    # A folded estimate is max(C, 1 - C), which the blocks do not recombine to.
+    folded = tie_weighted_policy(1.0, 0.5, final_fold="max_with_complement")
+    ds4 = SurvivalDataset(times=[1.0, 2.0, 3.0, 4.0], events=[1, 1, 1, 0])
+    estimate, tally = concordance(ds4, [0.1, 0.2, 0.3, 0.4], folded)
+    assert estimate == 1.0
+    with pytest.raises(InputError, match="unfolded estimates only"):
+        decompose(tally)
+    # A hand-made tally with no pairs has no blocks to split.
+    empty = PairTally({}, {}, {}, 0.0, 0.0, 0, 0, tie_weighted_policy(1.0, 0.5), None)
+    with pytest.raises(ComputationError, match="no comparable pairs"):
+        decompose(empty)
 
 
 def test_decompose_ignores_credits_of_excluded_cases():

@@ -129,6 +129,14 @@ _READERS = {
         ("pool", "age,dose\ninf,1\n2\n", "2: age must be finite, got 'inf'"),
         ("pool", "age,dose\ninf,x\n", "2: age must be finite, got 'inf'"),
         ("pool", "age,dose\n1,2\n3,nan\n", "3: dose must be finite, got 'nan'"),
+        # Whole-file rejections name the header line, or the file alone.
+        ("subjects", "time,id,event\n1,a,1\n",
+         "1: header must start with id,time,event (got time,id,event)"),
+        ("subjects-risk", "id,time,event\na,1,1\n", "1: risk column 'score' not found"),
+        ("matrix", "subject,0,1\na,1,0.5\n", "1: first column must be 'id'"),
+        ("matrix", "id,1,0\na,1,0.5\nb,1,0.5\n", "1: grid must be strictly increasing"),
+        ("matrix", "id,0,1\na,1,1.5\nb,1,0.5\n", " survival probabilities outside [0, 1]"),
+        ("pool", "age,dose\n", " no covariate rows"),
     ],
 )
 def test_readers_report_the_first_bad_field_in_file_order(tmp_path, reader, text, error):
@@ -292,6 +300,11 @@ def test_profiles_file_rejects_unknown_keys(tmp_path):
         expected = re.escape(f"profile #1: {message}")
         with pytest.raises(InputError, match=expected):
             load_profiles_file(path)
+    # A file whose profiles are not a list.
+    path.write_text(canonical_json({"profiles": payload[0]}))
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}: expected a list of profile objects")):
+        load_profiles_file(path)
     # A misspelt key of the file object itself.
     path.write_text(canonical_json({"profiles": payload, "profils": []}))
     with pytest.raises(InputError, match=re.escape(

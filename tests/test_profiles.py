@@ -195,6 +195,8 @@ def test_multiverse_error_cells_do_not_block_others(four_subjects):
     assert report.result("pycox_ant").error == "requires a survival matrix"
     assert report.result("survc1").error == "requires an explicit truncation time"
     assert report.result("hmisc").estimate is not None
+    with pytest.raises(KeyError):
+        report.result("absent")
 
 
 def test_error_cells_carry_their_profiles_weight_scheme(four_subjects):
@@ -272,7 +274,11 @@ def test_multiverse_prefers_explicit_risks_over_transform():
     applied = run_multiverse(ds, matrix=sm, profiles=get_profiles(["hmisc"]),
                              transform=spec)
     assert applied.result("hmisc").estimate == 1.0
-    assert applied.provenance["transform"] == spec.to_dict()
+    assert applied.provenance["transform"] == dataclasses.asdict(spec)
+    # Without risks or a matrix no scalar profile scores and no transform applies.
+    bare = run_multiverse(ds, profiles=get_profiles(["hmisc"]), transform=spec)
+    assert bare.result("hmisc").error == "requires a risk vector or a transform over a matrix"
+    assert bare.provenance["transform"] is None
 
 
 def test_multiverse_explicit_untruncated_tau_satisfies_survc1(four_subjects):
@@ -472,8 +478,8 @@ def test_bootstrap_spec_rejected_where_built(kwargs, message):
 
 def test_bootstrap_spec_stores_plain_numbers():
     spec = BootstrapSpec(np.int64(5), np.int32(3), np.float32(0.5))
-    assert spec.to_dict() == {"n_resamples": 5, "sample_size": 3, "level": 0.5}
-    assert [type(v) for v in spec.to_dict().values()] == [int, int, float]
+    assert dataclasses.asdict(spec) == {"n_resamples": 5, "sample_size": 3, "level": 0.5}
+    assert [type(v) for v in dataclasses.astuple(spec)] == [int, int, float]
     with pytest.raises(InputError, match="confidence level must be a number"):
         BootstrapSpec(5, level=np.True_)
 
