@@ -21,14 +21,16 @@ from .engine import (
     ConcordancePolicy,
     DecompositionReport,
     PairTally,
+    StepFunction,
     Truncation,
     antolini_policy,
     concordance,
     concordance_td,
     decompose,
+    ipcw_weights,
+    km_fit,
     tie_weighted_policy,
 )
-from .km import StepFunction, ipcw_weights, km_fit
 from .profiles import (
     BootstrapResult,
     BootstrapSpec,

@@ -36,8 +36,7 @@ from .data import (
     _reject_unknown_keys,
     as_float,
 )
-from .engine import TRUNC_MAX_UNCENSORED, TRUNC_NONE, TRUNC_VALUE, Truncation
-from .km import km_fit
+from .engine import TRUNC_MAX_UNCENSORED, TRUNC_NONE, TRUNC_VALUE, Truncation, km_fit
 from .profiles import (_TRANSFORM_NUMBERS, BootstrapSpec, TransformSpec, get_profiles,
                        run_multiverse)
 from .synthetic import (

@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import InputError, SurvivalDataset, SurvivalMatrix, TimeGrid
 from .data import _reject_unknown_keys
-from .km import StepFunction
+from .engine import StepFunction
 from .profiles import PROVENANCE_KEYS, MultiverseReport, Profile, profile_from_dict
 
 

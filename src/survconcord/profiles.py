@@ -39,15 +39,18 @@ from .engine import (
     STRICT_PAIRS,
     TRUNC_MAX_UNCENSORED,
     TRUNC_NONE,
+    WEIGHT_PEC_PRODUCT,
+    WEIGHT_UNIFORM,
+    WEIGHT_UNO_SQUARED,
     ConcordancePolicy,
     PairTally,
+    StepFunction,
     Truncation,
     _Draw,
     _Scorer,
     antolini_policy,
     tie_weighted_policy,
 )
-from .km import WEIGHT_PEC_PRODUCT, WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED, StepFunction
 from .transforms import expected_mortality, neg_rmst, risk_at_time
 
 # The single-profile forms of run_multiverse stay importable from this module,
@@ -229,7 +232,7 @@ def _builtins() -> tuple[Profile, ...]:
 
 
 def get_profiles(
-    names: Sequence[str] | None = None, extra: Sequence[Profile] = ()
+    names: Iterable[str] | None = None, extra: Sequence[Profile] = ()
 ) -> list[Profile]:
     """Look ``names`` up among the builtin profiles and the ``extra`` ones
     (``None``: every builtin, then every extra).
@@ -247,6 +250,7 @@ def get_profiles(
         return list(registry.values())
     if isinstance(names, str):
         raise InputError(f"names must be a sequence of profile names, got {names!r}")
+    names = list(names)
     _reject_repeated_names(names)
     for name in names:
         if name not in registry:
@@ -393,7 +397,11 @@ class BootstrapSpec:
 
     def resamples(self, n: int, seed: int) -> Iterator[np.ndarray]:
         """Index arrays into ``n`` subjects, one per resample, from one PCG64(seed)."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise InputError(f"n must be a nonnegative integer, got {n!r}")
         size = n if self.sample_size is None else self.sample_size
+        if size and not n:
+            raise InputError(f"cannot draw {size} subjects from none")
         rng = np.random.Generator(np.random.PCG64(as_seed(seed)))
         return (rng.integers(0, n, size=size) for _ in range(self.n_resamples))
 
@@ -430,6 +438,8 @@ def bootstrap_ci(
     """
     _check_kind(ds, SurvivalDataset, "ds")
     _check_kind(spec, BootstrapSpec, "spec")
+    if not callable(estimator):
+        raise InputError(f"estimator must be callable, got {type(estimator).__name__}")
     values = []
     n_failed = 0
     for draw in spec.resamples(ds.n, seed):
@@ -491,7 +501,7 @@ def run_multiverse(
     *,
     risks=None,
     matrix: SurvivalMatrix | None = None,
-    profiles: Sequence[Profile] | None = None,
+    profiles: Iterable[Profile] | None = None,
     transform: TransformSpec | None = None,
     tau: Truncation | None = None,
     g: StepFunction | None = None,
@@ -542,8 +552,7 @@ def run_multiverse(
     ):
         if value is not None:
             _check_kind(value, kind, what)
-    if profiles is None:
-        profiles = _builtins()
+    profiles = _builtins() if profiles is None else tuple(profiles)
     for profile in profiles:
         _check_kind(profile, Profile, "profiles")
     _reject_repeated_names(p.name for p in profiles)

@@ -22,7 +22,7 @@ from survconcord.engine import (
     ConcordancePolicy,
     PairTally,
 )
-from survconcord.km import WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED
+from survconcord.engine import WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED
 
 
 BRUTE_FORCE_LIMIT = 2000

@@ -370,6 +370,20 @@ _BAD_INPUTS = {
         (lambda: bootstrap_ci(_DS, len, "x"), "spec must be a BootstrapSpec"),
     "bootstrap-dataset":
         (lambda: bootstrap_ci("x", len, BootstrapSpec(2)), "ds must be a SurvivalDataset"),
+    "bootstrap-estimator":
+        (lambda: bootstrap_ci(_DS, 5, BootstrapSpec(2)), "estimator must be callable"),
+    "bootstrap-empty-dataset":
+        (lambda: bootstrap_ci(SurvivalDataset(times=[], events=[]), len,
+                              BootstrapSpec(2, sample_size=3)), "cannot draw 3 subjects from none"),
+    "resamples-from-none":
+        (lambda: list(BootstrapSpec(2, sample_size=3).resamples(0, 1)),
+         "cannot draw 3 subjects from none"),
+    "resamples-negative":
+        (lambda: list(BootstrapSpec(2).resamples(-1, 0)), "n must be a nonnegative integer"),
+    "resamples-float":
+        (lambda: list(BootstrapSpec(2).resamples(4.0, 0)), "n must be a nonnegative integer"),
+    "resamples-bool":
+        (lambda: list(BootstrapSpec(2).resamples(True, 0)), "n must be a nonnegative integer"),
     "profiles-extra": (lambda: get_profiles(["hmisc"], extra=[1]), "extra must be a Profile"),
     "profiles-names-string":
         (lambda: get_profiles("hmisc"), "names must be a sequence of profile names"),

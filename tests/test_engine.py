@@ -45,7 +45,7 @@ from survconcord.engine import (
     _scalar_read,
     _Scorer,
 )
-from survconcord.km import ipcw_weights, km_fit
+from survconcord.engine import ipcw_weights, km_fit
 
 from conftest import random_instance
 from oracle import (

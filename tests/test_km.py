@@ -15,7 +15,7 @@ from survconcord import (
     ipcw_weights,
     km_fit,
 )
-from survconcord import km
+from survconcord import engine
 
 from oracle import km_reference
 
@@ -135,13 +135,13 @@ def _assert_weighted_fits_equal_reference(records, mult):
     """Each fit from multiplicities equals the naive fit on the repeated rows."""
     times, events = (np.array(column) for column in zip(*records))
     mult = np.array(mult)
-    groups = km._time_groups(times)
+    groups = engine._time_groups(times)
     for target, hits in (("event", events == 1), ("censoring", events == 0)):
         if not mult.any():
             with pytest.raises(ComputationError, match="no records"):
-                km._km_from_groups(groups, hits, mult)
+                engine._km_from_groups(groups, hits, mult)
             continue
-        fit = km._km_from_groups(groups, hits, mult)
+        fit = engine._km_from_groups(groups, hits, mult)
         repeated = SurvivalDataset(times=np.repeat(times, mult),
                                    events=np.repeat(events, mult))
         jumps, values = km_reference(repeated, target)
@@ -160,21 +160,21 @@ def test_km_fit_from_multiplicities_equals_naive_reference(instance):
 @given(_weighted_records())
 def test_km_fit_falls_back_to_fractions_bit_for_bit(instance):
     # Two-bit bounds round apart at once, so the exact product takes over.
-    with mock.patch.object(km, "_PRODUCT_BITS", 2):
+    with mock.patch.object(engine, "_PRODUCT_BITS", 2):
         _assert_weighted_fits_equal_reference(*instance)
 
 
 def test_km_product_bounds_that_round_apart_continue_exactly():
-    with mock.patch.object(km, "_PRODUCT_BITS", 2), \
-            mock.patch.object(km.math, "prod", wraps=math.prod) as exact:
-        values = km._product_values([2, 1, 4], [3, 3, 7])
+    with mock.patch.object(engine, "_PRODUCT_BITS", 2), \
+            mock.patch.object(engine.math, "prod", wraps=math.prod) as exact:
+        values = engine._product_values([2, 1, 4], [3, 3, 7])
     assert exact.called
     assert values == [2 / 3, float(Fraction(2, 9)), float(Fraction(8, 63))]
-    assert km._product_values([2, 1, 4], [3, 3, 7]) == values
+    assert engine._product_values([2, 1, 4], [3, 3, 7]) == values
     # Past 2**53 the products round, and dividing the roundings is an ulp low here.
     nums, dens = [3253749, 2057976, 5278887, 2977863], [3254257, 2058756, 5279348, 2978347]
-    with mock.patch.object(km, "_PRODUCT_BITS", 2):
-        deep = km._product_values(nums, dens)
+    with mock.patch.object(engine, "_PRODUCT_BITS", 2):
+        deep = engine._product_values(nums, dens)
     assert deep == [float(Fraction(math.prod(nums[:k]), math.prod(dens[:k]))) for k in (1, 2, 3, 4)]
 
 

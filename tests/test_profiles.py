@@ -40,7 +40,7 @@ from survconcord.engine import (
     ConcordancePolicy,
 )
 from survconcord.io import canonical_json
-from survconcord.km import WEIGHT_SCHEMES
+from survconcord.engine import WEIGHT_SCHEMES
 from survconcord.profiles import (
     BootstrapSpec,
     TransformSpec,
@@ -117,6 +117,22 @@ def test_repeated_profile_name_rejected():
     ds = SurvivalDataset(times=[1.0, 2.0], events=[1, 1])
     with pytest.raises(InputError, match="profile 'mine' is named more than once"):
         run_multiverse(ds, risks=[2.0, 1.0], profiles=[mine, mine])
+
+
+def test_one_shot_iterables_are_read_once():
+    names = ["hmisc", "lifelines", "sksurv_ipcw"]
+    assert get_profiles(iter(names)) == get_profiles(names)
+    assert get_profiles(name for name in names) == get_profiles(names)
+    ds = SurvivalDataset(times=[1.0, 2.0, 2.0, 3.0], events=[1, 0, 1, 1])
+    risks = [4.0, 3.0, 2.0, 1.0]
+    listed = run_multiverse(ds, risks=risks, profiles=get_profiles(names)).to_dict()
+    assert [r["name"] for r in listed["results"]] == names
+    for profiles in (iter(get_profiles(names)), (p for p in get_profiles(names))):
+        assert run_multiverse(ds, risks=risks, profiles=profiles).to_dict() == listed
+
+
+def test_empty_data_gives_empty_draws_at_the_default_size():
+    assert [idx.size for idx in BootstrapSpec(3).resamples(0, 7)] == [0, 0, 0]
 
 
 def test_taken_extra_profile_name_rejected():
