@@ -139,7 +139,7 @@ def _select_profiles(names: str | None, profile_file: str | None):
         every = get_profiles(None, extra)
     except InputError as exc:  # without names, only a file profile's name can fail
         raise InputError(f"{profile_file}: {exc}") from None
-    if not names:
+    if names is None:
         return every
     chosen = get_profiles([n.strip() for n in names.split(",")], extra)
     named = {p.name for p in chosen}

@@ -2,8 +2,15 @@
 
 Every CSV file is UTF-8 and comma separated: a header row, then one row per
 record with one field per header column.  Blank lines after the header are
-skipped.  Numbers are decimal literals and must be finite.  Errors name the
-place as ``path:line``.
+skipped.  Numbers are ASCII decimal literals, as ``float`` reads them but
+without ``_`` separators, and must be finite.  Errors name the place as
+``path:line``.
+
+A file is read once.  When it is plain (no ``"``, no ``\r`` but in ``\r\n``
+line ends, every line as many fields as the header) ``np.loadtxt`` parses its
+numbers in one C pass.  Any other file, and a plain file whose values fail a
+check, goes through the row reader: ``csv.reader`` and one number at a time,
+so that an error names the first bad field or row in file order.
 
 Subjects file: header ``id,time,event`` followed optionally by a risk column
 and covariate columns named ``cov_1..cov_p``; events are 0/1.  Matrix file:
@@ -20,8 +27,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import closing
-from itertools import chain
+import re
+from io import StringIO
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -35,6 +43,8 @@ from .profiles import PROVENANCE_KEYS, MultiverseReport, Profile, profile_from_d
 
 def _parse_float(raw: str, where: str, what: str) -> float:
     try:
+        if "_" in raw or not raw.isascii():  # float() would read 1_0, ٣ and ０.5
+            raise ValueError
         value = float(raw)
     except ValueError:
         raise InputError(f"{where}: {what} is not a number: {raw!r}") from None
@@ -47,53 +57,87 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-def _csv_rows(path: Path) -> Iterator:
-    """Stream a CSV file: the header, then ``(line number, fields)`` per row.
+def _csv_rows(path: Path, text: str) -> Iterator:
+    """Parse a CSV text: the header, then ``(line number, fields)`` per row.
 
-    A leading UTF-8 byte-order mark is dropped and blank lines are skipped.
-    An empty file, text that is not UTF-8, or a row whose field count
+    Blank lines are skipped.  An empty text, or a row whose field count
     differs from the header's, raises :class:`InputError`.
     """
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise InputError(f"{path}:1: empty file")
-            yield header
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise InputError(f"{path}:{lineno}: expected {len(header)} "
-                                     f"fields, got {len(row)}")
-                yield lineno, row
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+    reader = csv.reader(StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise InputError(f"{path}:1: empty file")
+    yield header
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InputError(f"{path}:{lineno}: expected {len(header)} "
+                             f"fields, got {len(row)}")
+        yield lineno, row
 
 
-def _float_rows(path: Path, rows: Iterator, numbers: Callable, width: int,
-                check_row: Callable, valid: Callable | None = None) -> np.ndarray:
-    """The fields ``numbers(row)`` of every row left in ``rows``, converted by
-    C-level ``float`` in one pass into an (n, width) array.
+def _read_csv(path: Path) -> tuple[str, list[str], list[str] | None]:
+    """Read a CSV file once: its text, its header and, when the file is
+    plain, its non-empty lines after the header.
 
-    The values must be finite and pass ``valid(values)``.  When they do not,
-    or a field is not a number or a row has the wrong field count, the file is
-    read again from the top with ``check_row(where, row)`` on each row, which
-    raises the error of the first bad field in file order.
+    A leading UTF-8 byte-order mark is dropped and ``\\r\\n`` line ends
+    become ``\\n``.  A file is plain when it then holds no ``"`` and no
+    ``\\r``, its first line is not empty and every non-empty line has as
+    many fields as the header: splitting its lines at commas gives the
+    fields ``csv.reader`` would.  Text that is not UTF-8 raises
+    :class:`InputError`.
     """
     try:
-        fields = chain.from_iterable(numbers(row) for _, row in rows)
-        values = np.fromiter(map(float, fields), float).reshape(-1, width)
-        if np.isfinite(values).all() and (valid is None or valid(values)):
-            return values
-    except ValueError:  # InputError included
-        pass
-    with closing(_csv_rows(path)) as rows:
-        next(rows)
-        for lineno, row in rows:
-            check_row(f"{path}:{lineno}", row)
-    raise InputError(f"{path}: changed while it was read")
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    plain = text.replace("\r\n", "\n")
+    if '"' not in plain and "\r" not in plain:
+        head, *lines = plain.split("\n")
+        header = head.split(",")
+        lines = [line for line in lines if line]
+        if head and all(line.count(",") == len(header) - 1 for line in lines):
+            return plain, header, lines
+    return text, next(_csv_rows(path, text)), None
+
+
+def _read_columns(path: Path, text: str, lines: list[str] | None,
+                  numbers: Sequence[int], strings: Sequence[int],
+                  check_row: Callable, valid: Callable | None = None,
+                  ) -> tuple[np.ndarray, list[list[str]]]:
+    """The columns ``numbers`` of every row as an (n, len(numbers)) float
+    array, and the columns ``strings`` as lists of fields.
+
+    A plain file's lines go through ``np.loadtxt`` in one C pass.  The row
+    reader parses every other file, and a plain file with a number that
+    ``np.loadtxt`` refuses or values that fail a check (finite and
+    ``valid(values, fields)``): ``check_row(where, row)`` returns a row's
+    numbers or raises the error of its first bad field, so an error names
+    the first bad field or row in file order.
+    """
+    if lines:  # np.loadtxt warns on no lines
+        parsed = lines
+        if not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+            # np.loadtxt skips these around a number, float() refuses them
+            parsed = [re.sub("[^\x00-\x1b\x20-\x7f]", "x", line) for line in lines]
+        try:
+            values = np.loadtxt(parsed, delimiter=",", usecols=numbers,
+                                comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            found = [[line.split(",", c + 1)[c] for line in lines] for c in strings]
+            if np.isfinite(values).all() and (valid is None or valid(values, found)):
+                return values, found
+    rows = _csv_rows(path, text)
+    next(rows)
+    values, found = [], [[] for _ in strings]
+    for lineno, row in rows:
+        values.append(check_row(f"{path}:{lineno}", row))
+        for column, c in zip(found, strings):
+            column.append(row[c])
+    return np.array(values, float).reshape(-1, len(numbers)), found
 
 
 def write_csv(out: str | Path | TextIO, header: list, rows: Iterable) -> None:
@@ -131,58 +175,49 @@ def read_subjects_csv(
     Schema violations raise :class:`InputError` with ``path:line`` positions.
     """
     path = Path(path)
-    with closing(_csv_rows(path)) as rows:
-        header = next(rows)
-        if header[:3] != ["id", "time", "event"]:
-            raise InputError(
-                f"{path}:1: header must start with id,time,event "
-                f"(got {','.join(header[:3])})"
-            )
-        extra = header[3:]
-        cov_cols: list[int] = []
-        risk_idx: int | None = None
-        for pos, name in enumerate(extra, start=3):
-            if risk_col is not None and name == risk_col:
-                if risk_idx is not None:
-                    raise InputError(f"{path}:1: risk column {risk_col!r} is named twice")
-                risk_idx = pos
-            elif name == "risk":
-                pass  # part of the standard schema; ignored unless requested
-            elif name == f"cov_{len(cov_cols) + 1}":
-                cov_cols.append(pos)
-            else:
-                raise InputError(
-                    f"{path}:1: unexpected column {name!r} "
-                    f"(expected cov_{len(cov_cols) + 1}"
-                    + (f" or {risk_col!r}" if risk_col else "")
-                    + ")"
-                )
-        if risk_col is not None and risk_idx is None:
-            raise InputError(f"{path}:1: risk column {risk_col!r} not found")
-
-        columns = [1] + cov_cols if risk_idx is None else [1, risk_idx, *cov_cols]
-        ids: list[str] = []
-        events: list[str] = []
-
-        def numbers(row):
-            ids.append(row[0])
-            events.append(row[2])
-            return [row[c] for c in columns]
-
-        def check_row(where, row):
-            if _parse_float(row[1], where, "time") < 0:
-                raise InputError(f"{where}: negative time {row[1]!r}")
-            if row[2] not in ("0", "1"):
-                raise InputError(f"{where}: event must be 0 or 1, got {row[2]!r}")
-            if risk_idx is not None:
-                _parse_float(row[risk_idx], where, "risk")
-            for c in cov_cols:
-                _parse_float(row[c], where, header[c])
-
-        values = _float_rows(
-            path, rows, numbers, len(columns), check_row,
-            lambda values: (values[:, 0] >= 0).all() and set(events) <= {"0", "1"},
+    text, header, lines = _read_csv(path)
+    if header[:3] != ["id", "time", "event"]:
+        raise InputError(
+            f"{path}:1: header must start with id,time,event "
+            f"(got {','.join(header[:3])})"
         )
+    extra = header[3:]
+    cov_cols: list[int] = []
+    risk_idx: int | None = None
+    for pos, name in enumerate(extra, start=3):
+        if risk_col is not None and name == risk_col:
+            if risk_idx is not None:
+                raise InputError(f"{path}:1: risk column {risk_col!r} is named twice")
+            risk_idx = pos
+        elif name == "risk":
+            pass  # part of the standard schema; ignored unless requested
+        elif name == f"cov_{len(cov_cols) + 1}":
+            cov_cols.append(pos)
+        else:
+            raise InputError(
+                f"{path}:1: unexpected column {name!r} "
+                f"(expected cov_{len(cov_cols) + 1}"
+                + (f" or {risk_col!r}" if risk_col else "")
+                + ")"
+            )
+    if risk_col is not None and risk_idx is None:
+        raise InputError(f"{path}:1: risk column {risk_col!r} not found")
+
+    columns = [1] + cov_cols if risk_idx is None else [1, risk_idx, *cov_cols]
+
+    def check_row(where, row):
+        time = _parse_float(row[1], where, "time")
+        if time < 0:
+            raise InputError(f"{where}: negative time {row[1]!r}")
+        if row[2] not in ("0", "1"):
+            raise InputError(f"{where}: event must be 0 or 1, got {row[2]!r}")
+        return [time, *(_parse_float(row[c], where, "risk" if c == risk_idx else header[c])
+                        for c in columns[1:])]
+
+    values, (ids, events) = _read_columns(
+        path, text, lines, columns, (0, 2), check_row,
+        lambda values, found: (values[:, 0] >= 0).all() and set(found[1]) <= {"0", "1"},
+    )
     if not ids:
         raise InputError(f"{path}: no records")
     ds = SurvivalDataset(
@@ -206,33 +241,31 @@ def write_subjects_csv(path: str | Path, ds: SurvivalDataset) -> None:
 def read_matrix_csv(path: str | Path, expected_ids: Sequence[str]) -> SurvivalMatrix:
     """Parse per-subject survival curves; rows must match the subjects file order."""
     path = Path(path)
-    with closing(_csv_rows(path)) as rows:
-        header = next(rows)
-        if not header or header[0] != "id":
-            raise InputError(f"{path}:1: first column must be 'id'")
-        grid_points = [
-            _parse_float(h, f"{path}:1", f"grid time {h!r}") for h in header[1:]
-        ]
-        try:
-            grid = TimeGrid(np.array(grid_points))
-        except InputError as exc:
-            raise InputError(f"{path}:1: {exc}") from None
+    text, header, lines = _read_csv(path)
+    if not header or header[0] != "id":
+        raise InputError(f"{path}:1: first column must be 'id'")
+    grid_points = [
+        _parse_float(h, f"{path}:1", f"grid time {h!r}") for h in header[1:]
+    ]
+    try:
+        grid = TimeGrid(np.array(grid_points))
+    except InputError as exc:
+        raise InputError(f"{path}:1: {exc}") from None
 
-        ids: list[str] = []
+    def check_row(where, row):
+        return [_parse_float(v, where, "survival value") for v in row[1:]]
 
-        def numbers(row):
-            ids.append(row[0])
-            return row[1:]
-
-        def check_row(where, row):
-            for v in row[1:]:
-                _parse_float(v, where, "survival value")
-
-        probs = _float_rows(path, rows, numbers, len(grid), check_row)
-    if list(expected_ids) != ids:
-        raise InputError(
-            f"{path}: subject ids do not match the subjects file row order"
-        )
+    probs, (ids,) = _read_columns(
+        path, text, lines, range(1, len(header)), (0,), check_row)
+    expected = list(expected_ids)
+    if len(ids) != len(expected):
+        raise InputError(f"{path}: {len(ids)} rows, but {len(expected)} in the subjects "
+                         f"file; rows must follow the subjects file row order")
+    if ids != expected:
+        k = next(k for k, (got, want) in enumerate(zip(ids, expected)) if got != want)
+        lineno, _ = next(islice(_csv_rows(path, text), k + 1, None))
+        raise InputError(f"{path}:{lineno}: subject id {ids[k]!r} does not follow the "
+                         f"subjects file row order, which has {expected[k]!r} there")
     try:
         return SurvivalMatrix(grid=grid, probs=probs)
     except InputError as exc:
@@ -242,14 +275,12 @@ def read_matrix_csv(path: str | Path, expected_ids: Sequence[str]) -> SurvivalMa
 def read_covariate_pool(path: str | Path) -> np.ndarray:
     """Parse a covariate pool into an (n, p) array of finite values."""
     path = Path(path)
-    with closing(_csv_rows(path)) as rows:
-        header = next(rows)
+    text, header, lines = _read_csv(path)
 
-        def check_row(where, row):
-            for v, name in zip(row, header):
-                _parse_float(v, where, name)
+    def check_row(where, row):
+        return [_parse_float(v, where, name) for v, name in zip(row, header)]
 
-        pool = _float_rows(path, rows, lambda row: row, len(header), check_row)
+    pool, _ = _read_columns(path, text, lines, range(len(header)), (), check_row)
     if not len(pool):
         raise InputError(f"{path}: no covariate rows")
     return pool

@@ -1,5 +1,6 @@
 """Naive reference estimators and pair counts used to check the engine."""
 
+import csv
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -12,6 +13,8 @@ from survconcord import (
     RankRelation,
     StepFunction,
     SurvivalDataset,
+    SurvivalMatrix,
+    TimeGrid,
     classify_pair,
     km_fit,
 )
@@ -23,6 +26,7 @@ from survconcord.engine import (
     PairTally,
 )
 from survconcord.engine import WEIGHT_UNIFORM, WEIGHT_UNO_SQUARED
+from survconcord.io import _parse_float
 
 
 BRUTE_FORCE_LIMIT = 2000
@@ -280,3 +284,109 @@ def normalized_reference(probs) -> np.ndarray:
     """A survival matrix's normalization done unconditionally: every value
     clamped to [0, 1], then each row's running minimum."""
     return np.minimum.accumulate(np.clip(probs, 0.0, 1.0), axis=1)
+
+
+def _reference_rows(path):
+    """The header, then ``(line number, fields)`` per non-blank row, from
+    ``csv.reader`` streaming the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}:1: empty file")
+            yield header
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise InputError(f"{path}:{lineno}: expected {len(header)} "
+                                     f"fields, got {len(row)}")
+                yield lineno, row
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_subjects_reference(path, risk_col=None):
+    """``io.read_subjects_csv`` one row and one ``_parse_float`` at a time."""
+    rows = _reference_rows(path)
+    header = next(rows)
+    if header[:3] != ["id", "time", "event"]:
+        raise InputError(f"{path}:1: header must start with id,time,event "
+                         f"(got {','.join(header[:3])})")
+    cov_cols, risk_idx = [], None
+    for pos, name in enumerate(header[3:], start=3):
+        if risk_col is not None and name == risk_col:
+            if risk_idx is not None:
+                raise InputError(f"{path}:1: risk column {risk_col!r} is named twice")
+            risk_idx = pos
+        elif name == f"cov_{len(cov_cols) + 1}":
+            cov_cols.append(pos)
+        elif name != "risk":
+            raise InputError(f"{path}:1: unexpected column {name!r} "
+                             f"(expected cov_{len(cov_cols) + 1}"
+                             + (f" or {risk_col!r}" if risk_col else "") + ")")
+    if risk_col is not None and risk_idx is None:
+        raise InputError(f"{path}:1: risk column {risk_col!r} not found")
+    ids, times, events, risks, covs = [], [], [], [], []
+    for lineno, row in rows:
+        where = f"{path}:{lineno}"
+        time = _parse_float(row[1], where, "time")
+        if time < 0:
+            raise InputError(f"{where}: negative time {row[1]!r}")
+        if row[2] not in ("0", "1"):
+            raise InputError(f"{where}: event must be 0 or 1, got {row[2]!r}")
+        if risk_idx is not None:
+            risks.append(_parse_float(row[risk_idx], where, "risk"))
+        covs.append([_parse_float(row[c], where, header[c]) for c in cov_cols])
+        ids.append(row[0])
+        times.append(time)
+        events.append(row[2] == "1")
+    if not ids:
+        raise InputError(f"{path}: no records")
+    ds = SurvivalDataset(times=np.array(times), events=np.array(events),
+                         subject_ids=tuple(ids),
+                         covariates=np.array(covs) if cov_cols else None)
+    return ds, (np.array(risks) if risk_idx is not None else None)
+
+
+def read_matrix_reference(path, expected_ids):
+    """``io.read_matrix_csv`` one row and one ``_parse_float`` at a time."""
+    rows = _reference_rows(path)
+    header = next(rows)
+    if not header or header[0] != "id":
+        raise InputError(f"{path}:1: first column must be 'id'")
+    points = [_parse_float(h, f"{path}:1", f"grid time {h!r}") for h in header[1:]]
+    try:
+        grid = TimeGrid(np.array(points))
+    except InputError as exc:
+        raise InputError(f"{path}:1: {exc}") from None
+    ids, linenos, probs = [], [], []
+    for lineno, row in rows:
+        probs.append([_parse_float(v, f"{path}:{lineno}", "survival value")
+                      for v in row[1:]])
+        ids.append(row[0])
+        linenos.append(lineno)
+    expected = list(expected_ids)
+    if len(ids) != len(expected):
+        raise InputError(f"{path}: {len(ids)} rows, but {len(expected)} in the subjects "
+                         f"file; rows must follow the subjects file row order")
+    for lineno, got, want in zip(linenos, ids, expected):
+        if got != want:
+            raise InputError(f"{path}:{lineno}: subject id {got!r} does not follow the "
+                             f"subjects file row order, which has {want!r} there")
+    try:
+        return SurvivalMatrix(grid=grid, probs=np.array(probs).reshape(-1, len(grid)))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def read_pool_reference(path):
+    """``io.read_covariate_pool`` one row and one ``_parse_float`` at a time."""
+    rows = _reference_rows(path)
+    header = next(rows)
+    pool = [[_parse_float(v, f"{path}:{lineno}", name) for v, name in zip(row, header)]
+            for lineno, row in rows]
+    if not pool:
+        raise InputError(f"{path}: no covariate rows")
+    return np.array(pool).reshape(-1, len(header))

@@ -524,6 +524,13 @@ def _simulate_argv(*extra):
          "params.json: unknown censoring key(s): 'beta_agee'"),
         (_simulate_argv(), {"params.json": {"event": _EVENT, "censoring": {"epsilon": 1.0}}},
          "params.json: unknown censoring key(s): 'epsilon'"),
+        (_cindex_argv("--grid", "0:1_0"), {}, "--grid: grid bound is not a number: '1_0'"),
+        (_cindex_argv("--transform", "at-time:\u0663"), {},
+         "--transform: time is not a number: '\u0663'"),
+        (_simulate_argv("--epsilon-list", "0,\uff11"), {},
+         "--epsilon-list: epsilon is not a number: '\uff11'"),
+        (["cindex", "--subjects", "subjects.csv", "--profiles", "", "--out", "out/r"], {},
+         "unknown profile ''"),
     ],
     ids=["at-time", "at-time-inf", "neg-rmst", "grid-range", "grid-list", "epsilon",
          "epsilon-range", "mechanism", "event-shape", "coefficients", "censoring-shape", "censoring-list",
@@ -542,7 +549,9 @@ def _simulate_argv(*extra):
          "grid-four-parts", "at-time-without-time", "transform-unknown",
          "bootstrap-four-parts", "bootstrap-word", "params-without-event",
          "event-without-shape", "pool-columns", "pool-rows", "params-unknown-block",
-         "event-unknown-key", "censoring-unknown-key", "censoring-epsilon-key"],
+         "event-unknown-key", "censoring-unknown-key", "censoring-epsilon-key",
+         "grid-underscore", "at-time-arabic-digit", "epsilon-fullwidth-digit",
+         "profiles-empty"],
 )
 def test_bad_input_values_exit_2_before_writing(
     argv, files, message, subjects_file, tmp_path, monkeypatch, capsys

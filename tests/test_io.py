@@ -1,8 +1,11 @@
 import json
 import re
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survconcord import (
     BootstrapSpec,
@@ -29,6 +32,7 @@ from survconcord.io import (
     write_report_csv,
     write_step_function_csv,
 )
+from survconcord import io as sio
 from survconcord.profiles import (
     PROVENANCE_KEYS,
     TransformSpec,
@@ -36,6 +40,8 @@ from survconcord.profiles import (
     profile_to_dict,
     run_multiverse,
 )
+
+from oracle import read_matrix_reference, read_pool_reference, read_subjects_reference
 
 
 def test_subjects_round_trip(tmp_path):
@@ -137,6 +143,39 @@ _READERS = {
         ("matrix", "id,1,0\na,1,0.5\nb,1,0.5\n", "1: grid must be strictly increasing"),
         ("matrix", "id,0,1\na,1,1.5\nb,1,0.5\n", " survival probabilities outside [0, 1]"),
         ("pool", "age,dose\n", " no covariate rows"),
+        # Numbers are ASCII decimal literals: float() alone reads all of these.
+        ("subjects", "id,time,event\na,1,1\nb,1_0,1\n", "3: time is not a number: '1_0'"),
+        ("subjects", "id,time,event,cov_1\na,1,1,\u0662\n",
+         "2: cov_1 is not a number: '\u0662'"),
+        ("subjects-risk", "id,time,event,score\na,1,1,\uff10.9\n",
+         "2: risk is not a number: '\uff10.9'"),
+        ("matrix", "id,0,1\na,1,0.5\nb,1,\xa00.5\n",
+         "3: survival value is not a number: '\\xa00.5'"),
+        ("matrix", "id,0,1\na,1,0.5\nb,1,0.5\u2003\n",
+         "3: survival value is not a number: '0.5\\u2003'"),
+        ("pool", "age,dose\n1,2\n1_0,2\n", "3: age is not a number: '1_0'"),
+        ("pool", "age,dose\n1,\x1c2\n", "2: dose is not a number: '\\x1c2'"),
+        # Plain files: only "\n" ends a line, "#" starts no comment and an event
+        # is the text 0 or 1, whatever its value.
+        ("pool", "age,dose\n1,2\x1c3,4\n", "2: expected 2 fields, got 3"),
+        ("subjects", "id,time,event\na,1,1\x0bb,2,0\n", "2: expected 3 fields, got 5"),
+        ("pool", "age,dose\n1,2#x\n", "2: dose is not a number: '2#x'"),
+        ("subjects", "id,time,event\na,1,1\nb,1,1.0\n", "3: event must be 0 or 1, got '1.0'"),
+        ("subjects", "id,time,event\na,1,01\n", "2: event must be 0 or 1, got '01'"),
+        # Row order: the first line whose id differs, or both row counts.
+        ("matrix", "id,0,1\na,1,0.5\nc,1,0.5\n",
+         "3: subject id 'c' does not follow the subjects file row order, "
+         "which has 'b' there"),
+        ("matrix", "id,0,1\r\n\r\nb,1,0.5\r\n\r\na,1,0.5\r\n",
+         "3: subject id 'b' does not follow the subjects file row order, "
+         "which has 'a' there"),
+        ("matrix", 'id,0,1\na,1,0.5\n\n"c",1,0.5\n',
+         "4: subject id 'c' does not follow the subjects file row order, "
+         "which has 'b' there"),
+        ("matrix", "id,0,1\na,1,0.5\n",
+         " 1 rows, but 2 in the subjects file; rows must follow the subjects file row order"),
+        ("matrix", "id,0,1\na,1,0.5\nb,1,0.5\nc,1,0.5\n",
+         " 3 rows, but 2 in the subjects file; rows must follow the subjects file row order"),
     ],
 )
 def test_readers_report_the_first_bad_field_in_file_order(tmp_path, reader, text, error):
@@ -157,6 +196,136 @@ def test_readers_accept_the_largest_finite_values(tmp_path):
     assert read_covariate_pool(path).tolist() == [[1e308, 1e308]]
     path.write_text("id,0,1e308\na,1,0.5\n")
     assert read_matrix_csv(path, ["a"]).grid.points.tolist() == [0.0, 1e308]
+
+
+_PLAIN_FILES = {
+    "subjects": ("id,time,event,risk,cov_1\r\n#a,1.5,1,0.25,-2\r\nb#,0,0,1e-300,3\r\n",
+                 lambda path: read_subjects_csv(path, risk_col="risk")),
+    "matrix": ("id,0,2.5\r\n#a,1,0.5\r\nb,0.75,-0.0\r\n",
+               lambda path: read_matrix_csv(path, ["#a", "b"])),
+    "pool": ("age,dose\r\n61.5,2\r\n70,0.5\r\n", read_covariate_pool),
+}
+
+
+@pytest.mark.parametrize("kind", list(_PLAIN_FILES))
+def test_plain_files_are_parsed_without_the_row_reader(tmp_path, monkeypatch, kind):
+    text, read = _PLAIN_FILES[kind]
+    path = tmp_path / "in.csv"
+    path.write_bytes(_BOM + text.encode())
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('"' + text.replace(",", '",', 1))
+    expected = repr(read(quoted))  # the row reader: the header has a quoted field
+    with monkeypatch.context() as patch:
+        def refuse(*args):
+            raise AssertionError("csv.reader called on a plain file")
+        patch.setattr(sio.csv, "reader", refuse)
+        assert repr(read(path)) == expected
+        with pytest.raises(AssertionError, match="plain file"):
+            read(quoted)
+
+
+_IDS = ["a", "b", "c", "#a", "a#b", "a\x00b", "\xe9", "s 1", "1", "x,y", 'q"t']
+_EVENTS = ["0", "1", "1.0", "01", " 1", "2"]
+_GOOD_NUMBERS = ["1", "0.5", "0.125", "-0.0", "1e-3", ".5", "+1", " 0.5", "0.75 ", "\t1",
+                 "0.25\x0b", "0", "1e-320", "1e5"]
+_ODD_NUMBERS = ["-1", "1e309", "inf", "nan", "-inf", "Infinity", "\xa01", "1\u2003",
+                "\x1c1", "1\x1f", "1_0", "\u0663", "\uff11", "0x10", "x", "", " ",
+                "1.5\x00", "1e", "\u2028"]
+_HEADERS = {
+    "subjects": "id,time,event,cov_1",
+    "subjects-risk": "id,time,event,score,cov_1",
+    "matrix": "id,0,1",
+    "pool": "age,dose",
+}
+
+
+@st.composite
+def _csv_files(draw):
+    """A reader name, the bytes of a file for it and the ids its rows hold.
+
+    Most files are plain and valid; the rest carry one or more of quoted
+    fields, lone ``\\r`` line ends, short or long rows, blank or
+    whitespace-only lines and numbers or events that a reader refuses.
+    """
+    def rarely(odds=8):
+        return draw(st.integers(0, odds)) == 0
+
+    kind = draw(st.sampled_from(list(_HEADERS)))
+    header = _HEADERS[kind].split(",")
+    quote_some, mixed_ends = rarely(3), rarely(3)
+
+    def value(name):
+        if name == "id":
+            return draw(st.sampled_from(_IDS[:-2] if not rarely(6) else _IDS))
+        if name == "event":
+            return draw(st.sampled_from(_EVENTS[:2] if not rarely() else _EVENTS))
+        return draw(st.sampled_from(_GOOD_NUMBERS if not rarely(12) else _ODD_NUMBERS))
+
+    def field(text):
+        if any(c in text for c in ',"') or quote_some and draw(st.booleans()):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines, ids = [",".join(header)], []
+    for _ in range(draw(st.integers(0, 5))):
+        row = [value(name) for name in header]
+        ids.append(row[0])
+        if rarely(20):
+            row = row[:-1] if draw(st.booleans()) else row + ["9"]
+        lines.append(",".join(map(field, row)))
+        if rarely(5):
+            lines.append(draw(st.sampled_from(["", "", " ", "\t"])))
+    if rarely(20):
+        lines.insert(0, "")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"] if mixed_ends else ["\n", "\r\n"]))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) if mixed_ends else end
+            for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    bom = _BOM if draw(st.booleans()) else b""
+    return kind, bom + text.encode(), ids
+
+
+def _hex(values):
+    return None if values is None else (values.shape, [v.hex() for v in values.flat])
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: its values spelt exactly, or its error."""
+    try:
+        out = read(path)
+    except InputError as exc:
+        return "error", str(exc)
+    if isinstance(out, SurvivalMatrix):
+        return _hex(out.grid.points), _hex(out.probs)
+    if isinstance(out, np.ndarray):
+        return _hex(out)
+    ds, risks = out
+    return (ds.subject_ids, ds.events.tolist(), _hex(ds.times), _hex(ds.covariates),
+            _hex(risks))
+
+
+_EQUIVALENT = {
+    "subjects": (read_subjects_csv, read_subjects_reference),
+    "subjects-risk": (partial(read_subjects_csv, risk_col="score"),
+                      partial(read_subjects_reference, risk_col="score")),
+    "matrix": (read_matrix_csv, read_matrix_reference),
+    "pool": (read_covariate_pool, read_pool_reference),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_files(), st.sampled_from(["same"] * 4 + ["reversed", "one more"]))
+def test_readers_match_the_row_by_row_reference(tmp_path_factory, case, order):
+    kind, data, ids = case
+    read, reference = _EQUIVALENT[kind]
+    if kind == "matrix":
+        ids = ids[::-1] if order == "reversed" else ids + ["z"] if order == "one more" else ids
+        read, reference = partial(read, expected_ids=ids), partial(reference, expected_ids=ids)
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_bytes(data)
+    assert _outcome(read, path) == _outcome(reference, path)
 
 
 def test_matrix_round_trip_and_alignment(tmp_path):
