@@ -96,7 +96,7 @@ def _parse_tau(text: str) -> Truncation:
     if text == "max-uncensored":
         return Truncation(mode=TRUNC_MAX_UNCENSORED)
     try:
-        value = float(text)
+        value = sio._decimal(text)
     except ValueError:
         raise InputError(
             f"invalid --tau {text!r}; expected none, max-uncensored or a number"
@@ -125,7 +125,7 @@ def _parse_bootstrap(text: str) -> BootstrapSpec:
         if len(parts) > 1 and parts[1]:
             given["sample_size"] = int(parts[1])
         if len(parts) > 2:
-            given["level"] = float(parts[2])
+            given["level"] = sio._decimal(parts[2])
     except ValueError:
         raise InputError(f"invalid --bootstrap {text!r}") from None
     return BootstrapSpec(**given)

@@ -8,9 +8,10 @@ without ``_`` separators, and must be finite.  Errors name the place as
 
 A file is read once.  When it is plain (no ``"``, no ``\r`` but in ``\r\n``
 line ends, every line as many fields as the header) ``np.loadtxt`` parses its
-numbers in one C pass.  Any other file, and a plain file whose values fail a
-check, goes through the row reader: ``csv.reader`` and one number at a time,
-so that an error names the first bad field or row in file order.
+numbers in one C pass.  Any other file goes through the row reader:
+``csv.reader``, then C-level ``float`` over all its numbers at once.  When
+the values fail a check, the rows are checked one number at a time, so that
+an error names the first bad field or row in file order.
 
 Subjects file: header ``id,time,event`` followed optionally by a risk column
 and covariate columns named ``cov_1..cov_p``; events are 0/1.  Matrix file:
@@ -41,11 +42,16 @@ from .engine import StepFunction
 from .profiles import PROVENANCE_KEYS, MultiverseReport, Profile, profile_from_dict
 
 
+def _decimal(raw: str) -> float:
+    """``float(raw)`` for an ASCII decimal literal; a ``ValueError`` otherwise."""
+    if "_" in raw or not raw.isascii():  # float() would read 1_0, ٣ and ０.5
+        raise ValueError(f"not a decimal literal: {raw!r}")
+    return float(raw)
+
+
 def _parse_float(raw: str, where: str, what: str) -> float:
     try:
-        if "_" in raw or not raw.isascii():  # float() would read 1_0, ٣ and ０.5
-            raise ValueError
-        value = float(raw)
+        value = _decimal(raw)
     except ValueError:
         raise InputError(f"{where}: {what} is not a number: {raw!r}") from None
     if not math.isfinite(value):
@@ -92,13 +98,14 @@ def _read_csv(path: Path) -> tuple[str, list[str], list[str] | None]:
         text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
-    plain = text.replace("\r\n", "\n")
-    if '"' not in plain and "\r" not in plain:
-        head, *lines = plain.split("\n")
-        header = head.split(",")
-        lines = [line for line in lines if line]
-        if head and all(line.count(",") == len(header) - 1 for line in lines):
-            return plain, header, lines
+    if '"' not in text:
+        plain = text.replace("\r\n", "\n")
+        if "\r" not in plain:
+            head, *lines = plain.split("\n")
+            header = head.split(",")
+            lines = [line for line in lines if line]
+            if head and all(line.count(",") == len(header) - 1 for line in lines):
+                return plain, header, lines
     return text, next(_csv_rows(path, text)), None
 
 
@@ -110,12 +117,20 @@ def _read_columns(path: Path, text: str, lines: list[str] | None,
     array, and the columns ``strings`` as lists of fields.
 
     A plain file's lines go through ``np.loadtxt`` in one C pass.  The row
-    reader parses every other file, and a plain file with a number that
-    ``np.loadtxt`` refuses or values that fail a check (finite and
-    ``valid(values, fields)``): ``check_row(where, row)`` returns a row's
-    numbers or raises the error of its first bad field, so an error names
-    the first bad field or row in file order.
+    reader parses every other file, and a plain file whose C pass fails:
+    ``csv.reader`` splits the rows and C-level ``float`` converts all their
+    numbers at once.  The values must be finite and pass
+    ``valid(values, fields)``.  When a pass fails, ``check_row(where, row)``
+    runs on each row: it returns a row's numbers or raises the error of its
+    first bad field, so an error names the first bad field or row in file
+    order.
     """
+    def checked(values, found):
+        return np.isfinite(values).all() and (valid is None or valid(values, found))
+
+    def decimal(s):  # free of what _parse_float refuses before float()
+        return "_" not in s and s.isascii()
+
     if lines:  # np.loadtxt warns on no lines
         parsed = lines
         if not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
@@ -128,16 +143,28 @@ def _read_columns(path: Path, text: str, lines: list[str] | None,
             pass
         else:
             found = [[line.split(",", c + 1)[c] for line in lines] for c in strings]
-            if np.isfinite(values).all() and (valid is None or valid(values, found)):
+            if checked(values, found):
                 return values, found
-    rows = _csv_rows(path, text)
-    next(rows)
-    values, found = [], [[] for _ in strings]
-    for lineno, row in rows:
-        values.append(check_row(f"{path}:{lineno}", row))
-        for column, c in zip(found, strings):
-            column.append(row[c])
-    return np.array(values, float).reshape(-1, len(numbers)), found
+    rows, error = [], None
+    try:
+        rows.extend(islice(_csv_rows(path, text), 1, None))
+    except InputError as exc:  # raised after the rows before it are checked
+        error = exc
+    found = [[row[c] for _, row in rows] for c in strings]
+    fields = [row[c] for _, row in rows for c in numbers]
+    if error is None and (decimal(text) or decimal("".join(fields))):
+        try:
+            values = np.fromiter(map(float, fields), float, len(fields))
+        except ValueError:
+            pass
+        else:
+            values = values.reshape(len(rows), len(numbers))
+            if checked(values, found):
+                return values, found
+    values = [check_row(f"{path}:{lineno}", row) for lineno, row in rows]
+    if error is not None:
+        raise error
+    return np.array(values, float).reshape(len(rows), len(numbers)), found
 
 
 def write_csv(out: str | Path | TextIO, header: list, rows: Iterable) -> None:

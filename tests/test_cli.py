@@ -531,6 +531,11 @@ def _simulate_argv(*extra):
          "--epsilon-list: epsilon is not a number: '\uff11'"),
         (["cindex", "--subjects", "subjects.csv", "--profiles", "", "--out", "out/r"], {},
          "unknown profile ''"),
+        (_cindex_argv("--tau", "2_5"), {},
+         "invalid --tau '2_5'; expected none, max-uncensored or a number"),
+        (_cindex_argv("--tau", "\u0663"), {},
+         "invalid --tau '\u0663'; expected none, max-uncensored or a number"),
+        (_cindex_argv("--bootstrap", "20::0.9_5"), {}, "invalid --bootstrap '20::0.9_5'"),
     ],
     ids=["at-time", "at-time-inf", "neg-rmst", "grid-range", "grid-list", "epsilon",
          "epsilon-range", "mechanism", "event-shape", "coefficients", "censoring-shape", "censoring-list",
@@ -551,7 +556,7 @@ def _simulate_argv(*extra):
          "event-without-shape", "pool-columns", "pool-rows", "params-unknown-block",
          "event-unknown-key", "censoring-unknown-key", "censoring-epsilon-key",
          "grid-underscore", "at-time-arabic-digit", "epsilon-fullwidth-digit",
-         "profiles-empty"],
+         "profiles-empty", "tau-underscore", "tau-arabic-digit", "bootstrap-level-underscore"],
 )
 def test_bad_input_values_exit_2_before_writing(
     argv, files, message, subjects_file, tmp_path, monkeypatch, capsys
