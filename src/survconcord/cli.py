@@ -285,12 +285,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             covariates = rng.standard_normal((args.n, p))
         event_times = generate_event_times(params, covariates, subseed(args.seed, 0, k))
         name = f"dataset_{k:0{width}d}.csv"
+        shared = {}  # this replicate's ids, covariates and event times, as text
         uncensored = SurvivalDataset(
             times=event_times,
             events=np.ones(args.n, dtype=np.int8),
             covariates=covariates,
         )
-        sio.write_subjects_csv(out_dir / "uncensored" / name, uncensored)
+        sio.write_subjects_csv(out_dir / "uncensored" / name, uncensored, shared)
         try:
             oracle = oracle_cindex(params, covariates, event_times)
         except ComputationError:
@@ -303,7 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 subseed(args.seed, 1, k, e_idx),
             )
             ds = assemble(event_times, censor_times, covariates=covariates)
-            sio.write_subjects_csv(out_dir / f"eps_{eps_tags[eps]}" / name, ds)
+            sio.write_subjects_csv(out_dir / f"eps_{eps_tags[eps]}" / name, ds, shared)
             summary_rows.append(
                 (eps_tags[eps], k, ds.n_events, (ds.n - ds.n_events) / ds.n)
             )

@@ -19,8 +19,12 @@ first column ``id``, the other headers are grid times; row order must match
 the subjects file.  Covariate pool file: a header naming the columns, then one
 row per subject.
 
-All numeric output uses ``repr`` (shortest round-trip form) and JSON is
-written with sorted keys, so identical inputs produce byte-identical files.
+Written CSV files have ``\r\n`` line ends, numbers as their ``repr``
+(shortest round-trip form) and a text field quoted, with ``"`` doubled,
+only when it holds ``,``, ``"``, ``\r`` or ``\n``.  ``write_subjects_csv``
+joins a subjects file's lines itself; every other CSV goes through
+``write_csv``.  JSON is written with sorted keys, so identical inputs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import json
 import math
 import re
 from io import StringIO
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -66,21 +70,27 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> InputError:
 def _csv_rows(path: Path, text: str) -> Iterator:
     """Parse a CSV text: the header, then ``(line number, fields)`` per row.
 
-    Blank lines are skipped.  An empty text, or a row whose field count
-    differs from the header's, raises :class:`InputError`.
+    Blank lines are skipped.  An empty text, a row whose field count
+    differs from the header's, or a row ``csv.reader`` refuses (a field over
+    its ``field_size_limit``) raises :class:`InputError`.
     """
     reader = csv.reader(StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise InputError(f"{path}:1: empty file")
-    yield header
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise InputError(f"{path}:{lineno}: expected {len(header)} "
-                             f"fields, got {len(row)}")
-        yield lineno, row
+    lineno = 0  # the last row read
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}:1: empty file")
+        yield header
+        lineno = 1
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InputError(f"{path}:{lineno}: expected {len(header)} "
+                                 f"fields, got {len(row)}")
+            yield lineno, row
+    except csv.Error as exc:
+        raise InputError(f"{path}:{lineno + 1}: {exc}") from None
 
 
 def _read_csv(path: Path) -> tuple[str, list[str], list[str] | None]:
@@ -168,7 +178,8 @@ def _read_columns(path: Path, text: str, lines: list[str] | None,
 
 
 def write_csv(out: str | Path | TextIO, header: list, rows: Iterable) -> None:
-    """Write a header and rows to a path or an open text stream.
+    """Write a header and rows to a path or an open text stream with
+    ``csv.writer``; subjects files go through ``write_subjects_csv`` instead.
 
     Cells are strings or plain Python numbers (``.tolist()`` values): csv
     writes a float as its ``repr``, the shortest round-trip form, and
@@ -256,13 +267,79 @@ def read_subjects_csv(
     return ds, (values[:, 1].copy() if risk_idx is not None else None)
 
 
-def write_subjects_csv(path: str | Path, ds: SurvivalDataset) -> None:
-    header = ["id", "time", "event"]
-    columns = [ds.subject_ids, ds.times.tolist(), ds.events.tolist()]
-    if ds.covariates is not None:
-        header += [f"cov_{j + 1}" for j in range(ds.covariates.shape[1])]
-        columns += ds.covariates.T.tolist()
-    write_csv(path, header, zip(*columns))
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _quoted(ids: tuple[str, ...]) -> Sequence[str]:
+    """Ids as ``csv.writer``'s minimal quoting writes them: quoted, with
+    ``"`` doubled, only when they hold ``,``, ``"``, ``\\r`` or ``\\n``."""
+    if not _QUOTED.search("".join(ids)):
+        return ids
+    return ['"' + s.replace('"', '""') + '"' if _QUOTED.search(s) else s for s in ids]
+
+
+def _row_text(shared: dict, key: str, values: np.ndarray, fmt: Callable) -> list[str]:
+    """``fmt(values)``, one string per row, reusing the text of the first
+    dataset written with ``shared`` wherever a row's float64 bits equal that
+    dataset's row at the same position.  Bits, not values: ``-0.0 == 0.0``
+    but their ``repr`` differ."""
+    bits = values.view(np.uint64)
+    if bits.ndim == 1:
+        bits = bits[:, None]
+    if key not in shared:
+        text = fmt(values)
+        shared[key] = bits, text
+        return text
+    first_bits, first_text = shared[key]
+    if first_bits.shape != bits.shape:
+        return fmt(values)
+    fresh = np.flatnonzero((first_bits != bits).any(axis=1))
+    if not fresh.size:
+        return first_text
+    text = first_text.copy()
+    for k, row in zip(fresh.tolist(), fmt(values[fresh])):
+        text[k] = row
+    return text
+
+
+def _reprs(times: np.ndarray) -> list[str]:
+    return list(map(repr, times.tolist()))
+
+
+def _tails(covariates: np.ndarray) -> list[str]:
+    return ["," + ",".join(map(repr, row)) for row in covariates.tolist()]
+
+
+def write_subjects_csv(path: str | Path, ds: SurvivalDataset,
+                       shared: dict | None = None) -> None:
+    """Write a subjects file: ``id,time,event[,cov_1..cov_p]``.
+
+    The bytes are those ``csv.writer`` writes: ``\\r\\n`` line ends, numbers
+    as their ``repr`` and ids quoted only when they hold ``,``, ``"``,
+    ``\\r`` or ``\\n``.  Each line is one f-string and the file one join.
+    Datasets written with the same ``shared`` dict (say, one replicate's
+    uncensored and censored files) reuse the first one's text of the ids,
+    and of each time and covariate row whose float64 bits are unchanged; the
+    bytes written never depend on it.
+    """
+    if shared is None:
+        shared = {}
+    if "ids" not in shared:
+        shared["ids"] = ds.subject_ids, _quoted(ds.subject_ids)
+    first_ids, quoted = shared["ids"]
+    if first_ids != ds.subject_ids:
+        quoted = _quoted(ds.subject_ids)
+    times = _row_text(shared, "times", ds.times, _reprs)
+    header = "id,time,event"
+    if ds.covariates is None or not ds.covariates.shape[1]:
+        tails = repeat("")
+    else:
+        header += "".join(f",cov_{j + 1}" for j in range(ds.covariates.shape[1]))
+        tails = _row_text(shared, "covariates", ds.covariates, _tails)
+    lines = [f"{i},{t},{e}{c}\r\n"
+             for i, t, e, c in zip(quoted, times, ds.events.tolist(), tails)]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\r\n" + "".join(lines))
 
 
 def read_matrix_csv(path: str | Path, expected_ids: Sequence[str]) -> SurvivalMatrix:

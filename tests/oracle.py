@@ -291,11 +291,13 @@ def _reference_rows(path):
     ``csv.reader`` streaming the file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        lineno = 0
         try:
             header = next(reader, None)
             if header is None:
                 raise InputError(f"{path}:1: empty file")
             yield header
+            lineno = 1
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -305,6 +307,8 @@ def _reference_rows(path):
                 yield lineno, row
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise InputError(f"{path}:{lineno + 1}: {exc}") from None
 
 
 def read_subjects_reference(path, risk_col=None):
@@ -390,3 +394,16 @@ def read_pool_reference(path):
     if not pool:
         raise InputError(f"{path}: no covariate rows")
     return np.array(pool).reshape(-1, len(header))
+
+
+def write_subjects_reference(path, ds: SurvivalDataset) -> None:
+    """``io.write_subjects_csv`` through ``csv.writer``, one row at a time."""
+    header = ["id", "time", "event"]
+    columns = [ds.subject_ids, ds.times.tolist(), ds.events.tolist()]
+    if ds.covariates is not None:
+        header += [f"cov_{j + 1}" for j in range(ds.covariates.shape[1])]
+        columns += ds.covariates.T.tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))

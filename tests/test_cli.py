@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import time
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from survconcord import io as sio
 from survconcord.cli import main
 from survconcord.data import ComputationError
 
@@ -296,6 +298,29 @@ def test_simulate_deterministic_across_runs(mechanism, epsilons, tmp_path):
     assert run(tmp_path / "one") == run(tmp_path / "two")
 
 
+def test_simulate_writes_every_subjects_file_through_io(tmp_path, monkeypatch):
+    # The benchmark's tracer wraps io.write_subjects_csv and sizes args[0].
+    written = []
+    write = sio.write_subjects_csv
+
+    def traced(*args, **kwargs):
+        write(*args, **kwargs)
+        assert Path(args[0]).is_file()
+        written.append(Path(args[0]))
+
+    monkeypatch.setattr(sio, "write_subjects_csv", traced)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"event": {"shape": 1.0, "scale": 0.02,
+                                            "coefficients": [0.5, -0.3]}}))
+    out_dir = tmp_path / "sim"
+    assert main([
+        "simulate", "--params", str(params), "--n", "30", "--datasets", "2",
+        "--epsilon-list", "0,1,3", "--out-dir", str(out_dir),
+    ]) == 0
+    assert len(written) == (1 + 3) * 2
+    assert sorted(written) == sorted(out_dir.rglob("dataset_*.csv"))
+
+
 def _simulate_from_pool(tmp_path, pool_rows):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({
@@ -328,6 +353,18 @@ def test_simulate_rejects_non_finite_pool_before_writing(tmp_path, capsys):
     assert code == 2
     assert "pool.csv:3" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_cindex_field_over_the_csv_reader_limit_exits_2(tmp_path, capsys):
+    limit = csv.field_size_limit()
+    subjects = tmp_path / "long.csv"
+    subjects.write_text(f'id,time,event,risk\na,1,1,0.5\n"{"x" * 200_000}",2,1,0.3\n')
+    code = main(["cindex", "--subjects", str(subjects), "--risk-col", "risk",
+                 "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert f"error: {subjects}:3: field larger than field limit" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["long.csv"]
+    assert csv.field_size_limit() == limit
 
 
 def test_cindex_rejects_bad_bootstrap_spec_before_scoring(subjects_file, tmp_path, capsys):

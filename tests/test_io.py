@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survconcord import (
@@ -41,7 +41,12 @@ from survconcord.profiles import (
     run_multiverse,
 )
 
-from oracle import read_matrix_reference, read_pool_reference, read_subjects_reference
+from oracle import (
+    read_matrix_reference,
+    read_pool_reference,
+    read_subjects_reference,
+    write_subjects_reference,
+)
 
 
 def test_subjects_round_trip(tmp_path):
@@ -328,6 +333,94 @@ def test_readers_match_the_row_by_row_reference(tmp_path_factory, case, order):
     path = tmp_path_factory.mktemp("csv") / "in.csv"
     path.write_bytes(data)
     assert _outcome(read, path) == _outcome(reference, path)
+
+
+_WRITTEN_IDS = st.one_of(
+    st.sampled_from(["", ",", '"', "a,b", 'say "hi"', "\r", "\n", "a\r\nb", " ", " s ",
+                     "é", "日本", "x"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+_WRITTEN_TIMES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1.0, 0.1]),
+                           st.floats(0, 1e300))
+_WRITTEN_COVARIATES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1.5]),
+                                st.floats(allow_nan=False, allow_infinity=False))
+_COVARIATE_COLUMNS = [None, 0, 1, 2, 3, 4]
+
+
+@st.composite
+def _written_dataset(draw, n, p):
+    def column(values, size):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    ids = tuple(column(_WRITTEN_IDS, n)) if draw(st.booleans()) else ()
+    covariates = None
+    if p is not None:
+        covariates = np.array(column(_WRITTEN_COVARIATES, n * p), float).reshape(n, p)
+    return SurvivalDataset(times=np.array(column(_WRITTEN_TIMES, n), float),
+                           events=np.array(column(st.integers(0, 1), n), float),
+                           subject_ids=ids, covariates=covariates)
+
+
+@st.composite
+def _replicate(draw):
+    """Datasets written in turn with one ``shared`` dict: most share the
+    first's shape and take each time, covariate row and the ids either from
+    it or fresh (``-0.0`` where it has ``0.0``, say); some have another."""
+    n, p = draw(st.integers(0, 5)), draw(st.sampled_from(_COVARIATE_COLUMNS))
+    first = draw(_written_dataset(n, p))
+    datasets = [first]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 4)) == 0:
+            shape = draw(st.integers(0, 5)), draw(st.sampled_from(_COVARIATE_COLUMNS))
+            datasets.append(draw(_written_dataset(*shape)))
+            continue
+        fresh = draw(_written_dataset(n, p))
+        keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+        covariates = None
+        if p is not None:
+            rows = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+            covariates = np.where(rows[:, None], first.covariates, fresh.covariates)
+        datasets.append(SurvivalDataset(
+            times=np.where(keep, first.times, fresh.times), events=fresh.events,
+            subject_ids=first.subject_ids if draw(st.booleans()) else fresh.subject_ids,
+            covariates=covariates))
+    return datasets
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replicate())
+@example([SurvivalDataset(times=[0.0, 1.0], events=[1, 1], covariates=[[0.0], [2.0]]),
+          SurvivalDataset(times=[-0.0, 1.0], events=[0, 1], covariates=[[-0.0], [2.0]])])
+def test_subjects_files_written_with_a_shared_cache_match_csv_writer(tmp_path_factory,
+                                                                     datasets):
+    out = tmp_path_factory.mktemp("subjects")
+    shared = {}
+    for k, ds in enumerate(datasets):
+        sio.write_subjects_csv(out / f"{k}.csv", ds, shared)
+        write_subjects_reference(out / f"{k}.ref", ds)
+        assert (out / f"{k}.csv").read_bytes() == (out / f"{k}.ref").read_bytes()
+
+
+def test_subjects_file_layout(tmp_path):
+    ds = SurvivalDataset(times=[-0.0, 1.5, 5e-324], events=[1, 0, 1],
+                         subject_ids=("", "a,b", 'q"'), covariates=[[0.1], [-0.0], [2.0]])
+    sio.write_subjects_csv(tmp_path / "s.csv", ds)
+    assert (tmp_path / "s.csv").read_bytes() == (
+        b'id,time,event,cov_1\r\n,-0.0,1,0.1\r\n"a,b",1.5,0,-0.0\r\n'
+        b'"q""",5e-324,1,2.0\r\n')
+    back, _ = read_subjects_csv(tmp_path / "s.csv")
+    assert back.subject_ids == ds.subject_ids
+    assert _hex(back.times) == _hex(ds.times) and _hex(back.covariates) == _hex(ds.covariates)
+
+
+def test_csv_field_over_the_reader_limit_names_its_line(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text(f'id,time,event\na,1,1\n"{"x" * 200_000}",2,1\n')
+    with pytest.raises(InputError, match=r"long\.csv:3: field larger than field limit"):
+        read_subjects_csv(path)
+    path.write_text(f'"{"x" * 200_000}",time,event\na,1,1\n')
+    with pytest.raises(InputError, match=r"long\.csv:1: field larger than field limit"):
+        read_subjects_csv(path)
 
 
 def test_matrix_round_trip_and_alignment(tmp_path):
